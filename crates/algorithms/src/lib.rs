@@ -58,9 +58,7 @@ pub mod verify;
 pub use adversary::{ball_radius_oracle, cycle_with_arrangement, SliceConstruction};
 pub use baselines::{FullInfoColoring, FullInfoLargestId};
 pub use cole_vishkin::RingOrientation;
-pub use largest_id::{
-    predicted_cycle_radii, predicted_cycle_total, run_largest_id, verify_largest_id, LargestId,
-};
+pub use largest_id::{predicted_cycle_radii, predicted_cycle_total, run_largest_id, LargestId};
 pub use leader::{elect_leader, Election, KnowTheLeader};
 pub use matching::{run_matching, MatchingMessage, MatchingRing, MatchingState};
 pub use mis::{run_mis, MisMessage, MisRing, MisState};
@@ -85,7 +83,7 @@ mod proptests {
             let mut g = generators::cycle(n).unwrap();
             IdAssignment::Shuffled { seed }.apply(&mut g).unwrap();
             let run = run_largest_id(&g).unwrap();
-            prop_assert!(verify_largest_id(&g, run.outputs()));
+            prop_assert!(verify::is_correct_largest_id(&g, run.outputs()));
             let predicted = predicted_cycle_radii(&g);
             prop_assert_eq!(run.radii(), predicted.as_slice());
         }

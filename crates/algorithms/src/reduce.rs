@@ -56,17 +56,13 @@ pub fn reduce_to(colors: &[u64], adjacency: &[Vec<usize>], initial: u64, target:
     current
 }
 
-/// Checks that `colors` is a proper colouring of the graph described by
-/// `adjacency` using at most `palette_size` colours.
+/// [`crate::verify::proper_coloring_ok`] on the graph described by
+/// `adjacency`.
 #[must_use]
 pub fn is_proper_coloring(colors: &[u64], adjacency: &[Vec<usize>], palette_size: u64) -> bool {
-    if colors.len() != adjacency.len() {
-        return false;
-    }
-    if colors.iter().any(|&c| c >= palette_size) {
-        return false;
-    }
-    adjacency.iter().enumerate().all(|(i, nbrs)| nbrs.iter().all(|&j| colors[i] != colors[j]))
+    let edges =
+        adjacency.iter().enumerate().flat_map(|(i, nbrs)| nbrs.iter().map(move |&j| (i, j)));
+    crate::verify::proper_coloring_ok(adjacency.len(), edges, colors, palette_size)
 }
 
 #[cfg(test)]

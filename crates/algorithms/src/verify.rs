@@ -6,19 +6,18 @@
 use avglocal_graph::{ComponentLabels, Graph, Identifier};
 
 /// The largest identifier of each component, indexed by component label, or
-/// `None` when `labels` does not cover the graph.
+/// `None` when `labels` does not cover the identifier table.
 #[must_use]
 pub fn component_max_identifiers(
-    graph: &Graph,
+    identifiers: &[Identifier],
     labels: &ComponentLabels,
 ) -> Option<Vec<Identifier>> {
-    if labels.node_count() != graph.node_count() {
+    if labels.node_count() != identifiers.len() {
         return None;
     }
     let mut maxima: Vec<Option<Identifier>> = vec![None; labels.count()];
-    for v in graph.nodes() {
-        let slot = &mut maxima[labels.label(v) as usize];
-        let id = graph.identifier(v);
+    for (&label, &id) in labels.labels().iter().zip(identifiers) {
+        let slot = &mut maxima[label as usize];
         if slot.is_none_or(|m| id > m) {
             *slot = Some(id);
         }
@@ -27,59 +26,94 @@ pub fn component_max_identifiers(
     maxima.into_iter().collect()
 }
 
+/// Checks largest-ID outputs against an identifier table (indexed by node):
+/// exactly the node carrying the maximum identifier answered `true`.
+#[must_use]
+pub fn largest_id_ok(identifiers: &[Identifier], outputs: &[bool]) -> bool {
+    if outputs.len() != identifiers.len() {
+        return false;
+    }
+    let winner = identifiers.iter().enumerate().max_by_key(|(_, id)| **id).map(|(v, _)| v);
+    outputs.iter().enumerate().all(|(v, &out)| out == (Some(v) == winner))
+}
+
 /// Checks the component-scoped largest-ID outputs: within every connected
 /// component, exactly the node carrying that component's maximum identifier
 /// answered `true`.
 ///
-/// On a connected graph this coincides with
-/// [`is_correct_largest_id`]; on a disconnected graph it is the natural
-/// semantics of the ball-growing algorithm, whose view saturates at the
-/// component boundary.
+/// On a connected graph this coincides with [`largest_id_ok`]; on a
+/// disconnected graph it is the natural semantics of the ball-growing
+/// algorithm, whose view saturates at the component boundary.
 #[must_use]
-pub fn is_correct_largest_id_per_component(
-    graph: &Graph,
+pub fn largest_id_per_component_ok(
+    identifiers: &[Identifier],
     labels: &ComponentLabels,
     outputs: &[bool],
 ) -> bool {
-    if outputs.len() != graph.node_count() {
+    if outputs.len() != identifiers.len() {
         return false;
     }
-    let Some(maxima) = component_max_identifiers(graph, labels) else {
+    let Some(maxima) = component_max_identifiers(identifiers, labels) else {
         return false;
     };
-    graph
-        .nodes()
-        .all(|v| outputs[v.index()] == (graph.identifier(v) == maxima[labels.label(v) as usize]))
+    (0..outputs.len())
+        .all(|v| outputs[v] == (identifiers[v] == maxima[labels.labels()[v] as usize]))
+}
+
+/// Checks know-the-leader outputs: every node named the maximum identifier.
+#[must_use]
+pub fn leader_ok(identifiers: &[Identifier], outputs: &[Identifier]) -> bool {
+    outputs.len() == identifiers.len()
+        && identifiers.iter().max().is_none_or(|max| outputs.iter().all(|id| id == max))
 }
 
 /// Checks the component-scoped know-the-leader outputs: every node named the
 /// maximum identifier of its own component.
 #[must_use]
-pub fn is_component_leader_output(
-    graph: &Graph,
+pub fn component_leader_ok(
+    identifiers: &[Identifier],
     labels: &ComponentLabels,
     outputs: &[Identifier],
 ) -> bool {
-    if outputs.len() != graph.node_count() {
+    if outputs.len() != identifiers.len() {
         return false;
     }
-    let Some(maxima) = component_max_identifiers(graph, labels) else {
+    let Some(maxima) = component_max_identifiers(identifiers, labels) else {
         return false;
     };
-    graph.nodes().all(|v| outputs[v.index()] == maxima[labels.label(v) as usize])
+    outputs.iter().zip(labels.labels()).all(|(id, &label)| *id == maxima[label as usize])
 }
 
-/// Checks that `colors` (indexed by node) is a proper colouring of `graph`
-/// with at most `palette_size` colours.
+/// Checks that `colors` (indexed by node) properly colours the graph whose
+/// undirected edges are `edges` (node-index pairs), with at most
+/// `palette_size` colours.
+#[must_use]
+pub fn proper_coloring_ok(
+    node_count: usize,
+    edges: impl IntoIterator<Item = (usize, usize)>,
+    colors: &[u64],
+    palette_size: u64,
+) -> bool {
+    colors.len() == node_count
+        && colors.iter().all(|&c| c < palette_size)
+        && edges.into_iter().all(|(u, v)| colors[u] != colors[v])
+}
+
+/// [`largest_id_ok`] on `graph`'s identifiers.
+#[must_use]
+pub fn is_correct_largest_id(graph: &Graph, outputs: &[bool]) -> bool {
+    largest_id_ok(graph.identifier_slice(), outputs)
+}
+
+/// [`proper_coloring_ok`] on `graph`'s edges.
 #[must_use]
 pub fn is_proper_coloring(graph: &Graph, colors: &[u64], palette_size: u64) -> bool {
-    if colors.len() != graph.node_count() {
-        return false;
-    }
-    if colors.iter().any(|&c| c >= palette_size) {
-        return false;
-    }
-    graph.edges().all(|(u, v)| colors[u.index()] != colors[v.index()])
+    proper_coloring_ok(
+        graph.node_count(),
+        graph.edges().map(|(u, v)| (u.index(), v.index())),
+        colors,
+        palette_size,
+    )
 }
 
 /// Checks that `in_set` (indexed by node) describes a maximal independent
@@ -98,12 +132,6 @@ pub fn is_maximal_independent_set(graph: &Graph, in_set: &[bool]) -> bool {
     graph
         .nodes()
         .all(|v| in_set[v.index()] || graph.neighbors(v).iter().any(|&u| in_set[u.index()]))
-}
-
-/// Checks that exactly the node with the maximum identifier answered `true`.
-#[must_use]
-pub fn is_correct_largest_id(graph: &Graph, outputs: &[bool]) -> bool {
-    crate::largest_id::verify_largest_id(graph, outputs)
 }
 
 /// Checks that `matched` describes a maximal matching: `matched[v]` is the
@@ -210,6 +238,44 @@ mod tests {
         assert!(is_correct_largest_id(&g, &outputs));
     }
 
+    #[test]
+    fn slice_verifiers_reject_wrong_outputs() {
+        let ids: Vec<Identifier> = [3u64, 8, 1, 5].map(Identifier::new).to_vec();
+        assert!(largest_id_ok(&ids, &[false, true, false, false]));
+        assert!(!largest_id_ok(&ids, &[false; 4])); // nobody claims leadership
+        assert!(!largest_id_ok(&ids, &[false, true, false, true])); // two winners
+        assert!(!largest_id_ok(&ids, &[true, false, false, false])); // wrong node
+        assert!(!largest_id_ok(&ids, &[false, true])); // wrong length
+        assert!(largest_id_ok(&[], &[]));
+
+        let (eight, five) = (Identifier::new(8), Identifier::new(5));
+        assert!(leader_ok(&ids, &[eight; 4]));
+        assert!(!leader_ok(&ids, &[eight, eight, five, eight])); // a wrong leader
+        assert!(!leader_ok(&ids, &[eight; 3]));
+    }
+
+    #[test]
+    fn csr_verifiers_reject_wrong_outputs() {
+        let (g, _) = two_components();
+        let csr = g.freeze();
+        let edges = || csr.edges().map(|(u, v)| (u as usize, v as usize));
+        let labels = csr.components();
+        let ids = csr.identifiers();
+        assert!(proper_coloring_ok(5, edges(), &[0, 1, 2, 0, 1], 3));
+        // Nodes 3 and 4 share the CSR edge (3, 4).
+        assert!(!proper_coloring_ok(5, edges(), &[0, 1, 2, 1, 1], 3));
+        assert!(!proper_coloring_ok(5, edges(), &[0, 1, 2, 0, 1], 2));
+        assert!(!proper_coloring_ok(5, edges(), &[0, 1, 2, 0], 3)); // wrong length
+
+        assert!(largest_id_per_component_ok(ids, labels, &[false, true, false, true, false]));
+        // Two winners in the triangle.
+        assert!(!largest_id_per_component_ok(ids, labels, &[true, true, false, true, false]));
+        let id = Identifier::new;
+        assert!(component_leader_ok(ids, labels, &[id(30), id(30), id(30), id(50), id(50)]));
+        // The edge component names the triangle's leader.
+        assert!(!component_leader_ok(ids, labels, &[id(30), id(30), id(30), id(30), id(50)]));
+    }
+
     /// Two components: a triangle on nodes {0, 1, 2} (ids 10, 30, 20) and an
     /// edge on nodes {3, 4} (ids 50, 40).
     fn two_components() -> (Graph, ComponentLabels) {
@@ -229,7 +295,7 @@ mod tests {
     #[test]
     fn component_maxima_are_per_component() {
         let (g, labels) = two_components();
-        let maxima = component_max_identifiers(&g, &labels).unwrap();
+        let maxima = component_max_identifiers(g.identifier_slice(), &labels).unwrap();
         assert_eq!(maxima.len(), 2);
         assert_eq!(maxima[0].value(), 30);
         assert_eq!(maxima[1].value(), 50);
@@ -238,35 +304,24 @@ mod tests {
     #[test]
     fn per_component_largest_id_accepts_component_winners() {
         let (g, labels) = two_components();
+        let ids = g.identifier_slice();
         // One winner per component: node 1 (id 30) and node 3 (id 50).
-        assert!(is_correct_largest_id_per_component(
-            &g,
-            &labels,
-            &[false, true, false, true, false]
-        ));
+        assert!(largest_id_per_component_ok(ids, &labels, &[false, true, false, true, false]));
         // The *global* verifier rejects the same outputs (two winners)…
         assert!(!is_correct_largest_id(&g, &[false, true, false, true, false]));
         // …and the per-component verifier rejects a global-only winner.
-        assert!(!is_correct_largest_id_per_component(
-            &g,
-            &labels,
-            &[false, false, false, true, false]
-        ));
-        assert!(!is_correct_largest_id_per_component(&g, &labels, &[false; 3]));
+        assert!(!largest_id_per_component_ok(ids, &labels, &[false, false, false, true, false]));
+        assert!(!largest_id_per_component_ok(ids, &labels, &[false; 3]));
     }
 
     #[test]
     fn per_component_leader_outputs() {
         let (g, labels) = two_components();
-        let id = avglocal_graph::Identifier::new;
-        assert!(is_component_leader_output(&g, &labels, &[id(30), id(30), id(30), id(50), id(50)]));
+        let (ids, id) = (g.identifier_slice(), Identifier::new);
+        assert!(component_leader_ok(ids, &labels, &[id(30), id(30), id(30), id(50), id(50)]));
         // Naming the global maximum from the wrong component is invalid.
-        assert!(!is_component_leader_output(
-            &g,
-            &labels,
-            &[id(50), id(50), id(50), id(50), id(50)]
-        ));
-        assert!(!is_component_leader_output(&g, &labels, &[id(30); 2]));
+        assert!(!component_leader_ok(ids, &labels, &[id(50); 5]));
+        assert!(!component_leader_ok(ids, &labels, &[id(30); 2]));
     }
 
     #[test]
@@ -276,6 +331,6 @@ mod tests {
         let mut outputs = vec![false; 6];
         outputs[5] = true;
         assert!(is_correct_largest_id(&g, &outputs));
-        assert!(is_correct_largest_id_per_component(&g, &labels, &outputs));
+        assert!(largest_id_per_component_ok(g.identifier_slice(), &labels, &outputs));
     }
 }

@@ -395,10 +395,10 @@ impl Sweep {
         for &n in &self.sizes {
             // One instance per size: trials vary the identifiers, never the
             // graph (essential for random families, cheaper for all). For
-            // ball-view problems the adjacency is also frozen once; each
-            // trial clones the flat snapshot and swaps the identifier table
-            // instead of re-freezing. In per-component mode the instance is
-            // the first draw (no connectivity redraws) and the component
+            // ball-view problems the adjacency is also frozen once and a
+            // trial is an identifier-table swap on a session over that
+            // snapshot (see `run_trials`). In per-component mode the instance
+            // is the first draw (no connectivity redraws) and the component
             // labelling — discovered at freeze time, or by a BFS sweep for
             // round-based problems — scopes verification to the components.
             let base = self.topology.build_for(n, self.mode)?;
@@ -412,36 +412,10 @@ impl Sweep {
                     None => label_storage.as_ref().expect("computed above"),
                 }),
             };
-            // Trials are independent and their seeds explicit, so they run on
-            // the work-stealing pool: the pool claims trials dynamically (a
-            // slow trial stalls only itself) and each participant keeps one
-            // session alive across every trial it steals — the snapshot is
-            // cloned once per participant, then each trial only swaps the
-            // identifier table. Results are collected in trial order, keeping
-            // every aggregate bit-for-bit identical to a sequential sweep.
-            let per_trial: Vec<Result<MeasureSet>> = (0..self.trials)
-                .into_par_iter()
-                .map_init(
-                    || None,
-                    |session, trial| {
-                        let assignment = self.policy.assignment_for_trial(trial);
-                        let mut graph = base.clone();
-                        assignment.apply(&mut graph)?;
-                        let profile =
-                            run_trial(self.problem, &graph, frozen_base.as_ref(), session, labels)?;
-                        // One pass over the radius vector and the (shared)
-                        // edge structure produces every measure of the trial.
-                        Ok(match &frozen_base {
-                            Some(csr) => MeasureSet::of_csr(&profile, csr),
-                            None => MeasureSet::of(&profile, &base),
-                        })
-                    },
-                )
-                .collect();
-            let mut sets = Vec::with_capacity(self.trials);
-            for result in per_trial {
-                sets.push(result?);
-            }
+            let sets =
+                run_trials(self.problem, &base, frozen_base.as_ref(), labels, self.trials, |t| {
+                    self.policy.assignment_for_trial(t)
+                })?;
             let averages: Vec<f64> = sets.iter().map(|s| s.node_averaged).collect();
             let average_summary = Summary::from_values(&averages);
             // Scalar measures average over the trials; the distribution
@@ -485,14 +459,9 @@ impl Sweep {
             .into_par_iter()
             .map_init(
                 || None,
-                |session: &mut Option<FrozenExecutor>, trial| {
+                |session, trial| {
                     let assignment = self.policy.assignment_for_trial(trial);
-                    let mut graph = base.clone();
-                    assignment.apply(&mut graph)?;
-                    let session = session
-                        .get_or_insert_with(|| FrozenExecutor::from_csr(frozen_base.clone()));
-                    let identifiers: Vec<_> = graph.identifiers().collect();
-                    session.set_identifiers(&identifiers);
+                    let session = trial_session(session, &frozen_base, &assignment)?;
                     let sample = plan.draw(&frozen_base, plan.seed_for(self.sample_seed, trial));
                     let radii = self.problem.probe_radii(
                         session,
@@ -602,20 +571,15 @@ pub fn run_on_topology_per_component(
     // component labelling — freeze once here and reuse both, instead of
     // labelling separately and re-freezing inside the run. Round-based
     // problems never freeze, so they label with the BFS sweep.
-    let frozen = problem.uses_ball_view().then(|| graph.freeze());
-    let label_storage = frozen.is_none().then(|| ComponentLabels::of_graph(&graph));
-    let labels: &ComponentLabels = match &frozen {
-        Some(csr) => csr.components(),
-        None => label_storage.as_ref().expect("computed above"),
+    let (profile, labels) = if problem.uses_ball_view() {
+        let session = FrozenExecutor::new(&graph);
+        let labels = session.csr().components().clone();
+        (problem.run_on_session(&session, Some(&labels))?, labels)
+    } else {
+        let labels = ComponentLabels::of_graph(&graph);
+        (problem.run_per_component(&graph, &labels)?, labels)
     };
-    let profile = match &frozen {
-        Some(csr) => {
-            let session = FrozenExecutor::from_csr(csr.clone());
-            problem.run_with(&graph, Some(&session), Some(labels))?
-        }
-        None => problem.run_with(&graph, None, Some(labels))?,
-    };
-    let measures = ComponentMeasures::of(&profile, &graph, labels);
+    let measures = ComponentMeasures::of(&profile, &graph, &labels);
     Ok((profile, measures))
 }
 
@@ -716,29 +680,10 @@ pub fn random_permutation_study_on(
     check_problem_supports_topology(problem, topology)?;
     let base = topology.build(n)?;
     let frozen_base = problem.uses_ball_view().then(|| base.freeze());
-    // Same machinery as `Sweep::run`: samples are claimed dynamically from
-    // the pool, each participant reuses one session across its samples, and
-    // one pass per sample feeds every measure.
-    let per_sample: Vec<Result<MeasureSet>> = (0..samples)
-        .into_par_iter()
-        .map_init(
-            || None,
-            |session, i| {
-                let assignment = IdAssignment::Shuffled { seed: derive_seed(base_seed, i as u64) };
-                let mut graph = base.clone();
-                assignment.apply(&mut graph)?;
-                let profile = run_trial(problem, &graph, frozen_base.as_ref(), session, None)?;
-                Ok(match &frozen_base {
-                    Some(csr) => MeasureSet::of_csr(&profile, csr),
-                    None => MeasureSet::of(&profile, &base),
-                })
-            },
-        )
-        .collect();
-    let mut sets = Vec::with_capacity(samples);
-    for result in per_sample {
-        sets.push(result?);
-    }
+    // Same machinery as `Sweep::run`: one sample is one trial.
+    let sets = run_trials(problem, &base, frozen_base.as_ref(), None, samples, |i| {
+        IdAssignment::Shuffled { seed: derive_seed(base_seed, i as u64) }
+    })?;
     let collect = |f: fn(&MeasureSet) -> f64| -> Vec<f64> { sets.iter().map(f).collect() };
     let mut cdf = RadiusCdf::empty();
     for set in &sets {
@@ -772,30 +717,70 @@ pub fn random_permutation_study(
     random_permutation_study_on(problem, &Topology::Cycle, n, samples, base_seed)
 }
 
-/// Runs one trial of `problem` on `graph`, routing ball-view problems
-/// through a [`FrozenExecutor`] session kept in `session` across the trials
-/// a pool participant claims. The session is created at most once per
-/// participant (cloning the [`CsrGraph`] shares the frozen adjacency and
-/// copies only the `O(n)` identifier table); each trial then swaps the
-/// identifier table in place, so per-trial setup neither re-freezes the
-/// `O(n + m)` structure nor re-clones the snapshot, and the session's
-/// grower scratch stays warm from trial to trial.
-fn run_trial(
+/// Runs `trials` trials of `problem` on one instance, trial `t` under
+/// `assignment_for(t)`, and folds every measure of each trial in one pass
+/// over its radius vector and the shared edge structure.
+///
+/// Trials are independent and their seeds explicit, so they run on the
+/// work-stealing pool: the pool claims trials dynamically (a slow trial
+/// stalls only itself) and each participant keeps one session alive across
+/// every trial it steals. Results are collected in trial order (the error is
+/// the first failing trial's), keeping every aggregate bit-for-bit identical
+/// to a sequential sweep.
+///
+/// Ball-view problems (`frozen_base` is set) never touch a [`Graph`] per
+/// trial: the assignment's identifier table is installed on the
+/// participant's session ([`trial_session`]) and the outputs are verified
+/// against that session's snapshot ([`Problem::run_on_session`]), so a trial
+/// costs one `O(n)` table swap plus the probes, and the grower scratch stays
+/// warm from trial to trial. Round-based problems clone `base` and apply the
+/// assignment instead.
+fn run_trials(
     problem: Problem,
-    graph: &Graph,
+    base: &Graph,
     frozen_base: Option<&CsrGraph>,
-    session: &mut Option<FrozenExecutor>,
     components: Option<&ComponentLabels>,
-) -> Result<RadiusProfile> {
-    match frozen_base {
-        Some(csr) => {
-            let session = session.get_or_insert_with(|| FrozenExecutor::from_csr(csr.clone()));
-            let identifiers: Vec<_> = graph.identifiers().collect();
-            session.set_identifiers(&identifiers);
-            problem.run_with(graph, Some(session), components)
-        }
-        None => problem.run_with(graph, None, components),
-    }
+    trials: usize,
+    assignment_for: impl Fn(usize) -> IdAssignment + Sync,
+) -> Result<Vec<MeasureSet>> {
+    let per_trial: Vec<Result<MeasureSet>> = (0..trials)
+        .into_par_iter()
+        .map_init(
+            || None,
+            |session, trial| {
+                let assignment = assignment_for(trial);
+                match frozen_base {
+                    Some(csr) => {
+                        let session = trial_session(session, csr, &assignment)?;
+                        let profile = problem.run_on_session(session, components)?;
+                        Ok(MeasureSet::of_csr(&profile, csr))
+                    }
+                    None => {
+                        let mut graph = base.clone();
+                        assignment.apply(&mut graph)?;
+                        Ok(MeasureSet::of(&problem.run(&graph)?, base))
+                    }
+                }
+            },
+        )
+        .collect();
+    per_trial.into_iter().collect()
+}
+
+/// The participant's session over `csr` (created on its first trial, which
+/// clones the snapshot: the adjacency is shared, only the `O(n)` identifier
+/// table copies) with `assignment`'s identifier table installed — the whole
+/// per-trial set-up of a ball-view trial. The table is a permutation, so
+/// unique by construction, and nothing is hashed or re-indexed.
+fn trial_session<'s>(
+    session: &'s mut Option<FrozenExecutor>,
+    csr: &CsrGraph,
+    assignment: &IdAssignment,
+) -> Result<&'s FrozenExecutor> {
+    let identifiers = assignment.try_identifiers(csr.node_count(), 0)?;
+    let session = session.get_or_insert_with(|| FrozenExecutor::from_csr(csr.clone()));
+    session.try_set_identifiers(&identifiers)?;
+    Ok(session)
 }
 
 /// Mean of one measure over the per-trial sets (0 for no trials).
@@ -896,6 +881,27 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, CoreError::InvalidConfiguration { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn wrong_length_explicit_assignment_fails_every_trial_loop() {
+        // A 3-entry permutation on a 16-cycle must fail, not measure the
+        // identity table the unchecked `IdAssignment::identifiers` falls
+        // back to.
+        let fixed = AssignmentPolicy::Fixed(IdAssignment::from_vec(vec![2, 0, 1]).unwrap());
+        let mismatch = CoreError::Graph(avglocal_graph::GraphError::AssignmentLengthMismatch {
+            provided: 3,
+            expected: 16,
+        });
+        for problem in [Problem::LargestId, Problem::ThreeColoring] {
+            let exact = Sweep::new(problem, vec![16]).with_policy(fixed.clone()).run();
+            assert_eq!(exact.unwrap_err(), mismatch, "{problem}");
+        }
+        let sampled = Sweep::new(Problem::LargestId, vec![16])
+            .with_policy(fixed)
+            .with_sample_plan(SamplePlan::Uniform { budget: 4 })
+            .run();
+        assert_eq!(sampled.unwrap_err(), mismatch);
     }
 
     #[test]

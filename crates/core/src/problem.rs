@@ -11,7 +11,7 @@ use avglocal_algorithms::{
     LandmarkColoring, LargestId,
 };
 use avglocal_graph::{ComponentLabels, Graph};
-use avglocal_runtime::{BallAlgorithm, BallExecution, BallExecutor, FrozenExecutor, Knowledge};
+use avglocal_runtime::{BallAlgorithm, FrozenExecutor, Knowledge};
 
 use crate::error::{CoreError, Result};
 use crate::profile::RadiusProfile;
@@ -84,12 +84,13 @@ impl Problem {
     }
 
     /// Returns `true` when the problem's algorithm runs through the ball
-    /// view ([`BallExecutor`] / [`FrozenExecutor`]) — these are the problems
-    /// whose sweep trials can share one frozen adjacency snapshot.
+    /// view ([`FrozenExecutor`]) — these are the problems whose sweep trials
+    /// run on one frozen adjacency snapshot with only the identifier table
+    /// swapped.
     ///
     /// The match is deliberately exhaustive (no wildcard) and mirrors which
-    /// arms of `run_inner` go through `ball_run`: adding a variant forces
-    /// both places to classify it.
+    /// arms of `run_graph` go through [`Problem::run_on_session`]: adding a
+    /// variant forces both places to classify it.
     #[must_use]
     pub fn uses_ball_view(&self) -> bool {
         match self {
@@ -105,6 +106,9 @@ impl Problem {
     /// Runs the problem's algorithm on `graph`, verifies the output, and
     /// returns the radius profile.
     ///
+    /// Ball-view problems freeze `graph` once and take the
+    /// [`Problem::run_on_session`] path; round-based ones run on `graph`.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::Runtime`] when the execution fails (for example
@@ -112,7 +116,7 @@ impl Problem {
     /// [`CoreError::InvalidOutput`] when the verifier rejects the output —
     /// the latter should never happen and indicates a bug.
     pub fn run(&self, graph: &Graph) -> Result<RadiusProfile> {
-        self.run_inner(graph, None, None)
+        self.run_graph(graph, None)
     }
 
     /// Like [`Problem::run`], but with explicit per-component semantics:
@@ -144,132 +148,93 @@ impl Problem {
             graph.node_count(),
             "the component labelling must cover every node of the graph"
         );
-        self.run_inner(graph, None, Some(labels))
+        self.run_graph(graph, Some(labels))
     }
 
-    /// Like [`Problem::run`], but ball-view problems execute on `session`'s
-    /// frozen snapshot instead of freezing `graph` per call. The session must
-    /// mirror `graph` (same adjacency and identifiers) — the sweep harness
-    /// maintains this by cloning one frozen base per size and swapping the
-    /// identifier table per trial. Round-based problems fall back to the
-    /// graph; results are identical either way.
+    /// Runs a ball-view problem on every node of `session`'s snapshot and
+    /// verifies the outputs against that snapshot alone: its identifier
+    /// table, its edge stream and, when `components` is given, a component
+    /// labelling (per-component semantics as in
+    /// [`Problem::run_per_component`]). No [`Graph`] is involved, so a sweep
+    /// trial is an identifier-table swap on the session followed by this
+    /// call.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Problem::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `session` and `graph` disagree on the node count.
-    pub fn run_with_session(
+    /// [`CoreError::InvalidConfiguration`] for round-based problems (see
+    /// [`Problem::uses_ball_view`]); otherwise the conditions of
+    /// [`Problem::run`].
+    pub fn run_on_session(
         &self,
-        graph: &Graph,
         session: &FrozenExecutor,
-    ) -> Result<RadiusProfile> {
-        assert_eq!(
-            session.node_count(),
-            graph.node_count(),
-            "the frozen session must mirror the graph it stands in for"
-        );
-        self.run_inner(graph, Some(session), None)
-    }
-
-    /// The general entry point the sweep harness uses: an optional frozen
-    /// session *and* optional per-component semantics.
-    pub(crate) fn run_with(
-        &self,
-        graph: &Graph,
-        session: Option<&FrozenExecutor>,
         components: Option<&ComponentLabels>,
     ) -> Result<RadiusProfile> {
-        self.run_inner(graph, session, components)
-    }
-
-    fn run_inner(
-        &self,
-        graph: &Graph,
-        session: Option<&FrozenExecutor>,
-        components: Option<&ComponentLabels>,
-    ) -> Result<RadiusProfile> {
-        /// Runs a ball algorithm on the session when one is available,
-        /// freezing the graph per call otherwise.
-        fn ball_run<A>(
-            graph: &Graph,
-            session: Option<&FrozenExecutor>,
+        /// Runs `algorithm` on the session and checks its outputs.
+        fn checked<A>(
+            problem: &Problem,
+            session: &FrozenExecutor,
             algorithm: &A,
-            knowledge: Knowledge,
-        ) -> avglocal_runtime::Result<BallExecution<A::Output>>
+            valid: impl FnOnce(&[A::Output]) -> bool,
+        ) -> Result<RadiusProfile>
         where
             A: BallAlgorithm + Sync,
             A::Output: Send,
         {
-            match session {
-                Some(frozen) => frozen.run(algorithm, knowledge),
-                None => BallExecutor::new().run(graph, algorithm, knowledge),
-            }
+            let run = session.run(algorithm, Knowledge::none())?;
+            problem.check(valid(run.outputs()))?;
+            Ok(RadiusProfile::from_ball_execution(&run))
         }
 
-        let knowledge = Knowledge::none();
+        let csr = session.csr();
+        let ids = csr.identifiers();
         // Outputs of ball algorithms are scoped to the component the ball
-        // saturates in, so the per-component entry points swap in the
-        // component-wise verifiers; on a connected graph the two coincide.
+        // saturates in, so per-component runs swap in the component-wise
+        // verifiers; on a connected graph the two coincide.
+        let winner = |outputs: &[bool]| match components {
+            Some(labels) => verify::largest_id_per_component_ok(ids, labels, outputs),
+            None => verify::largest_id_ok(ids, outputs),
+        };
+        let coloring = |palette| {
+            move |colors: &[u64]| {
+                let edges = csr.edges().map(|(u, v)| (u as usize, v as usize));
+                verify::proper_coloring_ok(csr.node_count(), edges, colors, palette)
+            }
+        };
         match self {
-            Problem::LargestId => {
-                let run = ball_run(graph, session, &LargestId, knowledge)?;
-                self.check(match components {
-                    Some(labels) => {
-                        verify::is_correct_largest_id_per_component(graph, labels, run.outputs())
-                    }
-                    None => verify::is_correct_largest_id(graph, run.outputs()),
-                })?;
-                Ok(RadiusProfile::from_ball_execution(&run))
-            }
-            Problem::FullInfoLargestId => {
-                let run = ball_run(graph, session, &FullInfoLargestId, knowledge)?;
-                self.check(match components {
-                    Some(labels) => {
-                        verify::is_correct_largest_id_per_component(graph, labels, run.outputs())
-                    }
-                    None => verify::is_correct_largest_id(graph, run.outputs()),
-                })?;
-                Ok(RadiusProfile::from_ball_execution(&run))
-            }
+            Problem::LargestId => checked(self, session, &LargestId, winner),
+            Problem::FullInfoLargestId => checked(self, session, &FullInfoLargestId, winner),
             Problem::KnowTheLeader => {
-                let run = ball_run(graph, session, &KnowTheLeader, knowledge)?;
-                match components {
-                    Some(labels) => {
-                        self.check(verify::is_component_leader_output(
-                            graph,
-                            labels,
-                            run.outputs(),
-                        ))?;
-                    }
-                    None => {
-                        let expected = graph
-                            .max_identifier_node()
-                            .map(|v| graph.identifier(v))
-                            .ok_or_else(|| CoreError::InvalidConfiguration {
-                                reason: "cannot elect a leader on an empty graph".to_string(),
-                            })?;
-                        self.check(run.outputs().iter().all(|&id| id == expected))?;
-                    }
-                }
-                Ok(RadiusProfile::from_ball_execution(&run))
+                checked(self, session, &KnowTheLeader, |outputs| match components {
+                    Some(labels) => verify::component_leader_ok(ids, labels, outputs),
+                    None => verify::leader_ok(ids, outputs),
+                })
+            }
+            Problem::LandmarkColoring => checked(self, session, &LandmarkColoring, coloring(4)),
+            Problem::FullInfoColoring => checked(self, session, &FullInfoColoring, coloring(3)),
+            Problem::ThreeColoring | Problem::Mis | Problem::Matching => {
+                Err(self.round_based("session runs"))
+            }
+        }
+    }
+
+    fn run_graph(
+        &self,
+        graph: &Graph,
+        components: Option<&ComponentLabels>,
+    ) -> Result<RadiusProfile> {
+        let knowledge = Knowledge::none();
+        match self {
+            Problem::LargestId
+            | Problem::FullInfoLargestId
+            | Problem::KnowTheLeader
+            | Problem::LandmarkColoring
+            | Problem::FullInfoColoring => {
+                self.run_on_session(&FrozenExecutor::new(graph), components)
             }
             Problem::ThreeColoring => {
                 let (colors, rounds) = run_three_coloring(graph)?;
                 self.check(verify::is_proper_coloring(graph, &colors, 3))?;
                 Ok(RadiusProfile::new(rounds))
-            }
-            Problem::LandmarkColoring => {
-                let run = ball_run(graph, session, &LandmarkColoring, knowledge)?;
-                self.check(verify::is_proper_coloring(graph, run.outputs(), 4))?;
-                Ok(RadiusProfile::from_ball_execution(&run))
-            }
-            Problem::FullInfoColoring => {
-                let run = ball_run(graph, session, &FullInfoColoring, knowledge)?;
-                self.check(verify::is_proper_coloring(graph, run.outputs(), 3))?;
-                Ok(RadiusProfile::from_ball_execution(&run))
             }
             Problem::Mis => {
                 let in_set = run_mis(graph)?;
@@ -346,13 +311,18 @@ impl Problem {
             Problem::LandmarkColoring => probe(session, &LandmarkColoring, nodes, options),
             Problem::FullInfoColoring => probe(session, &FullInfoColoring, nodes, options),
             Problem::ThreeColoring | Problem::Mis | Problem::Matching => {
-                Err(CoreError::InvalidConfiguration {
-                    reason: format!(
-                        "sampled probes need a ball-view problem; '{}' is round-based",
-                        self.key()
-                    ),
-                })
+                Err(self.round_based("sampled probes"))
             }
+        }
+    }
+
+    /// The error for a ball-view-only operation on a round-based problem.
+    fn round_based(&self, operation: &str) -> CoreError {
+        CoreError::InvalidConfiguration {
+            reason: format!(
+                "{operation} need a ball-view problem; '{}' is round-based",
+                self.key()
+            ),
         }
     }
 

@@ -55,10 +55,34 @@ pub enum IdAssignment {
 impl IdAssignment {
     /// Produces the identifier vector this policy assigns to a graph with
     /// `n` nodes, using identifier universe `base .. base + n`.
+    ///
+    /// An [`IdAssignment::Explicit`] permutation whose length is not `n`
+    /// silently yields the identity table (see [`IdAssignment::permutation`]);
+    /// use [`IdAssignment::try_identifiers`] to reject it instead.
     #[must_use]
     pub fn identifiers(&self, n: usize, base: u64) -> Vec<Identifier> {
         let perm = self.permutation(n);
         (0..n).map(|i| Identifier::new(base + perm.get(i) as u64)).collect()
+    }
+
+    /// Checked counterpart of [`IdAssignment::identifiers`]: the table is a
+    /// permutation of `base .. base + n`, so unique by construction, and can
+    /// be installed on a frozen snapshot without any duplicate check.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::GraphError::AssignmentLengthMismatch`] when an
+    /// explicit permutation does not have exactly `n` entries.
+    pub fn try_identifiers(&self, n: usize, base: u64) -> Result<Vec<Identifier>> {
+        if let IdAssignment::Explicit(p) = self {
+            if p.len() != n {
+                return Err(crate::GraphError::AssignmentLengthMismatch {
+                    provided: p.len(),
+                    expected: n,
+                });
+            }
+        }
+        Ok(self.identifiers(n, base))
     }
 
     /// The permutation of `0..n` underlying this policy.
@@ -77,7 +101,8 @@ impl IdAssignment {
                     p.clone()
                 } else {
                     // Fall back to the identity when the explicit permutation
-                    // does not match the graph size; apply() reports the error.
+                    // does not match the graph size; try_identifiers() and
+                    // apply() report the error.
                     Permutation::identity(n)
                 }
             }
@@ -102,17 +127,7 @@ impl IdAssignment {
     /// Propagates [`crate::GraphError::AssignmentLengthMismatch`] when an
     /// explicit permutation does not match the graph size.
     pub fn apply_with_base(&self, graph: &mut Graph, base: u64) -> Result<()> {
-        let n = graph.node_count();
-        if let IdAssignment::Explicit(p) = self {
-            if p.len() != n {
-                return Err(crate::GraphError::AssignmentLengthMismatch {
-                    provided: p.len(),
-                    expected: n,
-                });
-            }
-        }
-        let ids = self.identifiers(n, base);
-        graph.set_all_identifiers(&ids)
+        graph.set_all_identifiers(&self.try_identifiers(graph.node_count(), base)?)
     }
 
     /// Convenience constructor for an explicit assignment from an image
@@ -186,6 +201,11 @@ mod tests {
         let mut g = generators::path(3).unwrap();
         let a = IdAssignment::from_vec(vec![1, 0]).unwrap();
         assert!(a.apply(&mut g).is_err());
+        let err = a.try_identifiers(3, 0).unwrap_err();
+        assert_eq!(err, crate::GraphError::AssignmentLengthMismatch { provided: 2, expected: 3 });
+        // The unchecked table documents its identity fallback.
+        assert_eq!(a.identifiers(3, 0), IdAssignment::Identity.identifiers(3, 0));
+        assert_eq!(a.try_identifiers(2, 5).unwrap(), a.identifiers(2, 5));
     }
 
     #[test]

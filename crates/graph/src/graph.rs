@@ -250,6 +250,13 @@ impl Graph {
         self.identifiers.iter().copied()
     }
 
+    /// All identifiers as a slice indexed by node — the same table shape as
+    /// [`CsrGraph::identifiers`], so slice-based checks run on either.
+    #[must_use]
+    pub fn identifier_slice(&self) -> &[Identifier] {
+        &self.identifiers
+    }
+
     /// Iterator over all undirected edges, each reported once with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.adjacency.iter().enumerate().flat_map(|(u, nbrs)| {
@@ -270,26 +277,19 @@ impl Graph {
         self.adjacency.iter().map(Vec::len).max()
     }
 
-    /// Rebuilds the identifier reverse-lookup index.
-    ///
-    /// Needed after bulk identifier rewrites performed through
-    /// [`Graph::set_all_identifiers`].
-    fn rebuild_identifier_index(&mut self) {
-        self.by_identifier.clear();
-        for (i, id) in self.identifiers.iter().enumerate() {
-            self.by_identifier.entry(*id).or_insert(NodeId::new(i));
-        }
-    }
-
     /// Replaces the identifiers of every node at once.
     ///
     /// `identifiers[i]` becomes the identifier of the node with index `i`.
+    /// The new reverse index is built in one hash pass that also detects
+    /// duplicates; the graph is modified only once the whole table is
+    /// accepted.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::AssignmentLengthMismatch`] if the slice length
     /// differs from the node count, and [`GraphError::DuplicateIdentifier`] if
-    /// two nodes would share an identifier.
+    /// two nodes would share an identifier. Either way the graph is left
+    /// unchanged.
     pub fn set_all_identifiers(&mut self, identifiers: &[Identifier]) -> Result<()> {
         if identifiers.len() != self.node_count() {
             return Err(GraphError::AssignmentLengthMismatch {
@@ -297,15 +297,15 @@ impl Graph {
                 expected: self.node_count(),
             });
         }
-        let mut seen = HashMap::with_capacity(identifiers.len());
-        for id in identifiers {
-            if seen.insert(*id, ()).is_some() {
+        let mut index = HashMap::with_capacity(identifiers.len());
+        for (i, id) in identifiers.iter().enumerate() {
+            if index.insert(*id, NodeId::new(i)).is_some() {
                 return Err(GraphError::DuplicateIdentifier { identifier: id.value() });
             }
         }
         self.identifiers.clear();
         self.identifiers.extend_from_slice(identifiers);
-        self.rebuild_identifier_index();
+        self.by_identifier = index;
         Ok(())
     }
 
@@ -435,6 +435,23 @@ mod tests {
         assert_eq!(g.identifier(b), Identifier::new(20));
         assert_eq!(g.identifier(c), Identifier::new(10));
         assert_eq!(g.max_identifier_node(), Some(a));
+        assert_eq!(g.node_by_identifier(Identifier::new(10)), Some(c));
+        assert_eq!(g.node_by_identifier(Identifier::new(1)), None);
+    }
+
+    #[test]
+    fn rejected_duplicate_leaves_identifiers_and_index_unchanged() {
+        let (mut g, a, b, c) = triangle();
+        let err =
+            g.set_all_identifiers(&[Identifier::new(7), Identifier::new(8), Identifier::new(7)]);
+        assert!(matches!(err, Err(GraphError::DuplicateIdentifier { identifier: 7 })));
+        let ids: Vec<u64> = g.identifiers().map(Identifier::value).collect();
+        assert_eq!(ids, [1, 2, 3]);
+        for (node, id) in [(a, 1), (b, 2), (c, 3)] {
+            assert_eq!(g.node_by_identifier(Identifier::new(id)), Some(node));
+        }
+        assert_eq!(g.node_by_identifier(Identifier::new(7)), None);
+        assert_eq!(g.node_by_identifier(Identifier::new(8)), None);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! verification → measurement → theory comparison. This library target only
 //! hosts small shared helpers.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 use avglocal::prelude::*;
 
@@ -26,6 +26,56 @@ pub fn shuffled_ring(n: usize, seed: u64) -> Graph {
 #[must_use]
 pub fn test_sizes() -> Vec<usize> {
     vec![3, 4, 5, 8, 13, 16, 33, 64, 127]
+}
+
+#[allow(unsafe_code)]
+pub mod alloc_count {
+    //! The counting global allocator of the allocation-budget suites. A
+    //! suite installs it in its own binary with
+    //! `#[global_allocator] static GLOBAL: CountingAllocator = CountingAllocator;`
+    //! and holds exactly one test, so the count observes nothing but the
+    //! measured window.
+
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+    /// Allocations (including reallocations) since the process started.
+    pub fn allocations() -> u64 {
+        // ordering: a statistic read once the measured work has finished
+        // (pool jobs are joined before it); nothing is published through it.
+        ALLOCATIONS.load(Ordering::Relaxed)
+    }
+
+    /// [`System`], counting every allocation and reallocation.
+    #[derive(Debug)]
+    pub struct CountingAllocator;
+
+    // SAFETY: delegates verbatim to `System`; the counter has no effect on
+    // the returned memory.
+    unsafe impl GlobalAlloc for CountingAllocator {
+        // SAFETY: forwards `layout` unchanged to `System.alloc`.
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            // ordering: a pure event counter, see `allocations`.
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            unsafe { System.alloc(layout) }
+        }
+
+        // SAFETY: forwards the caller's `ptr`/`layout` pair, whose validity
+        // is the caller's `dealloc` contract, unchanged to `System.dealloc`.
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        // SAFETY: forwards the caller's arguments, whose validity is the
+        // caller's `realloc` contract, unchanged to `System.realloc`.
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            // ordering: a pure event counter, see `allocations`.
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
 }
 
 pub mod fuzz {

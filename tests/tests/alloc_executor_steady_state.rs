@@ -9,39 +9,10 @@
 //! The whole binary holds exactly this one test so the counting allocator
 //! observes nothing but the measured window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use avglocal::algorithms::LargestId;
 use avglocal::prelude::*;
 use avglocal::runtime::Knowledge;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAllocator;
-
-// SAFETY: delegates verbatim to `System`; the counter has no effect on the
-// returned memory.
-unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: forwards `layout` unchanged to `System.alloc`.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: forwards the caller's `ptr`/`layout` pair, whose validity is
-    // the caller's `dealloc` contract, unchanged to `System.dealloc`.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: forwards the caller's arguments, whose validity is the
-    // caller's `realloc` contract, unchanged to `System.realloc`.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use avglocal_integration_tests::alloc_count::{allocations, CountingAllocator};
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
@@ -64,12 +35,12 @@ fn steady_state_run_frozen_allocations_are_bounded_per_run() {
     // per-participant scratch comes warm out of the session's pool and is
     // reused across every stolen chunk.
     const RUNS: u64 = 4;
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..RUNS {
         let run = session.run(&LargestId, Knowledge::none()).expect("largest-ID terminates");
         assert_eq!(run.node_count(), n);
     }
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = allocations() - before;
     let per_run = allocations / RUNS;
 
     // `n` probes per run: a per-probe allocation would cost thousands here.

@@ -6,40 +6,11 @@
 //! The whole binary holds exactly this one test so the counting allocator
 //! observes nothing but the measured window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use avglocal::algorithms::LargestId;
 use avglocal::graph::BallGrower;
 use avglocal::prelude::*;
 use avglocal::runtime::{BallAlgorithm, Knowledge, LocalView};
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAllocator;
-
-// SAFETY: delegates verbatim to `System`; the counter has no effect on the
-// returned memory.
-unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: forwards `layout` unchanged to `System.alloc`.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: forwards the caller's `ptr`/`layout` pair, whose validity is
-    // the caller's `dealloc` contract, unchanged to `System.dealloc`.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: forwards the caller's arguments, whose validity is the
-    // caller's `realloc` contract, unchanged to `System.realloc`.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use avglocal_integration_tests::alloc_count::{allocations, CountingAllocator};
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
@@ -61,7 +32,7 @@ fn grower_steady_state_does_not_allocate() {
 
     // Steady state: the exact probe loop the executor drives per node —
     // reset, consult the algorithm on the lazy view at each radius, grow.
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let mut decisions = 0usize;
     for center in 0..n {
         grower.reset(NodeId::new(center));
@@ -75,7 +46,7 @@ fn grower_steady_state_does_not_allocate() {
             grower.grow();
         }
     }
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = allocations() - before;
 
     assert_eq!(decisions, n);
     assert_eq!(

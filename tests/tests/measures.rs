@@ -3,8 +3,9 @@
 //! Every measure a sweep row reports (node-averaged, edge-averaged under
 //! both endpoint weightings, worst case, total, median) must equal a
 //! from-scratch recomputation that runs the same trials through the plain
-//! `run_on_topology` entry point and folds the raw radius vectors by hand —
-//! same summation order, so the comparison is exact, not approximate.
+//! `Problem::run` entry point on a freshly built graph and folds the raw
+//! radius vectors by hand — same summation order, so the comparison is
+//! exact, not approximate.
 //! The per-component mode is checked the same way: aggregate and
 //! per-component sets recomputed from the labelled radius vectors.
 
@@ -48,87 +49,118 @@ fn brute_force_median(radii: &[usize]) -> f64 {
     sorted[(500 * (sorted.len() - 1) + 500) / 1000] as f64
 }
 
-/// Recomputes a one-size sweep row from scratch: independent trial runs via
-/// `run_on_topology`, measures folded by hand, aggregated in trial order.
-fn brute_force_row(
+/// The identity, per-trial random and fixed explicit policies at size `n`.
+fn policies(n: usize) -> [AssignmentPolicy; 3] {
+    // i -> 7i + 2 (mod n) is a permutation whenever gcd(7, n) = 1.
+    let explicit = IdAssignment::from_vec((0..n).map(|i| (7 * i + 2) % n).collect()).unwrap();
+    [
+        AssignmentPolicy::Identity,
+        AssignmentPolicy::Random { base_seed: 3 },
+        AssignmentPolicy::Fixed(explicit),
+    ]
+}
+
+/// Runs a 3-trial sweep row and checks it bit for bit against a from-scratch
+/// recomputation: every trial builds its own graph, applies the trial's
+/// assignment, runs `Problem::run` on it (`Problem::run_per_component` in
+/// per-component mode), and folds the measures by hand, aggregated in trial
+/// order. Returns the row's component count.
+fn assert_row_matches_brute_force(
     problem: Problem,
     topology: &Topology,
     n: usize,
     policy: &AssignmentPolicy,
-    trials: usize,
-) -> (f64, f64, f64, f64, f64, f64) {
-    let mut worst = Vec::new();
-    let mut averages = Vec::new();
-    let mut totals = Vec::new();
-    let mut edge_max = Vec::new();
-    let mut edge_mean = Vec::new();
-    let mut medians = Vec::new();
+    mode: ComponentMode,
+) -> usize {
+    let trials = 3;
+    let result = Sweep::on(problem, topology.clone(), vec![n])
+        .with_policy(policy.clone())
+        .with_trials(trials)
+        .with_component_mode(mode)
+        .run()
+        .unwrap();
+    let row = &result.rows[0];
+    let mut columns: [Vec<f64>; 6] = Default::default();
     for trial in 0..trials {
-        let assignment = policy.assignment_for_trial(trial);
-        let graph = topology_with_assignment(topology, n, &assignment).unwrap();
-        let profile = run_on_topology(problem, topology, n, &assignment).unwrap();
+        let mut graph = topology.build_for(n, mode).unwrap();
+        policy.assignment_for_trial(trial).apply(&mut graph).unwrap();
+        let profile = if mode == ComponentMode::PerComponent {
+            problem.run_per_component(&graph, &ComponentLabels::of_graph(&graph))
+        } else {
+            problem.run(&graph)
+        }
+        .unwrap();
         let radii = profile.radii();
-        worst.push(profile.max() as f64);
-        averages.push(profile.average());
-        totals.push(profile.total() as f64);
-        edge_max.push(brute_force_edge_averaged(&graph, radii, true));
-        edge_mean.push(brute_force_edge_averaged(&graph, radii, false));
-        medians.push(brute_force_median(radii));
+        let values = [
+            profile.max() as f64,
+            profile.average(),
+            profile.total() as f64,
+            brute_force_edge_averaged(&graph, radii, true),
+            brute_force_edge_averaged(&graph, radii, false),
+            brute_force_median(radii),
+        ];
+        for (column, value) in columns.iter_mut().zip(values) {
+            column.push(value);
+        }
     }
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    (
-        mean(&worst),
-        mean(&averages),
-        mean(&totals),
-        mean(&edge_max),
-        mean(&edge_mean),
-        mean(&medians),
-    )
+    let [worst, average, total, edge_max, edge_mean, median] =
+        columns.map(|v| v.iter().sum::<f64>() / v.len() as f64);
+    let at = format!("{problem} on {topology} n={n} {policy:?} {mode:?}");
+    assert_eq!(row.worst_case, worst, "{at}");
+    assert_eq!(row.average, average, "{at}");
+    assert_eq!(row.total, total, "{at}");
+    assert_eq!(row.edge_averaged, edge_max, "{at}");
+    assert_eq!(row.edge_averaged_mean, edge_mean, "{at}");
+    assert_eq!(row.median, median, "{at}");
+    row.components
 }
 
 #[test]
 fn sweep_measures_equal_brute_force_on_every_family() {
-    for &n in &UNIVERSAL_SIZES {
-        for topology in supported_topologies(n, 5) {
-            let policy = AssignmentPolicy::Random { base_seed: 3 };
-            let trials = 3;
-            let result = Sweep::on(Problem::LargestId, topology.clone(), vec![n])
-                .with_policy(policy.clone())
-                .with_trials(trials)
-                .run()
-                .unwrap();
-            let row = &result.rows[0];
-            let (worst, average, total, edge_max, edge_mean, median) =
-                brute_force_row(Problem::LargestId, &topology, n, &policy, trials);
-            assert_eq!(row.worst_case, worst, "{topology} n={n}");
-            assert_eq!(row.average, average, "{topology} n={n}");
-            assert_eq!(row.total, total, "{topology} n={n}");
-            assert_eq!(row.edge_averaged, edge_max, "{topology} n={n}");
-            assert_eq!(row.edge_averaged_mean, edge_mean, "{topology} n={n}");
-            assert_eq!(row.median, median, "{topology} n={n}");
-            assert_eq!(row.components, 1, "{topology} n={n}");
+    // Every ball-view problem — the ones whose trials run on the frozen
+    // snapshot alone — against per-trial `Problem::run(&graph)` folds.
+    for problem in Problem::ALL.into_iter().filter(Problem::uses_ball_view) {
+        for &n in &UNIVERSAL_SIZES {
+            let topologies = if problem.requires_cycle() {
+                vec![Topology::Cycle]
+            } else {
+                supported_topologies(n, 5)
+            };
+            for topology in &topologies {
+                for policy in &policies(n) {
+                    let mode = ComponentMode::RequireConnected;
+                    let components =
+                        assert_row_matches_brute_force(problem, topology, n, policy, mode);
+                    assert_eq!(components, 1, "{problem} on {topology} n={n}");
+                }
+            }
+        }
+    }
+    // Per-component mode on subcritical G(n, p), which falls apart.
+    let n = 40;
+    for problem in Problem::ALL.into_iter().filter(|p| p.uses_ball_view() && !p.requires_cycle()) {
+        for seed in [2u64, 9] {
+            let topology = Topology::Gnp { p: 1.0 / n as f64, seed };
+            for policy in &policies(n) {
+                let mode = ComponentMode::PerComponent;
+                let components =
+                    assert_row_matches_brute_force(problem, &topology, n, policy, mode);
+                assert!(components > 1, "{topology} must be disconnected");
+            }
         }
     }
 }
 
 #[test]
 fn round_based_problems_report_edge_measures_too() {
-    // Cole–Vishkin goes through the round-based pipeline (no frozen
-    // snapshot), so the measure layer folds over the Graph edge list.
-    let policy = AssignmentPolicy::Random { base_seed: 7 };
-    let result = Sweep::new(Problem::ThreeColoring, vec![24])
-        .with_policy(policy.clone())
-        .with_trials(2)
-        .run()
-        .unwrap();
-    let row = &result.rows[0];
-    let (worst, average, _, edge_max, edge_mean, median) =
-        brute_force_row(Problem::ThreeColoring, &Topology::Cycle, 24, &policy, 2);
-    assert_eq!(row.worst_case, worst);
-    assert_eq!(row.average, average);
-    assert_eq!(row.edge_averaged, edge_max);
-    assert_eq!(row.edge_averaged_mean, edge_mean);
-    assert_eq!(row.median, median);
+    // The round-based pipeline (no frozen snapshot) clones and re-labels the
+    // graph per trial, and the measure layer folds over the Graph edge list.
+    for problem in Problem::ALL.into_iter().filter(|p| !p.uses_ball_view()) {
+        for policy in &policies(24) {
+            let mode = ComponentMode::RequireConnected;
+            assert_row_matches_brute_force(problem, &Topology::Cycle, 24, policy, mode);
+        }
+    }
 }
 
 #[test]
