@@ -1,15 +1,12 @@
 #!/usr/bin/env sh
 # Perf trajectory for the radius engine: runs the E1 wall-time benchmark
-# (incremental vs from-scratch baseline, the run_node probe loop —
-# FrozenExecutor session reuse vs per-call freezing — the skewed scheduling
-# block — work-stealing vs static chunks on the clustered adversarial
-# assignment — the pool block — persistent pool vs spawn-per-call — and the
-# freeze block — parallel vs serial Graph::freeze — and the snapshot block —
-# CsrGraph::to_bytes vs the validating from_bytes, with bytes/edge density —
-# and the service block — sustained query load through the resilient
-# radius-query service vs raw probes, qps + p99 with a 3x overhead gate —
-# and the service_batch block — the batched, sharded query_batch path vs a
-# single-query loop, gated at >= 2x batched throughput wherever the
+# (the run_node probe loop — FrozenExecutor session reuse vs per-call
+# freezing — the snapshot block — CsrGraph::to_bytes vs the validating
+# from_bytes, with bytes/edge density — the hub block — the E9 edge/node
+# detachment — the service block — sustained query load through the
+# resilient radius-query service vs raw probes, qps + p99 with a 3x overhead
+# gate — the service_batch block — the batched, sharded query_batch path vs
+# a single-query loop, gated at >= 2x batched throughput wherever the
 # machine has real parallelism — and the sampling block — the 10% uniform
 # sample estimate vs the exact sweep, relative error gated at a 25% budget
 # and the sampled path gated at 5x the exact wall time with real cores,

@@ -15,8 +15,7 @@
 //! pre-allocated index-addressed slots. Outputs are therefore always in
 //! input order — parallelism never changes an answer — while a single
 //! expensive item no longer serialises the whole static chunk behind it (see
-//! [`pool`] for the architecture, and [`pool::baseline`] for the retained
-//! spawn-per-call static baseline benches compare against).
+//! [`pool`] for the architecture).
 //!
 //! The pool size is, in order of precedence: the
 //! [`ThreadPoolBuilder::build_global`] request, the `AVG_LOCAL_THREADS`
@@ -234,7 +233,7 @@ impl<T: Send> ParallelIterator for VecIter<T> {
         let mut items = ManuallyDrop::new(self.items);
         let buffer = RawBuffer { ptr: items.as_mut_ptr(), capacity: items.capacity() };
         let base = ItemsPtr(buffer.ptr.cast_const());
-        let results = pool::run_chunked(len, init, |state, index| {
+        let results = pool::run_chunked(len, 1, init, |state, index| {
             // SAFETY: the chunk cursor hands out every index exactly once,
             // so each item is moved out exactly once.
             let item = unsafe { std::ptr::read(base.base().add(index)) };
@@ -258,6 +257,18 @@ impl<T: Send> IntoParallelIterator for Vec<T> {
 #[derive(Debug)]
 pub struct RangeIter {
     range: Range<usize>,
+    grain: usize,
+}
+
+impl RangeIter {
+    /// Claims the range in chunks of at least `min` consecutive indices
+    /// (whole multiples of `min`, minimum 1), like rayon's `with_min_len`.
+    /// Only the scheduling changes; results stay in index order.
+    #[must_use]
+    pub fn with_min_len(mut self, min: usize) -> Self {
+        self.grain = min.max(1);
+        self
+    }
 }
 
 impl ParallelIterator for RangeIter {
@@ -272,7 +283,7 @@ impl ParallelIterator for RangeIter {
     {
         let start = self.range.start;
         let len = self.range.len();
-        pool::run_chunked(len, init, |state, index| f(state, start + index))
+        pool::run_chunked(len, self.grain, init, |state, index| f(state, start + index))
     }
 }
 
@@ -280,7 +291,7 @@ impl IntoParallelIterator for Range<usize> {
     type Item = usize;
     type Iter = RangeIter;
     fn into_par_iter(self) -> RangeIter {
-        RangeIter { range: self }
+        RangeIter { range: self, grain: 1 }
     }
 }
 
@@ -559,9 +570,12 @@ mod tests {
     }
 
     #[test]
-    fn static_baseline_matches_pool_results() {
-        let pool: Vec<usize> = (0..512).into_par_iter().map(|i| i * 3).collect();
-        let baseline = super::pool::baseline::static_chunked(512, 4, || (), |(), i| i * 3);
-        assert_eq!(pool, baseline);
+    fn min_len_changes_only_the_scheduling() {
+        let plain: Vec<usize> = (0..1000).into_par_iter().map(|i| i * 3).collect();
+        for min in [0, 1, 7, 64, 5000, usize::MAX] {
+            let grained: Vec<usize> =
+                (0..1000).into_par_iter().with_min_len(min).map(|i| i * 3).collect();
+            assert_eq!(grained, plain, "min_len {min}");
+        }
     }
 }

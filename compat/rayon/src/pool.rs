@@ -483,13 +483,17 @@ where
 
 /// Chunk size for a job of `len` items on a pool of `threads` participants:
 /// roughly 16 claims per participant, so one expensive item stalls only a
-/// small chunk while cursor traffic stays negligible.
-fn chunk_size(len: usize, threads: usize) -> usize {
-    (len / (threads * 16)).clamp(1, 1024)
+/// small chunk while cursor traffic stays negligible. Chunks are whole
+/// multiples of `grain` items (see [`crate::RangeIter::with_min_len`]).
+fn chunk_size(len: usize, grain: usize, threads: usize) -> usize {
+    // A grain beyond `len` is one chunk; capping it keeps the product <= 2·len.
+    let grain = grain.clamp(1, len.max(1));
+    (len.div_ceil(grain) / (threads * 16)).clamp(1, 1024) * grain
 }
 
 /// Runs `work(state, index)` for every `index in 0..len` on the global pool
-/// and returns the results in index order.
+/// and returns the results in index order. Every claimed chunk is a whole
+/// multiple of `grain` indices (the last one may be shorter).
 ///
 /// Each participant lazily creates one `state` with `init` and reuses it for
 /// every chunk it claims — the hook executors use to keep per-worker scratch
@@ -499,19 +503,25 @@ fn chunk_size(len: usize, threads: usize) -> usize {
 ///
 /// Re-throws the recorded panic with the smallest item index among those
 /// raised by `init` or `work` (see the module docs); the pool survives.
-pub(crate) fn run_chunked<S, R, G, F>(len: usize, init: G, work: F) -> Vec<R>
+pub(crate) fn run_chunked<S, R, G, F>(len: usize, grain: usize, init: G, work: F) -> Vec<R>
 where
     S: Send,
     R: Send,
     G: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> R + Sync,
 {
-    run_chunked_on(shared(), len, init, work)
+    run_chunked_on(shared(), len, grain, init, work)
 }
 
 /// `run_chunked` against an explicit pool state instead of the global one.
 /// The loom suite uses this to run the real job protocol inside a model.
-pub fn run_chunked_on<S, R, G, F>(shared: &Shared, len: usize, init: G, work: F) -> Vec<R>
+pub fn run_chunked_on<S, R, G, F>(
+    shared: &Shared,
+    len: usize,
+    grain: usize,
+    init: G,
+    work: F,
+) -> Vec<R>
 where
     S: Send,
     R: Send,
@@ -527,7 +537,7 @@ where
         // same chunk granularity the pool would use, so the 1-thread CI leg
         // exercises injected faults too (panics propagate directly to the
         // caller here — there is no pool to survive).
-        let chunk = chunk_size(len, 1);
+        let chunk = chunk_size(len, grain, 1);
         let mut state = init();
         return (0..len)
             .map(|i| {
@@ -545,7 +555,7 @@ where
         (0..shared.threads).map(|_| UnsafeCell::new(None)).collect();
     let job = ChunkJob {
         len,
-        chunk: chunk_size(len, shared.threads),
+        chunk: chunk_size(len, grain, shared.threads),
         cursor: AtomicUsize::new(0),
         failpoints,
         outputs: outputs.as_ptr(),
@@ -770,66 +780,4 @@ where
         resume_unwind(payload);
     }
     (ra, result.expect("join closure finished without a result"))
-}
-
-/// The old shim's execution model, kept as a measured baseline: spawn scoped
-/// threads **per call** and hand each exactly one contiguous, statically
-/// chosen batch of the index space.
-pub mod baseline {
-    /// Runs `work(state, index)` for every `index in 0..len` on `batches`
-    /// fresh scoped threads, each owning one contiguous batch decided
-    /// upfront and one private `state`.
-    ///
-    /// This reproduces the pre-pool behaviour of both the shim (a scoped
-    /// spawn per parallel call) and the executor's static index chunks (an
-    /// expensive item serialises its whole batch behind it), so benches can
-    /// quantify what the persistent pool and dynamic chunking buy.
-    ///
-    /// # Panics
-    ///
-    /// Like the pool proper, a panicking work item does not abort the other
-    /// batches, and the payload re-thrown is the panic of the **lowest item
-    /// index** (batches are contiguous and ascending, and a batch's own
-    /// panic is always its smallest panicking index), so panic propagation
-    /// is deterministic here too.
-    pub fn static_chunked<S, R, G, F>(len: usize, batches: usize, init: G, work: F) -> Vec<R>
-    where
-        S: Send,
-        R: Send,
-        G: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> R + Sync,
-    {
-        let batches = batches.clamp(1, len.max(1));
-        if len == 0 || batches == 1 {
-            let mut state = init();
-            return (0..len).map(|i| work(&mut state, i)).collect();
-        }
-        let batch_len = len.div_ceil(batches);
-        let ranges: Vec<std::ops::Range<usize>> =
-            (0..len).step_by(batch_len).map(|start| start..(start + batch_len).min(len)).collect();
-        let per_batch: Vec<std::thread::Result<Vec<R>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .map(|range| {
-                    let init = &init;
-                    let work = &work;
-                    scope.spawn(move || {
-                        let mut state = init();
-                        range.map(|i| work(&mut state, i)).collect::<Vec<R>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(std::thread::ScopedJoinHandle::join).collect()
-        });
-        let mut out = Vec::with_capacity(len);
-        for batch in per_batch {
-            match batch {
-                Ok(mut values) => out.append(&mut values),
-                // First panicking batch in index order wins; its payload is
-                // the batch's smallest panicking index.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        out
-    }
 }

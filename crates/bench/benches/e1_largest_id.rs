@@ -14,7 +14,8 @@ fn bench_largest_id_random(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let assignment = IdAssignment::Shuffled { seed: 1 };
             b.iter(|| {
-                let profile = run_on_cycle(Problem::LargestId, n, &assignment).unwrap();
+                let profile =
+                    run_on_topology(Problem::LargestId, &Topology::Cycle, n, &assignment).unwrap();
                 black_box(profile.average())
             });
         });
@@ -28,7 +29,13 @@ fn bench_largest_id_identity(c: &mut Criterion) {
     for &n in &[256usize, 1024, 4096] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| {
-                let profile = run_on_cycle(Problem::LargestId, n, &IdAssignment::Identity).unwrap();
+                let profile = run_on_topology(
+                    Problem::LargestId,
+                    &Topology::Cycle,
+                    n,
+                    &IdAssignment::Identity,
+                )
+                .unwrap();
                 black_box(profile.total())
             });
         });
@@ -43,7 +50,9 @@ fn bench_full_info_baseline(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let assignment = IdAssignment::Shuffled { seed: 1 };
             b.iter(|| {
-                let profile = run_on_cycle(Problem::FullInfoLargestId, n, &assignment).unwrap();
+                let profile =
+                    run_on_topology(Problem::FullInfoLargestId, &Topology::Cycle, n, &assignment)
+                        .unwrap();
                 black_box(profile.max())
             });
         });

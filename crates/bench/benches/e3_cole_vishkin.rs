@@ -13,7 +13,9 @@ fn bench_cole_vishkin(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let assignment = IdAssignment::Shuffled { seed: 3 };
             b.iter(|| {
-                let profile = run_on_cycle(Problem::ThreeColoring, n, &assignment).unwrap();
+                let profile =
+                    run_on_topology(Problem::ThreeColoring, &Topology::Cycle, n, &assignment)
+                        .unwrap();
                 black_box(profile.max())
             });
         });
@@ -28,7 +30,9 @@ fn bench_landmark_coloring(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let assignment = IdAssignment::Shuffled { seed: 3 };
             b.iter(|| {
-                let profile = run_on_cycle(Problem::LandmarkColoring, n, &assignment).unwrap();
+                let profile =
+                    run_on_topology(Problem::LandmarkColoring, &Topology::Cycle, n, &assignment)
+                        .unwrap();
                 black_box(profile.average())
             });
         });
@@ -43,7 +47,8 @@ fn bench_mis_pipeline(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let assignment = IdAssignment::Shuffled { seed: 3 };
             b.iter(|| {
-                let profile = run_on_cycle(Problem::Mis, n, &assignment).unwrap();
+                let profile =
+                    run_on_topology(Problem::Mis, &Topology::Cycle, n, &assignment).unwrap();
                 black_box(profile.max())
             });
         });

@@ -27,7 +27,9 @@ fn bench_adversarial_evaluation(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let assignment = section3_assignment(Problem::LandmarkColoring, n).unwrap();
             b.iter(|| {
-                let profile = run_on_cycle(Problem::LandmarkColoring, n, &assignment).unwrap();
+                let profile =
+                    run_on_topology(Problem::LandmarkColoring, &Topology::Cycle, n, &assignment)
+                        .unwrap();
                 black_box(profile.average())
             });
         });

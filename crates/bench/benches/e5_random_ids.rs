@@ -12,7 +12,9 @@ fn bench_random_permutation_study(c: &mut Criterion) {
     for &n in &[256usize, 1024] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| {
-                let study = random_permutation_study(Problem::LargestId, n, 5, 1).unwrap();
+                let study =
+                    random_permutation_study_on(Problem::LargestId, &Topology::Cycle, n, 5, 1)
+                        .unwrap();
                 black_box(study.average_radius.mean)
             });
         });
@@ -36,7 +38,14 @@ fn bench_coloring_under_random_ids(c: &mut Criterion) {
     for &n in &[1024usize, 4096] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| {
-                let study = random_permutation_study(Problem::LandmarkColoring, n, 3, 2).unwrap();
+                let study = random_permutation_study_on(
+                    Problem::LandmarkColoring,
+                    &Topology::Cycle,
+                    n,
+                    3,
+                    2,
+                )
+                .unwrap();
                 black_box(study.average_radius.mean)
             });
         });

@@ -7,7 +7,7 @@ use std::hint::black_box;
 use avglocal::prelude::*;
 
 fn profile_for(n: usize) -> RadiusProfile {
-    run_on_cycle(Problem::LargestId, n, &IdAssignment::Shuffled { seed: 31 })
+    run_on_topology(Problem::LargestId, &Topology::Cycle, n, &IdAssignment::Shuffled { seed: 31 })
         .expect("largest ID runs on every cycle")
 }
 
@@ -39,9 +39,13 @@ fn bench_end_to_end_replay(c: &mut Criterion) {
     for &n in &[512usize, 2048] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| {
-                let profile =
-                    run_on_cycle(Problem::LargestId, n, &IdAssignment::Shuffled { seed: 7 })
-                        .unwrap();
+                let profile = run_on_topology(
+                    Problem::LargestId,
+                    &Topology::Cycle,
+                    n,
+                    &IdAssignment::Shuffled { seed: 7 },
+                )
+                .unwrap();
                 black_box(schedule_radii(&profile, 16).makespan)
             });
         });

@@ -1,25 +1,19 @@
-//! E1 perf trajectory: wall time of the largest-ID radius sweep on the
-//! adversarial identity assignment, incremental engine vs the from-scratch
-//! baseline — plus the single-node probe loop (session reuse vs per-call
-//! freeze), the **skewed scheduling block** (clustered adversarial
-//! assignment, work-stealing vs static chunks vs the sequential reference),
-//! the **pool block** (many small trials on the persistent pool vs the
-//! spawn-per-call baseline), the **freeze block** (parallel vs serial
-//! `Graph::freeze`, bit-identical by assertion) and the **hub block** (the
-//! E9 hub adversary on the committed preferential-attachment family: sweep
-//! wall time plus the measured edge/node detachment, gated at the
-//! regular-family sandwich bound of 2), the **service block** (sustained
-//! query load through the resilient radius-query service vs the bare frozen
-//! session, recording qps and p99 latency, overhead gated at 3x) and the
-//! **service_batch block** (one reader's whole population through
-//! `query_batch`, sharded across the pool, vs the same population as single
-//! queries; total radii bit-identical by assertion and the batched qps
-//! gated at 2x the single-query qps on machines with real parallelism) and
-//! the **sampling block** (the node-averaged measure from a seeded 10%
-//! uniform sample vs the exact sweep — relative error gated at a 25%
-//! budget, wall-time speedup gated at 5x with real cores — plus frontier
-//! rows extending the curve an order of magnitude past the largest exact
-//! sweep).
+//! E1 perf trajectory of the radius engine: the single-node probe loop
+//! (session reuse vs per-call freeze), the **snapshot block** (encode vs the
+//! validating decode), the **hub block** (the E9 hub adversary on the
+//! committed preferential-attachment family: sweep wall time plus the
+//! measured edge/node detachment, gated at the regular-family sandwich bound
+//! of 2), the **service block** (sustained query load through the resilient
+//! radius-query service vs the bare frozen session, recording qps and p99
+//! latency, overhead gated at 3x), the **service_batch block** (one
+//! reader's whole population through `query_batch`, sharded across the pool,
+//! vs the same population as single queries; total radii bit-identical by
+//! assertion and the batched qps gated at 2x the single-query qps on
+//! machines with real parallelism) and the **sampling block** (the
+//! node-averaged measure from a seeded 10% uniform sample vs the exact
+//! sweep — relative error gated at a 25% budget, wall-time speedup gated at
+//! 5x with real cores — plus frontier rows extending the curve an order of
+//! magnitude past the largest exact sweep).
 //!
 //! Writes `BENCH_e1.json` (next to the current working directory) so the
 //! repository keeps a perf trajectory across PRs, and exits non-zero if any
@@ -36,16 +30,13 @@
 //! recorded block) and exits non-zero if any gate regresses below its
 //! threshold — this is the step CI runs on every push. Gates that only
 //! develop their full separation with real cores underneath the pool
-//! (skewed scheduling, freeze speedup) use their full threshold on
-//! `>= 4`-core machines in full mode and a relaxed *sanity* threshold
-//! elsewhere; the pool-reuse gate degrades only on a 1-participant pool
-//! (where both paths run inline), since its win comes from reusing workers,
-//! not from real parallelism. Every block is gated on every run.
+//! (batching, sampling speedup) use their full threshold on `>= 4`-core
+//! machines and a relaxed *sanity* threshold elsewhere. Every block is
+//! gated on every run.
 //!
-//! The worker-pool size is recorded in every block: scheduling comparisons
-//! only show wall-clock separation when the pool has real cores underneath
-//! (`available_parallelism` is recorded too, so a 1-core container's ~1×
-//! ratios are self-explanatory).
+//! The worker-pool size is recorded in every block: parallel speedups only
+//! show when the pool has real cores underneath (`available_parallelism` is
+//! recorded too, so a 1-core container's ~1× ratios are self-explanatory).
 
 use std::env;
 use std::fmt::Write as _;
@@ -54,50 +45,18 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use avglocal::algorithms::{KnowTheLeader, LargestId};
-use avglocal::analysis::recurrence::clustered_adversarial_arrangement;
 use avglocal::graph::CsrGraph;
 use avglocal::prelude::*;
-use avglocal::runtime::{
-    BallExecution, BallExecutor, FrozenExecutor, Knowledge, NodeBatchOptions, Scheduling,
-};
+use avglocal::runtime::{BallExecutor, FrozenExecutor, Knowledge, NodeBatchOptions, ProbeOptions};
 use avglocal_bench::load::{raw_probe_load, service_batch_load, service_load, LoadConfig};
 
 /// Repetitions per measurement; the minimum is reported.
 const REPS: usize = 3;
 
-struct Row {
-    n: usize,
-    total_radius: usize,
-    incremental_ms: f64,
-    baseline_ms: f64,
-}
-
 struct ProbeRow {
     n: usize,
     session_ms: f64,
     refreeze_ms: f64,
-}
-
-struct SkewRow {
-    n: usize,
-    total_radius: usize,
-    sequential_ms: f64,
-    static_ms: f64,
-    stealing_ms: f64,
-}
-
-struct PoolRow {
-    n: usize,
-    trials: usize,
-    pool_ms: f64,
-    spawn_ms: f64,
-}
-
-struct FreezeRow {
-    n: usize,
-    edges: usize,
-    serial_ms: f64,
-    parallel_ms: f64,
 }
 
 struct HubRow {
@@ -174,15 +133,6 @@ impl Gate {
     }
 }
 
-/// The scheduler-adversarial identifier assignment (see
-/// [`clustered_adversarial_arrangement`]): a worst-case `a(p)` block on one
-/// quarter of the ring, so a static contiguous partition hands one thread
-/// `Θ(n log n)` work while the others get `Θ(n)`.
-fn clustered_adversarial(n: usize) -> IdAssignment {
-    let ids = clustered_adversarial_arrangement(n).iter().map(|&id| id as usize).collect();
-    IdAssignment::from_vec(ids).expect("clustered adversarial ids form a permutation")
-}
-
 /// Times one pass of `probe` over every node of `graph`; the minimum over
 /// [`REPS`] passes is reported. Returns `(total radius, best ms)`.
 fn measure_probe_loop(graph: &Graph, mut probe: impl FnMut(NodeId) -> usize) -> (usize, f64) {
@@ -194,20 +144,6 @@ fn measure_probe_loop(graph: &Graph, mut probe: impl FnMut(NodeId) -> usize) -> 
         best = best.min(start.elapsed().as_secs_f64() * 1e3);
     }
     (total, best)
-}
-
-fn measure(executor: &BallExecutor, graph: &Graph) -> (BallExecution<bool>, f64) {
-    let mut best = f64::INFINITY;
-    let mut run = None;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        let result = executor
-            .run(graph, &LargestId, Knowledge::none())
-            .expect("largest-ID terminates on every cycle");
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-        run = Some(result);
-    }
-    (run.expect("REPS >= 1"), best)
 }
 
 /// Times `body` [`REPS`] times and returns `(last result, best ms)`.
@@ -228,32 +164,7 @@ fn main() -> ExitCode {
     let sizes: &[usize] = if quick { &[256, 1024] } else { &[256, 1024, 4096] };
     let threads = rayon::current_num_threads();
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    println!("pool: {threads} thread(s), machine: {cores} core(s)\n");
-
-    println!("E1 largest-ID on the identity cycle: incremental vs from-scratch baseline");
-    println!(
-        "{:>6} {:>14} {:>16} {:>13} {:>9}",
-        "n", "total radius", "incremental ms", "baseline ms", "speedup"
-    );
-
-    let mut rows = Vec::new();
-    for &n in sizes {
-        let graph = cycle_with_assignment(n, &IdAssignment::Identity)
-            .expect("cycles of the benchmarked sizes are valid");
-        let (fast, incremental_ms) = measure(&BallExecutor::new(), &graph);
-        let (slow, baseline_ms) = measure(&BallExecutor::from_scratch_baseline(), &graph);
-        assert_eq!(fast.radii(), slow.radii(), "engines disagree on radii at n={n}");
-        assert_eq!(fast.outputs(), slow.outputs(), "engines disagree on outputs at n={n}");
-        println!(
-            "{:>6} {:>14} {:>16.3} {:>13.3} {:>8.1}x",
-            n,
-            fast.total_radius(),
-            incremental_ms,
-            baseline_ms,
-            baseline_ms / incremental_ms
-        );
-        rows.push(Row { n, total_radius: fast.total_radius(), incremental_ms, baseline_ms });
-    }
+    println!("pool: {threads} thread(s), machine: {cores} core(s)");
 
     // The run_node datapoint: probe every node individually, reusing one
     // frozen session vs freezing a fresh snapshot per call.
@@ -261,19 +172,16 @@ fn main() -> ExitCode {
     println!("{:>6} {:>12} {:>13} {:>9}", "n", "session ms", "refreeze ms", "speedup");
     let mut probe_rows = Vec::new();
     for &n in sizes {
-        let graph = cycle_with_assignment(n, &IdAssignment::Identity)
+        let graph = topology_with_assignment(&Topology::Cycle, n, &IdAssignment::Identity)
             .expect("cycles of the benchmarked sizes are valid");
+        let probe = |session: &FrozenExecutor, v| {
+            let options = ProbeOptions::new();
+            session.run_node_with(v, &LargestId, Knowledge::none(), options).expect("terminates").1
+        };
         let session = FrozenExecutor::new(&graph);
-        let (session_total, session_ms) = measure_probe_loop(&graph, |v| {
-            session.run_node(v, &LargestId, Knowledge::none()).expect("largest-ID terminates").1
-        });
-        let per_call = BallExecutor::new();
-        let (refreeze_total, refreeze_ms) = measure_probe_loop(&graph, |v| {
-            per_call
-                .run_node(&graph, v, &LargestId, Knowledge::none())
-                .expect("largest-ID terminates")
-                .1
-        });
+        let (session_total, session_ms) = measure_probe_loop(&graph, |v| probe(&session, v));
+        let (refreeze_total, refreeze_ms) =
+            measure_probe_loop(&graph, |v| probe(&FrozenExecutor::new(&graph), v));
         assert_eq!(session_total, refreeze_total, "probe engines disagree at n={n}");
         println!(
             "{:>6} {:>12.3} {:>13.3} {:>8.1}x",
@@ -285,139 +193,21 @@ fn main() -> ExitCode {
         probe_rows.push(ProbeRow { n, session_ms, refreeze_ms });
     }
 
-    // The skewed scheduling datapoint: clustered adversarial assignment,
-    // dynamic work-stealing chunks vs the static contiguous partition vs the
-    // sequential reference — all three must agree bit for bit.
-    let skew_sizes: &[usize] = if quick { &[256, 1024] } else { &[1024, 4096, 16384] };
-    println!("\nE1 skewed scheduling: clustered adversarial assignment, {threads} thread(s)");
-    println!(
-        "{:>6} {:>14} {:>14} {:>11} {:>13} {:>14}",
-        "n", "total radius", "sequential ms", "static ms", "stealing ms", "static/steal"
-    );
-    let mut skew_rows = Vec::new();
-    for &n in skew_sizes {
-        let graph = cycle_with_assignment(n, &clustered_adversarial(n))
-            .expect("cycles of the benchmarked sizes are valid");
-        let csr = graph.freeze();
-        let sequential_exec = BallExecutor::new();
-        let (sequential, sequential_ms) = measure_ms(|| {
-            sequential_exec
-                .run_frozen_sequential(&csr, &LargestId, Knowledge::none())
-                .expect("largest-ID terminates")
-        });
-        let static_exec = BallExecutor::new().with_scheduling(Scheduling::StaticChunks);
-        let (static_run, static_ms) = measure_ms(|| {
-            static_exec.run_frozen(&csr, &LargestId, Knowledge::none()).expect("terminates")
-        });
-        let stealing_exec = BallExecutor::new().with_scheduling(Scheduling::WorkStealing);
-        let (stealing_run, stealing_ms) = measure_ms(|| {
-            stealing_exec.run_frozen(&csr, &LargestId, Knowledge::none()).expect("terminates")
-        });
-        assert_eq!(stealing_run.radii(), sequential.radii(), "stealing diverged at n={n}");
-        assert_eq!(stealing_run.outputs(), sequential.outputs(), "stealing diverged at n={n}");
-        assert_eq!(static_run.radii(), sequential.radii(), "static diverged at n={n}");
-        assert_eq!(static_run.outputs(), sequential.outputs(), "static diverged at n={n}");
-        println!(
-            "{:>6} {:>14} {:>14.3} {:>11.3} {:>13.3} {:>13.2}x",
-            n,
-            sequential.total_radius(),
-            sequential_ms,
-            static_ms,
-            stealing_ms,
-            static_ms / stealing_ms
-        );
-        skew_rows.push(SkewRow {
-            n,
-            total_radius: sequential.total_radius(),
-            sequential_ms,
-            static_ms,
-            stealing_ms,
-        });
-    }
-
-    // The pool datapoint: many small full runs — the persistent pool reuses
-    // its workers across calls, the baseline spawns scoped threads per call.
-    let (pool_n, pool_trials) = if quick { (128, 64) } else { (256, 512) };
-    println!("\nE1 pool reuse: {pool_trials} small runs at n={pool_n}, pool vs spawn-per-call");
-    let pool_graph = cycle_with_assignment(pool_n, &IdAssignment::Identity)
-        .expect("cycles of the benchmarked sizes are valid");
-    let pool_csr = pool_graph.freeze();
-    let ws_exec = BallExecutor::new();
-    let (pool_total, pool_ms) = measure_ms(|| {
-        (0..pool_trials)
-            .map(|_| {
-                ws_exec
-                    .run_frozen(&pool_csr, &LargestId, Knowledge::none())
-                    .expect("terminates")
-                    .total_radius()
-            })
-            .sum::<usize>()
-    });
-    let static_exec = BallExecutor::new().with_scheduling(Scheduling::StaticChunks);
-    let (spawn_total, spawn_ms) = measure_ms(|| {
-        (0..pool_trials)
-            .map(|_| {
-                static_exec
-                    .run_frozen(&pool_csr, &LargestId, Knowledge::none())
-                    .expect("terminates")
-                    .total_radius()
-            })
-            .sum::<usize>()
-    });
-    assert_eq!(pool_total, spawn_total, "pool and spawn paths disagree on total radius");
-    println!(
-        "{:>6} {:>8} {:>10.3} {:>10.3} {:>8.1}x",
-        pool_n,
-        pool_trials,
-        pool_ms,
-        spawn_ms,
-        spawn_ms / pool_ms
-    );
-    let pool_row = PoolRow { n: pool_n, trials: pool_trials, pool_ms, spawn_ms };
-
-    // The freeze datapoint: parallel vs serial `Graph::freeze` (degree
-    // count, offset prefix sum, adjacency scatter and the connected-
-    // components labelling pass) — the last O(n + m) serial step in front of
-    // every parallel sweep. The two snapshots must be bit-identical (CSR
-    // arrays, identifiers and component labels).
-    let freeze_sizes: &[usize] = if quick { &[1 << 14, 1 << 16] } else { &[1 << 16, 1 << 18] };
-    println!("\nE1 freeze: parallel vs serial Graph::freeze, {threads} thread(s)");
-    println!(
-        "{:>8} {:>8} {:>11} {:>13} {:>9}",
-        "n", "edges", "serial ms", "parallel ms", "speedup"
-    );
-    let mut freeze_rows = Vec::new();
-    for &n in freeze_sizes {
-        let graph = cycle_with_assignment(n, &IdAssignment::Identity)
-            .expect("cycles of the benchmarked sizes are valid");
-        let (serial, serial_ms) = measure_ms(|| graph.freeze_serial());
-        let (parallel, parallel_ms) = measure_ms(|| graph.freeze_parallel());
-        assert_eq!(serial, parallel, "parallel freeze diverged from serial at n={n}");
-        println!(
-            "{:>8} {:>8} {:>11.3} {:>13.3} {:>8.2}x",
-            n,
-            serial.edge_count(),
-            serial_ms,
-            parallel_ms,
-            serial_ms / parallel_ms
-        );
-        freeze_rows.push(FreezeRow { n, edges: serial.edge_count(), serial_ms, parallel_ms });
-    }
-
     // The snapshot datapoint: the versioned binary codec around `CsrGraph`
     // (`to_bytes` / validating `from_bytes`). Decoding re-establishes every
     // structural invariant from untrusted bytes (checksum, offsets, symmetry,
     // component relabelling), so its throughput is the price of the trust
     // boundary; the bytes-per-edge density is a deterministic property of the
     // format and is gated exactly.
+    let snapshot_sizes: &[usize] = if quick { &[1 << 14, 1 << 16] } else { &[1 << 16, 1 << 18] };
     println!("\nE1 snapshot codec: encode vs validating decode, cycle instances");
     println!(
         "{:>8} {:>8} {:>10} {:>11} {:>11} {:>11} {:>12}",
         "n", "edges", "bytes", "bytes/edge", "encode ms", "decode ms", "decode MB/s"
     );
     let mut snapshot_rows = Vec::new();
-    for &n in freeze_sizes {
-        let graph = cycle_with_assignment(n, &IdAssignment::Identity)
+    for &n in snapshot_sizes {
+        let graph = topology_with_assignment(&Topology::Cycle, n, &IdAssignment::Identity)
             .expect("cycles of the benchmarked sizes are valid");
         let csr = graph.freeze();
         let (bytes, encode_ms) = measure_ms(|| csr.to_bytes());
@@ -676,23 +466,10 @@ fn main() -> ExitCode {
     let mut json = String::from("{\n  \"experiment\": \"e1_largest_id_identity\",\n");
     let _ = writeln!(json, "  \"threads\": {threads},");
     let _ = writeln!(json, "  \"available_parallelism\": {cores},");
-    json.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"n\": {}, \"total_radius\": {}, \"incremental_ms\": {:.3}, \"baseline_ms\": {:.3}, \"speedup\": {:.1}}}{}",
-            row.n,
-            row.total_radius,
-            row.incremental_ms,
-            row.baseline_ms,
-            row.baseline_ms / row.incremental_ms,
-            if i + 1 == rows.len() { "" } else { "," }
-        );
-    }
-    json.push_str("  ],\n  \"run_node\": {\n");
+    json.push_str("  \"run_node\": {\n");
     json.push_str(
-        "    \"description\": \"per-node probes: FrozenExecutor session reuse vs \
-         BallExecutor::run_node freezing per call\",\n",
+        "    \"description\": \"per-node probes: FrozenExecutor session reuse vs a \
+         fresh freeze per call\",\n",
     );
     let _ = writeln!(json, "    \"threads\": {threads},");
     json.push_str("    \"rows\": [\n");
@@ -705,63 +482,6 @@ fn main() -> ExitCode {
             row.refreeze_ms,
             row.refreeze_ms / row.session_ms,
             if i + 1 == probe_rows.len() { "" } else { "," }
-        );
-    }
-    json.push_str("    ]\n  },\n  \"skewed\": {\n");
-    json.push_str(
-        "    \"description\": \"clustered adversarial largest-ID assignment (worst-case \
-         a(p) block on a quarter of the ring): dynamic work-stealing chunks vs the static \
-         contiguous partition vs the sequential reference; outputs bit-identical across \
-         all three\",\n",
-    );
-    let _ = writeln!(json, "    \"threads\": {threads},");
-    json.push_str("    \"rows\": [\n");
-    for (i, row) in skew_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      {{\"n\": {}, \"total_radius\": {}, \"sequential_ms\": {:.3}, \"static_ms\": {:.3}, \"stealing_ms\": {:.3}, \"static_over_stealing\": {:.2}}}{}",
-            row.n,
-            row.total_radius,
-            row.sequential_ms,
-            row.static_ms,
-            row.stealing_ms,
-            row.static_ms / row.stealing_ms,
-            if i + 1 == skew_rows.len() { "" } else { "," }
-        );
-    }
-    json.push_str("    ]\n  },\n  \"pool\": {\n");
-    json.push_str(
-        "    \"description\": \"many small full runs: persistent worker pool (reused across \
-         calls) vs the spawn-per-call static baseline of the old shim\",\n",
-    );
-    let _ = writeln!(json, "    \"threads\": {threads},");
-    let _ = writeln!(
-        json,
-        "    \"rows\": [\n      {{\"n\": {}, \"trials\": {}, \"pool_ms\": {:.3}, \"spawn_ms\": {:.3}, \"speedup\": {:.1}}}\n    ]",
-        pool_row.n,
-        pool_row.trials,
-        pool_row.pool_ms,
-        pool_row.spawn_ms,
-        pool_row.spawn_ms / pool_row.pool_ms
-    );
-    json.push_str("  },\n  \"freeze\": {\n");
-    json.push_str(
-        "    \"description\": \"Graph::freeze parallel vs serial: degree count, offset prefix \
-         sum, adjacency scatter and connected-components labelling; snapshots bit-identical \
-         by assertion\",\n",
-    );
-    let _ = writeln!(json, "    \"threads\": {threads},");
-    json.push_str("    \"rows\": [\n");
-    for (i, row) in freeze_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      {{\"n\": {}, \"edges\": {}, \"serial_ms\": {:.3}, \"parallel_ms\": {:.3}, \"speedup\": {:.2}}}{}",
-            row.n,
-            row.edges,
-            row.serial_ms,
-            row.parallel_ms,
-            row.serial_ms / row.parallel_ms,
-            if i + 1 == freeze_rows.len() { "" } else { "," }
         );
     }
     json.push_str("    ]\n  },\n  \"snapshot\": {\n");
@@ -896,53 +616,17 @@ fn main() -> ExitCode {
     println!("\nwrote BENCH_e1.json");
 
     // The regression-gate table: one gate per recorded block, evaluated on
-    // every run. The scheduling separation and the freeze speedup only
-    // develop their full ratios with >= 4 real cores underneath the pool and
-    // full-size inputs, so elsewhere (quick mode, undersized machines) they
-    // gate at a relaxed sanity threshold instead — enough to catch a
-    // pathological regression without flaking on shared CI runners. The
-    // pool-reuse gate degrades the same way on a 1-participant pool, where
-    // both paths run inline and there is no spawn overhead to save.
+    // every run. Parallel speedups only develop their full ratios with >= 4
+    // real cores underneath the pool, so elsewhere they gate at a relaxed
+    // sanity threshold instead — enough to catch a pathological regression
+    // without flaking on shared CI runners.
     let machine_parallel = threads >= 4 && cores >= 4;
-    let strong_separation = !quick && machine_parallel;
     let mut gates = Vec::new();
-    if let Some(last) = rows.last() {
-        gates.push(Gate::full(
-            "rows: incremental engine vs from-scratch baseline",
-            last.baseline_ms / last.incremental_ms,
-            10.0,
-        ));
-    }
     if let Some(last) = probe_rows.last() {
         gates.push(Gate::full(
             "run_node: frozen session vs per-call refreeze",
             last.refreeze_ms / last.session_ms,
             5.0,
-        ));
-    }
-    gates.push(Gate::scaled(
-        "pool: persistent pool vs spawn-per-call",
-        pool_row.spawn_ms / pool_row.pool_ms,
-        threads >= 2,
-        1.5,
-        0.5,
-    ));
-    if let Some(last) = skew_rows.last() {
-        gates.push(Gate::scaled(
-            "skewed: work-stealing vs static chunks",
-            last.static_ms / last.stealing_ms,
-            strong_separation,
-            1.5,
-            0.33,
-        ));
-    }
-    if let Some(last) = freeze_rows.last() {
-        gates.push(Gate::scaled(
-            "freeze: parallel vs serial Graph::freeze",
-            last.serial_ms / last.parallel_ms,
-            strong_separation,
-            1.15,
-            0.25,
         ));
     }
     // The snapshot gates: format density is a deterministic property of the

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use avglocal::algorithms::LargestId;
 use avglocal::graph::{generators, NodeId};
-use avglocal::runtime::{FrozenExecutor, Knowledge};
+use avglocal::runtime::{FrozenExecutor, Knowledge, ProbeOptions};
 use avglocal_service::{
     Clock, QueryOptions, QueryRequest, RadiusQueryService, ServiceConfig, WallClock,
 };
@@ -125,7 +125,9 @@ pub fn service_load(config: &LoadConfig) -> LoadReport {
                     let mut total_radius = 0u64;
                     for node in reader_script(config, reader) {
                         let before = clock.now();
-                        let reply = service.query(node).expect("load queries complete");
+                        let reply = service
+                            .query_with(node, QueryOptions::new())
+                            .expect("load queries complete");
                         latencies.push(clock.now().saturating_sub(before));
                         total_radius += reply.radius as u64;
                     }
@@ -241,10 +243,10 @@ pub fn raw_probe_load(config: &LoadConfig) -> LoadReport {
                     let mut total_radius = 0u64;
                     for node in reader_script(config, reader) {
                         let before = clock.now();
+                        let mut never = |_: usize| false;
+                        let options = ProbeOptions::new().with_cancel(&mut never);
                         let (_, radius) = session
-                            .run_node_with_cancel(node, &LargestId, Knowledge::none(), &mut |_| {
-                                false
-                            })
+                            .run_node_with(node, &LargestId, Knowledge::none(), options)
                             .expect("load probes complete");
                         latencies.push(clock.now().saturating_sub(before));
                         total_radius += radius as u64;

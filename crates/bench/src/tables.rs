@@ -41,8 +41,9 @@ pub fn table_e1(quick: bool) -> Table {
             .with_trials(trials)
             .run()
             .expect("largest-ID sweep cannot fail on cycles");
-        let identity = run_on_cycle(Problem::LargestId, n, &IdAssignment::Identity)
-            .expect("largest-ID run cannot fail on cycles");
+        let identity =
+            run_on_topology(Problem::LargestId, &Topology::Cycle, n, &IdAssignment::Identity)
+                .expect("largest-ID run cannot fail on cycles");
         let row = &random.rows[0];
         ns.push(n as f64);
         averages.push(row.average);
@@ -135,9 +136,9 @@ pub fn table_e3(quick: bool) -> Table {
     for &k in &exponents {
         let n = 1usize << k;
         let assignment = IdAssignment::Shuffled { seed: 3 };
-        let cv = run_on_cycle(Problem::ThreeColoring, n, &assignment)
+        let cv = run_on_topology(Problem::ThreeColoring, &Topology::Cycle, n, &assignment)
             .expect("Cole-Vishkin runs on every cycle");
-        let landmark = run_on_cycle(Problem::LandmarkColoring, n, &assignment)
+        let landmark = run_on_topology(Problem::LandmarkColoring, &Topology::Cycle, n, &assignment)
             .expect("landmark colouring runs on every cycle");
         table.push_row(vec![
             n.to_string(),
@@ -172,10 +173,16 @@ pub fn table_e4(quick: bool) -> Table {
     );
     for &n in &sizes {
         for problem in [Problem::LandmarkColoring, Problem::ThreeColoring] {
-            let random = random_permutation_study(problem, n, if quick { 3 } else { 8 }, 5)
-                .expect("random study runs on cycles");
+            let random = random_permutation_study_on(
+                problem,
+                &Topology::Cycle,
+                n,
+                if quick { 3 } else { 8 },
+                5,
+            )
+            .expect("random study runs on cycles");
             let section3 = section3_assignment(problem, n)
-                .and_then(|a| run_on_cycle(problem, n, &a))
+                .and_then(|a| run_on_topology(problem, &Topology::Cycle, n, &a))
                 .expect("section 3 construction runs on cycles");
             let climbed = AdversarySearch::new(problem, Measure::NodeAveraged)
                 .hill_climb(n, 1, if quick { 20 } else { 80 }, 11)
@@ -213,8 +220,9 @@ pub fn table_e5(quick: bool) -> Table {
     );
     for &k in &exponents {
         let n = 1usize << k;
-        let study = random_permutation_study(Problem::LargestId, n, samples, 23)
-            .expect("largest-ID study runs on cycles");
+        let study =
+            random_permutation_study_on(Problem::LargestId, &Topology::Cycle, n, samples, 23)
+                .expect("largest-ID study runs on cycles");
         table.push_row(vec![
             n.to_string(),
             samples.to_string(),
@@ -253,7 +261,8 @@ pub fn table_e6(quick: bool) -> Table {
         Problem::LandmarkColoring,
         Problem::KnowTheLeader,
     ] {
-        let profile = run_on_cycle(problem, n, &assignment).expect("all problems run on cycles");
+        let profile = run_on_topology(problem, &Topology::Cycle, n, &assignment)
+            .expect("all problems run on cycles");
         let outcome = schedule_radii(&profile, workers);
         table.push_row(vec![
             problem.to_string(),
@@ -372,8 +381,13 @@ pub fn figure_f1(quick: bool) -> String {
     for &k in &exponents {
         let n = 1usize << k;
         labels.push(format!("2^{k}"));
-        let profile = run_on_cycle(Problem::LargestId, n, &IdAssignment::Shuffled { seed: 1 })
-            .expect("largest ID runs on every cycle");
+        let profile = run_on_topology(
+            Problem::LargestId,
+            &Topology::Cycle,
+            n,
+            &IdAssignment::Shuffled { seed: 1 },
+        )
+        .expect("largest ID runs on every cycle");
         measured.push(profile.average());
         theory_avg.push(theory::largest_id_worst_average(n));
         worst.push(theory::largest_id_worst_case(n) as f64);
@@ -401,12 +415,12 @@ pub fn figure_f2(quick: bool) -> String {
         labels.push(format!("2^{k}"));
         let assignment = IdAssignment::Shuffled { seed: 3 };
         cv.push(
-            run_on_cycle(Problem::ThreeColoring, n, &assignment)
+            run_on_topology(Problem::ThreeColoring, &Topology::Cycle, n, &assignment)
                 .expect("Cole-Vishkin runs on every cycle")
                 .average(),
         );
         landmark.push(
-            run_on_cycle(Problem::LandmarkColoring, n, &assignment)
+            run_on_topology(Problem::LandmarkColoring, &Topology::Cycle, n, &assignment)
                 .expect("landmark colouring runs on every cycle")
                 .average(),
         );
@@ -862,8 +876,13 @@ mod tests {
         let mut worst_sum = 0.0;
         let mut average_sum = 0.0;
         for trial in 0..2 {
-            let profile =
-                run_on_cycle(Problem::LargestId, n, &policy.assignment_for_trial(trial)).unwrap();
+            let profile = run_on_topology(
+                Problem::LargestId,
+                &Topology::Cycle,
+                n,
+                &policy.assignment_for_trial(trial),
+            )
+            .unwrap();
             worst_sum += profile.max() as f64;
             average_sum += profile.average();
         }

@@ -7,11 +7,9 @@
 //! the runs deterministic (seeds are explicit) so the reported tables are
 //! exactly reproducible.
 //!
-//! The paper states its results on the ring, so the cycle-specific entry
-//! points ([`run_on_cycle`], [`cycle_with_assignment`],
-//! [`random_permutation_study`]) remain as thin wrappers over the
-//! topology-parameterised API; they produce bit-for-bit the same values as
-//! before the generalisation.
+//! The paper states its results on the ring, which is
+//! [`Topology::Cycle`] here: every entry point takes the topology, and the
+//! ring is one value of it.
 //!
 //! Within a sweep, the topology instance is built **once per size** and only
 //! the identifier assignment varies across trials — for random graphs this is
@@ -595,20 +593,6 @@ fn check_problem_supports_topology(problem: Problem, topology: &Topology) -> Res
     Ok(())
 }
 
-/// Runs `problem` on an `n`-cycle with the given identifier assignment and
-/// returns the radius profile.
-///
-/// # Errors
-///
-/// Propagates graph-construction and execution errors.
-pub fn run_on_cycle(
-    problem: Problem,
-    n: usize,
-    assignment: &IdAssignment,
-) -> Result<RadiusProfile> {
-    run_on_topology(problem, &Topology::Cycle, n, assignment)
-}
-
 /// Builds a size-`n` instance of `topology` and applies `assignment` to it.
 ///
 /// # Errors
@@ -622,15 +606,6 @@ pub fn topology_with_assignment(
     let mut graph = topology.build(n)?;
     assignment.apply(&mut graph)?;
     Ok(graph)
-}
-
-/// Builds an `n`-cycle and applies `assignment` to it.
-///
-/// # Errors
-///
-/// Propagates graph-construction errors (for example `n < 3`).
-pub fn cycle_with_assignment(n: usize, assignment: &IdAssignment) -> Result<Graph> {
-    topology_with_assignment(&Topology::Cycle, n, assignment)
 }
 
 /// The Section 4 "further work" study: the distribution of both measures when
@@ -699,22 +674,6 @@ pub fn random_permutation_study_on(
         median_radius: Summary::from_values(&collect(|s| s.median)),
         cdf,
     })
-}
-
-/// Samples `samples` uniformly random identifier permutations of an
-/// `n`-cycle, runs `problem` on each, and summarises both measures.
-///
-/// # Errors
-///
-/// Propagates execution errors; returns [`CoreError::InvalidConfiguration`]
-/// when `samples == 0`.
-pub fn random_permutation_study(
-    problem: Problem,
-    n: usize,
-    samples: usize,
-    base_seed: u64,
-) -> Result<RandomPermutationStudy> {
-    random_permutation_study_on(problem, &Topology::Cycle, n, samples, base_seed)
 }
 
 /// Runs `trials` trials of `problem` on one instance, trial `t` under
@@ -1081,7 +1040,8 @@ mod tests {
 
     #[test]
     fn study_distribution_pools_all_samples() {
-        let study = random_permutation_study(Problem::LargestId, 32, 5, 11).unwrap();
+        let study =
+            random_permutation_study_on(Problem::LargestId, &Topology::Cycle, 32, 5, 11).unwrap();
         assert_eq!(study.cdf.observations(), 5 * 32);
         // The pooled mean is the mean of per-sample node averages (equal
         // sample sizes), up to floating-point reassociation.
@@ -1164,7 +1124,8 @@ mod tests {
 
     #[test]
     fn random_study_brackets_the_measures() {
-        let study = random_permutation_study(Problem::LargestId, 64, 10, 7).unwrap();
+        let study =
+            random_permutation_study_on(Problem::LargestId, &Topology::Cycle, 64, 10, 7).unwrap();
         assert_eq!(study.samples, 10);
         assert_eq!(study.topology, Topology::Cycle);
         // The worst-case radius is always n/2 = 32 for largest ID.
@@ -1192,7 +1153,9 @@ mod tests {
 
     #[test]
     fn random_study_rejects_zero_samples() {
-        assert!(random_permutation_study(Problem::LargestId, 16, 0, 0).is_err());
+        assert!(
+            random_permutation_study_on(Problem::LargestId, &Topology::Cycle, 16, 0, 0).is_err()
+        );
     }
 
     #[test]

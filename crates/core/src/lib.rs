@@ -25,7 +25,8 @@
 //!
 //! # fn main() -> Result<(), avglocal::CoreError> {
 //! // The paper's separation, on a 256-node ring with random identifiers.
-//! let profile = run_on_cycle(Problem::LargestId, 256, &IdAssignment::Shuffled { seed: 1 })?;
+//! let ids = IdAssignment::Shuffled { seed: 1 };
+//! let profile = run_on_topology(Problem::LargestId, &Topology::Cycle, 256, &ids)?;
 //! let pair = MeasurePair::of(&profile);
 //! assert_eq!(pair.worst_case, 128.0);          // Θ(n): the winner sees half the ring
 //! assert!(pair.average < 10.0);                // Θ(log n) on average
@@ -84,9 +85,9 @@ pub use aggregate::{AggregateQueries, CdfReply, MeasuresReply, QuantileReply};
 pub use cdf::RadiusCdf;
 pub use error::{CoreError, Result};
 pub use experiment::{
-    cycle_with_assignment, random_permutation_study, random_permutation_study_on, run_on_cycle,
-    run_on_topology, run_on_topology_per_component, topology_with_assignment, AssignmentPolicy,
-    RandomPermutationStudy, SampledRow, Sweep, SweepResult, SweepRow,
+    random_permutation_study_on, run_on_topology, run_on_topology_per_component,
+    topology_with_assignment, AssignmentPolicy, RandomPermutationStudy, SampledRow, Sweep,
+    SweepResult, SweepRow,
 };
 pub use measure::{ComponentMeasures, EdgeWeight, Measure, MeasurePair, MeasureSet, MEDIAN};
 pub use problem::Problem;
@@ -110,9 +111,8 @@ pub mod prelude {
     pub use crate::aggregate::AggregateQueries;
     pub use crate::cdf::RadiusCdf;
     pub use crate::experiment::{
-        cycle_with_assignment, random_permutation_study, random_permutation_study_on, run_on_cycle,
-        run_on_topology, run_on_topology_per_component, topology_with_assignment, AssignmentPolicy,
-        SampledRow, Sweep,
+        random_permutation_study_on, run_on_topology, run_on_topology_per_component,
+        topology_with_assignment, AssignmentPolicy, SampledRow, Sweep,
     };
     pub use crate::figure::{AsciiChart, Series};
     pub use crate::measure::{ComponentMeasures, EdgeWeight, Measure, MeasurePair, MeasureSet};
@@ -147,7 +147,7 @@ mod proptests {
         ) {
             let problem = Problem::ALL[problem_idx];
             let profile =
-                run_on_cycle(problem, n, &IdAssignment::Shuffled { seed }).unwrap();
+                run_on_topology(problem, &Topology::Cycle, n, &IdAssignment::Shuffled { seed }).unwrap();
             let pair = MeasurePair::of(&profile);
             prop_assert!(pair.average <= pair.worst_case + 1e-9);
             prop_assert!(pair.average >= 0.0);
@@ -159,7 +159,7 @@ mod proptests {
         #[test]
         fn largest_id_total_is_bounded_by_theory(n in 4usize..64, seed in 0u64..300) {
             let profile =
-                run_on_cycle(Problem::LargestId, n, &IdAssignment::Shuffled { seed }).unwrap();
+                run_on_topology(Problem::LargestId, &Topology::Cycle, n, &IdAssignment::Shuffled { seed }).unwrap();
             prop_assert!(profile.total() as u64 <= theory::largest_id_worst_total(n));
         }
 
@@ -168,7 +168,7 @@ mod proptests {
         #[test]
         fn coloring_radii_bounded_by_cole_vishkin(n in 4usize..48, seed in 0u64..200) {
             let profile =
-                run_on_cycle(Problem::ThreeColoring, n, &IdAssignment::Shuffled { seed }).unwrap();
+                run_on_topology(Problem::ThreeColoring, &Topology::Cycle, n, &IdAssignment::Shuffled { seed }).unwrap();
             prop_assert!(profile.max() <= theory::cole_vishkin_upper_bound(64));
         }
     }

@@ -10,36 +10,11 @@
 //! preserved exactly, so anything derived from a CSR snapshot matches the
 //! `Graph`-based code paths node for node.
 //!
-//! # Parallel freezing
-//!
-//! Freezing was the one remaining `O(n + m)` serial step in front of every
-//! parallel sweep, so [`CsrGraph::from_graph`] now builds large snapshots on
-//! the persistent worker pool: the degree table is counted in parallel, the
-//! offsets are a (cheap, serial) prefix sum over it, and the target array is
-//! scattered in parallel by recursively splitting the node range — every
-//! node owns a disjoint slice of `targets` (`offsets[v] .. offsets[v + 1]`),
-//! so the split is race-free by construction while the pool's atomic chunk
-//! cursors distribute the halves dynamically. A parallel connected-components
-//! labelling pass (lock-free union-find, see [`crate::components`]) runs over
-//! the finished arrays and feeds the per-component experiment mode. Small
-//! graphs take the serial path ([`CsrGraph::from_graph_serial`]), which is
-//! kept intact as the bit-identical reference the parallel build is
-//! property-tested against.
 
 use std::sync::Arc;
 
-use rayon::prelude::*;
-
 use crate::components::ComponentLabels;
 use crate::{Graph, Identifier, NodeId};
-
-/// Below this many nodes + edge endpoints, [`CsrGraph::from_graph`] uses the
-/// serial build: the pool's scheduling overhead would dominate the copy.
-const PARALLEL_FREEZE_CUTOFF: usize = 1 << 13;
-
-/// Node ranges at most this long are scattered inline instead of being split
-/// further across the pool.
-const SCATTER_GRAIN: usize = 1 << 10;
 
 /// A frozen adjacency snapshot of a [`Graph`] in compressed sparse row form.
 ///
@@ -82,28 +57,10 @@ pub struct CsrGraph {
     identifiers: Vec<Identifier>,
 }
 
-/// Checks the `u32` index limits shared by every build path.
-fn check_limits(graph: &Graph) -> (usize, usize) {
-    let n = graph.node_count();
-    assert!(
-        u32::try_from(n).is_ok_and(|n| n < u32::MAX),
-        "CSR snapshots index nodes with u32; {n} nodes do not fit"
-    );
-    let directed_edges = 2 * graph.edge_count();
-    assert!(
-        u32::try_from(directed_edges).is_ok(),
-        "CSR snapshots index edge offsets with u32; {directed_edges} edge endpoints do not fit"
-    );
-    (n, directed_edges)
-}
-
 impl CsrGraph {
-    /// Builds the snapshot; called through [`Graph::freeze`].
-    ///
-    /// Dispatches to the parallel build for graphs large enough to amortise
-    /// the pool's scheduling overhead and to the serial build otherwise; both
-    /// paths produce bit-identical snapshots, so the cutoff is purely a
-    /// performance choice.
+    /// Builds the snapshot; called through [`Graph::freeze`]: one
+    /// left-to-right pass over the adjacency lists, then a BFS component
+    /// sweep.
     ///
     /// # Panics
     ///
@@ -112,31 +69,16 @@ impl CsrGraph {
     /// edge limit well below the node limit).
     #[must_use]
     pub fn from_graph(graph: &Graph) -> Self {
-        let (n, directed_edges) = check_limits(graph);
-        // The parallel build only wins with real concurrency underneath: a
-        // 1-participant pool runs it inline with pure overhead, and a pool
-        // oversubscribed onto a single core pays for contention instead of
-        // parallelism. Both paths are bit-identical, so this is purely a
-        // performance choice.
-        let effective_parallelism = rayon::current_num_threads()
-            .min(std::thread::available_parallelism().map_or(1, usize::from));
-        if n + directed_edges < PARALLEL_FREEZE_CUTOFF || effective_parallelism <= 1 {
-            CsrGraph::from_graph_serial(graph)
-        } else {
-            CsrGraph::from_graph_parallel(graph)
-        }
-    }
-
-    /// The serial reference build: one left-to-right pass over the adjacency
-    /// lists, then a BFS component sweep. [`CsrGraph::from_graph_parallel`]
-    /// is property-tested bit-identical to this.
-    ///
-    /// # Panics
-    ///
-    /// Same limits as [`CsrGraph::from_graph`].
-    #[must_use]
-    pub fn from_graph_serial(graph: &Graph) -> Self {
-        let (n, directed_edges) = check_limits(graph);
+        let n = graph.node_count();
+        assert!(
+            u32::try_from(n).is_ok_and(|n| n < u32::MAX),
+            "CSR snapshots index nodes with u32; {n} nodes do not fit"
+        );
+        let directed_edges = 2 * graph.edge_count();
+        assert!(
+            u32::try_from(directed_edges).is_ok(),
+            "CSR snapshots index edge offsets with u32; {directed_edges} edge endpoints do not fit"
+        );
         let mut offsets = Vec::with_capacity(n + 1);
         let mut targets = Vec::with_capacity(directed_edges);
         offsets.push(0);
@@ -146,7 +88,7 @@ impl CsrGraph {
             }
             offsets.push(targets.len() as u32);
         }
-        let components = ComponentLabels::of_csr_serial(&offsets, &targets);
+        let components = ComponentLabels::of_csr(&offsets, &targets);
         CsrGraph {
             offsets: offsets.into(),
             targets: targets.into(),
@@ -155,62 +97,17 @@ impl CsrGraph {
         }
     }
 
-    /// The parallel build: degrees counted in parallel, offsets prefix-summed,
-    /// targets scattered by recursive node-range splitting (each node writes
-    /// only its own `offsets[v] .. offsets[v + 1]` slice), and components
-    /// labelled by a parallel union-find over the finished arrays.
-    ///
-    /// Exposed (rather than folded into the [`CsrGraph::from_graph`] cutoff)
-    /// so equivalence tests and the freeze benchmark can force this path on
-    /// graphs of any size.
-    ///
-    /// # Panics
-    ///
-    /// Same limits as [`CsrGraph::from_graph`].
-    #[must_use]
-    pub fn from_graph_parallel(graph: &Graph) -> Self {
-        let (n, directed_edges) = check_limits(graph);
-        // Degree count: one independent O(1) lookup per node.
-        let degrees: Vec<u32> =
-            (0..n).into_par_iter().map(|v| graph.degree(NodeId::new(v)) as u32).collect();
-        // Offsets: a serial prefix sum — O(n) additions, negligible next to
-        // the O(n + m) scatter it unblocks.
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut running = 0u32;
-        offsets.push(0);
-        for &d in &degrees {
-            running += d;
-            offsets.push(running);
-        }
-        debug_assert_eq!(running as usize, directed_edges);
-        // Scatter: every node owns the disjoint slice
-        // `targets[offsets[v] .. offsets[v + 1]]`, so recursively splitting
-        // the node range (and the target slice at the matching offset) lets
-        // the pool fill the halves concurrently without locks or unsafe.
-        let mut targets = vec![0u32; directed_edges];
-        scatter(graph, &offsets, &mut targets, 0, n);
-        let components = ComponentLabels::of_csr_parallel(&offsets, &targets);
-        CsrGraph {
-            offsets: offsets.into(),
-            targets: targets.into(),
-            components: Arc::new(components),
-            identifiers: graph.identifiers().collect(),
-        }
-    }
-
-    /// Assembles a snapshot from arrays that have already been validated.
-    ///
-    /// Only the snapshot decoder ([`crate::snapshot`]) calls this, after
-    /// checking every structural invariant (monotone offsets, endpoint
-    /// bounds, symmetry, label consistency); the arrays are trusted here.
-    pub(crate) fn from_validated_parts(
+    /// Assembles a snapshot from raw arrays without checking them. The
+    /// snapshot decoder ([`crate::snapshot`]) calls this and then
+    /// [`CsrGraph::validate`] before handing the graph out; only
+    /// `offsets.len() == identifiers.len() + 1` is assumed.
+    pub(crate) fn from_parts(
         offsets: Vec<u32>,
         targets: Vec<u32>,
         components: ComponentLabels,
         identifiers: Vec<Identifier>,
     ) -> Self {
         debug_assert_eq!(offsets.len(), identifiers.len() + 1);
-        debug_assert_eq!(components.node_count() + 1, offsets.len());
         CsrGraph {
             offsets: offsets.into(),
             targets: targets.into(),
@@ -336,31 +233,6 @@ impl CsrGraph {
     }
 }
 
-/// Fills `targets` (the slice covering nodes `lo..hi`) with the neighbour
-/// lists of those nodes, splitting the range across the pool above
-/// [`SCATTER_GRAIN`].
-fn scatter(graph: &Graph, offsets: &[u32], targets: &mut [u32], lo: usize, hi: usize) {
-    if hi - lo <= SCATTER_GRAIN {
-        let base = offsets[lo] as usize;
-        let mut cursor = 0usize;
-        for v in lo..hi {
-            for &u in graph.neighbors(NodeId::new(v)) {
-                targets[cursor] = u.index() as u32;
-                cursor += 1;
-            }
-            debug_assert_eq!(cursor, offsets[v + 1] as usize - base);
-        }
-        return;
-    }
-    let mid = lo + (hi - lo) / 2;
-    let split = (offsets[mid] - offsets[lo]) as usize;
-    let (left, right) = targets.split_at_mut(split);
-    rayon::join(
-        || scatter(graph, offsets, left, lo, mid),
-        || scatter(graph, offsets, right, mid, hi),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,7 +245,9 @@ mod tests {
             generators::path(5).unwrap(),
             generators::grid(3, 4).unwrap(),
             generators::complete(6).unwrap(),
+            generators::star(7).unwrap(),
             generators::petersen(),
+            generators::cycle(1 << 13).unwrap(),
         ];
         for g in &graphs {
             let csr = g.freeze();
@@ -397,31 +271,6 @@ mod tests {
         assert!(csr.identifiers().is_empty());
         assert!(csr.is_connected());
         assert_eq!(csr.components().count(), 0);
-    }
-
-    #[test]
-    fn parallel_build_matches_serial_on_every_small_family() {
-        let graphs = [
-            generators::cycle(9).unwrap(),
-            generators::path(5).unwrap(),
-            generators::grid(3, 4).unwrap(),
-            generators::complete(6).unwrap(),
-            generators::star(7).unwrap(),
-            Graph::new(),
-        ];
-        for g in &graphs {
-            assert_eq!(CsrGraph::from_graph_serial(g), CsrGraph::from_graph_parallel(g));
-        }
-    }
-
-    #[test]
-    fn parallel_build_matches_serial_above_the_cutoff() {
-        let g = generators::cycle(PARALLEL_FREEZE_CUTOFF).unwrap();
-        let serial = CsrGraph::from_graph_serial(&g);
-        let parallel = CsrGraph::from_graph_parallel(&g);
-        assert_eq!(serial, parallel);
-        // The dispatching entry point agrees with both.
-        assert_eq!(g.freeze(), serial);
     }
 
     #[test]

@@ -141,12 +141,8 @@ impl Graph {
     }
 
     /// Freezes the adjacency into a flat [`CsrGraph`] snapshot for
-    /// traversal-heavy workloads; see [`crate::csr`].
-    ///
-    /// Large graphs are frozen in parallel on the worker pool (parallel
-    /// degree count, prefix-sum offsets, race-free parallel scatter, parallel
-    /// connected-components labelling); small graphs take the serial path.
-    /// Both produce bit-identical snapshots.
+    /// traversal-heavy workloads; see [`crate::csr`]. One pass copies the
+    /// adjacency lists in port order, one BFS sweep labels the components.
     ///
     /// # Panics
     ///
@@ -155,28 +151,6 @@ impl Graph {
     #[must_use]
     pub fn freeze(&self) -> CsrGraph {
         CsrGraph::from_graph(self)
-    }
-
-    /// Freezes with the serial reference build, regardless of size — the
-    /// baseline [`Graph::freeze_parallel`] is benchmarked and
-    /// property-tested against.
-    ///
-    /// # Panics
-    ///
-    /// Same limits as [`Graph::freeze`].
-    #[must_use]
-    pub fn freeze_serial(&self) -> CsrGraph {
-        CsrGraph::from_graph_serial(self)
-    }
-
-    /// Freezes with the parallel build, regardless of size.
-    ///
-    /// # Panics
-    ///
-    /// Same limits as [`Graph::freeze`].
-    #[must_use]
-    pub fn freeze_parallel(&self) -> CsrGraph {
-        CsrGraph::from_graph_parallel(self)
     }
 
     /// Degree of `node`.

@@ -46,11 +46,15 @@
 //!    decoded snapshot's component structure can never disagree with its
 //!    edges.
 //!
+//! Checks 3–5 are [`CsrGraph::validate`], which runs in place on any
+//! snapshot: the decoder calls it on every decoded graph, and a publisher
+//! can call it on an in-memory candidate without encoding it, so there is
+//! one validator for both.
+//!
 //! Encoding then decoding is bit-identical: `from_bytes(&to_bytes(csr))`
 //! reproduces `csr` exactly, including port order, identifiers, and the
 //! component labelling.
 
-use std::collections::HashSet;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -221,8 +225,48 @@ impl CsrGraph {
         let labels_at = targets_at + 4 * de;
         let sizes_at = labels_at + 4 * n;
         let identifiers_at = sizes_at + 4 * cc;
+        let read_u32s = |at: usize, len: usize| -> Vec<u32> {
+            (0..len).map(|i| read_u32(bytes, at + 4 * i)).collect()
+        };
+        let components =
+            ComponentLabels::from_parts(read_u32s(labels_at, n), read_u32s(sizes_at, cc));
+        let identifiers: Vec<Identifier> =
+            (0..n).map(|v| Identifier::new(read_u64(bytes, identifiers_at + 8 * v))).collect();
+        let csr = CsrGraph::from_parts(
+            read_u32s(offsets_at, n + 1),
+            read_u32s(targets_at, de),
+            components,
+            identifiers,
+        );
+        csr.validate()?;
+        Ok(csr)
+    }
 
-        let offsets: Vec<u32> = (0..=n).map(|i| read_u32(bytes, offsets_at + 4 * i)).collect();
+    /// Checks the structural invariants the rest of the crate relies on, in
+    /// place: offsets start at 0, never decrease and end at the arc count;
+    /// every endpoint is in bounds, with no self loops and no duplicate
+    /// neighbours; the adjacency is symmetric; and the stored component
+    /// labelling is the canonical one recomputed from the adjacency.
+    ///
+    /// [`CsrGraph::from_bytes`] runs exactly this check on every decoded
+    /// graph, so a snapshot passes it if and only if its encoding decodes.
+    /// Snapshots built by [`crate::Graph::freeze`] always pass; the check is
+    /// for candidates of unknown provenance. `O(n + m)` time and memory, no
+    /// copy of the snapshot.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::CorruptSnapshot`] naming the first violation and its
+    /// byte offset in the snapshot's encoded form ([`CsrGraph::to_bytes`]).
+    pub fn validate(&self) -> Result<()> {
+        let corrupt =
+            |offset: usize, reason: String| GraphError::CorruptSnapshot { offset, reason };
+        let (offsets, targets) = (self.offsets(), self.targets());
+        let n = self.node_count();
+        let offsets_at = HEADER_LEN;
+        let targets_at = offsets_at + 4 * (n + 1);
+        let labels_at = targets_at + 4 * targets.len();
+        let sizes_at = labels_at + 4 * n;
         if offsets[0] != 0 {
             return Err(corrupt(
                 offsets_at,
@@ -235,80 +279,101 @@ impl CsrGraph {
                 format!("offsets not monotone at node {v}: {} > {}", offsets[v], offsets[v + 1]),
             ));
         }
-        if offsets[n] as usize != de {
+        if offsets[n] as usize != targets.len() {
             return Err(corrupt(
                 offsets_at + 4 * n,
-                format!("final offset {} disagrees with directed edge count {de}", offsets[n]),
+                format!(
+                    "final offset {} disagrees with directed edge count {}",
+                    offsets[n],
+                    targets.len()
+                ),
             ));
         }
-        let targets: Vec<u32> = (0..de).map(|i| read_u32(bytes, targets_at + 4 * i)).collect();
-        // Endpoint bounds, self loops, duplicates, and symmetry in one
-        // directed-edge pass: a simple undirected graph stores each edge as
-        // two distinct directed arcs, so the arc set must be duplicate-free,
-        // loop-free, and closed under reversal.
-        let mut arcs: HashSet<(u32, u32)> = HashSet::with_capacity(de);
+        let arcs = |v: usize| offsets[v] as usize..offsets[v + 1] as usize;
+        // Endpoint bounds, self loops and duplicates, one list at a time:
+        // `seen[u] == v` marks `u` as already listed by `v`. The same pass
+        // files every arc `v -> u` under `u`, in increasing `v`, so
+        // `reverse[arcs(u)]` ends up holding the nodes that list `u`.
+        let mut seen = vec![u32::MAX; n];
+        let mut filed: Vec<usize> = (0..n).map(|u| offsets[u] as usize).collect();
+        let mut reverse = vec![0u32; targets.len()];
         for v in 0..n {
-            let (from, to) = (offsets[v] as usize, offsets[v + 1] as usize);
-            for (i, &u) in targets.iter().enumerate().take(to).skip(from) {
-                let at = targets_at + 4 * i;
-                if u as usize >= n {
+            for i in arcs(v) {
+                let (u, at) = (targets[i], targets_at + 4 * i);
+                let ui = u as usize;
+                if ui >= n {
                     return Err(corrupt(
                         at,
                         format!("edge endpoint {u} out of bounds for {n} nodes"),
                     ));
                 }
-                if u as usize == v {
+                if ui == v {
                     return Err(corrupt(at, format!("self loop on node {v}")));
                 }
-                if !arcs.insert((v as u32, u)) {
+                if seen[ui] == v as u32 {
                     return Err(corrupt(at, format!("duplicate neighbour {u} in node {v}'s list")));
                 }
+                seen[ui] = v as u32;
+                if filed[ui] == offsets[ui + 1] as usize {
+                    return Err(corrupt(
+                        targets_at + 4 * offsets[ui] as usize,
+                        format!("asymmetric adjacency: more nodes list {u} than {u} lists"),
+                    ));
+                }
+                reverse[filed[ui]] = v as u32;
+                filed[ui] += 1;
             }
         }
-        for &(v, u) in &arcs {
-            if !arcs.contains(&(u, v)) {
+        // Symmetry: every node that lists `u` must be listed by `u`. Both
+        // lists are duplicate-free, and each of the `2m` arcs was filed, so
+        // equal lengths follow and membership one way settles equality.
+        seen.fill(u32::MAX);
+        for u in 0..n {
+            for i in arcs(u) {
+                seen[targets[i] as usize] = u as u32;
+            }
+            if let Some(&w) = reverse[arcs(u)].iter().find(|&&w| seen[w as usize] != u as u32) {
                 return Err(corrupt(
-                    targets_at,
-                    format!("asymmetric adjacency: {v} lists {u} but {u} does not list {v}"),
+                    targets_at + 4 * offsets[u] as usize,
+                    format!("asymmetric adjacency: {w} lists {u} but {u} does not list {w}"),
                 ));
             }
         }
         // Component labelling: recompute the canonical labelling from the
         // now-validated adjacency and demand the stored one matches exactly.
-        let components = ComponentLabels::of_csr_serial(&offsets, &targets);
-        if components.count() != cc {
+        let (stored, canonical) = (self.components(), ComponentLabels::of_csr(offsets, targets));
+        if stored.count() != canonical.count() {
             return Err(corrupt(
                 36,
-                format!("header claims {cc} components, adjacency has {}", components.count()),
+                format!(
+                    "header claims {} components, adjacency has {}",
+                    stored.count(),
+                    canonical.count()
+                ),
             ));
         }
-        for v in 0..n {
-            let stored = read_u32(bytes, labels_at + 4 * v);
-            if stored != components.labels()[v] {
-                return Err(corrupt(
-                    labels_at + 4 * v,
-                    format!(
-                        "component label of node {v} is {stored}, canonical labelling says {}",
-                        components.labels()[v]
-                    ),
-                ));
-            }
+        if let Some(v) = (0..n).find(|&v| stored.labels().get(v) != Some(&canonical.labels()[v])) {
+            return Err(corrupt(
+                labels_at + 4 * v,
+                format!(
+                    "component label of node {v} is {:?}, canonical labelling says {}",
+                    stored.labels().get(v),
+                    canonical.labels()[v]
+                ),
+            ));
         }
-        for c in 0..cc {
-            let stored = read_u32(bytes, sizes_at + 4 * c);
-            if stored != components.sizes()[c] {
-                return Err(corrupt(
-                    sizes_at + 4 * c,
-                    format!(
-                        "component {c} size is {stored}, adjacency says {}",
-                        components.sizes()[c]
-                    ),
-                ));
-            }
+        if let Some(c) = (0..canonical.count()).find(|&c| stored.sizes()[c] != canonical.sizes()[c])
+        {
+            return Err(corrupt(
+                sizes_at + 4 * c,
+                format!(
+                    "component {c} size is {}, adjacency says {}",
+                    stored.sizes()[c],
+                    canonical.sizes()[c]
+                ),
+            ));
         }
-        let identifiers: Vec<Identifier> =
-            (0..n).map(|v| Identifier::new(read_u64(bytes, identifiers_at + 8 * v))).collect();
-        Ok(CsrGraph::from_validated_parts(offsets, targets, components, identifiers))
+        Ok(())
     }
 
     /// Durably persists the snapshot to `path`.
@@ -538,6 +603,52 @@ mod tests {
         fix_checksum(&mut bytes);
         let err = CsrGraph::from_bytes(&bytes).unwrap_err();
         assert!(err.to_string().contains("component"), "{err}");
+    }
+
+    #[test]
+    fn validate_accepts_every_frozen_graph_and_matches_the_decoder() {
+        for g in sample_graphs() {
+            let csr = g.freeze();
+            assert_eq!(csr.validate(), Ok(()));
+        }
+        // A structurally corrupt candidate fails `validate` with the same
+        // error its encoding fails to decode with.
+        let csr = generators::cycle(6).unwrap().freeze();
+        let mut offsets = csr.offsets().to_vec();
+        let mut targets = csr.targets().to_vec();
+        targets[0] = 3;
+        let candidate = CsrGraph::from_parts(
+            offsets.clone(),
+            targets.clone(),
+            csr.components().clone(),
+            csr.identifiers().to_vec(),
+        );
+        let err = candidate.validate().unwrap_err();
+        assert!(err.to_string().contains("asymmetric"), "{err}");
+        assert_eq!(CsrGraph::from_bytes(&candidate.to_bytes()), Err(err));
+        // Duplicate neighbour: node 0 lists node 1 twice.
+        targets[0] = 1;
+        targets[1] = 1;
+        let err = CsrGraph::from_parts(
+            offsets.clone(),
+            targets,
+            csr.components().clone(),
+            csr.identifiers().to_vec(),
+        )
+        .validate()
+        .unwrap_err();
+        assert!(err.to_string().contains("duplicate neighbour 1 in node 0"), "{err}");
+        // Non-monotone offsets are caught before any list is read.
+        offsets[1] = 9;
+        let err = CsrGraph::from_parts(
+            offsets,
+            csr.targets().to_vec(),
+            csr.components().clone(),
+            csr.identifiers().to_vec(),
+        )
+        .validate()
+        .unwrap_err();
+        assert!(err.to_string().contains("monotone"), "{err}");
     }
 
     #[test]

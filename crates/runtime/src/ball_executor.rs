@@ -9,9 +9,10 @@
 //! # Performance
 //!
 //! The executor freezes the graph into a [`CsrGraph`] snapshot once, then
-//! drives one incremental [`BallGrower`] per pool participant: probing a
-//! node at radii `0, 1, …, r(v)` costs `Θ(ball(v))` edges in total instead
-//! of the `Θ(r(v)²)` a from-scratch extraction per probe would cost.
+//! drives one incremental [`avglocal_graph::BallGrower`] per pool
+//! participant: probing a node at radii `0, 1, …, r(v)` costs `Θ(ball(v))`
+//! edges in total instead of the `Θ(r(v)²)` a from-scratch extraction per
+//! probe would cost.
 //!
 //! Nodes are scheduled **dynamically**: the persistent worker pool hands out
 //! fine-grained index chunks from an atomic cursor, so on the paper's skewed
@@ -21,23 +22,18 @@
 //! reuses one scratch buffer across every chunk it claims (no per-probe
 //! allocation in the steady state), results are written into index-addressed
 //! slots, and the first error in node order wins — outputs, radii and error
-//! selection are bit-identical to the sequential reference
-//! ([`BallExecutor::run_frozen_sequential`]) no matter how chunks are stolen.
-//!
-//! The pre-pool behaviours are preserved as measured baselines:
-//! [`Scheduling::StaticChunks`] reproduces the static contiguous partition
-//! on spawn-per-call scoped threads, and
-//! [`BallExecutor::from_scratch_baseline`] the quadratic
-//! fresh-[`extract_ball`]-per-probe engine.
+//! selection are bit-identical to the left-to-right reference
+//! ([`Scheduling::Sequential`]) no matter how chunks are stolen. Full runs,
+//! node batches and single probes all share one node loop and one probe
+//! loop (see [`crate::FrozenExecutor`]).
 
-use avglocal_graph::{extract_ball, BallGrower, CsrGraph, Graph, GrowerScratch, NodeId};
-use rayon::prelude::*;
+use avglocal_graph::{CsrGraph, Graph, NodeId};
 
 use crate::algorithm::BallAlgorithm;
-use crate::error::{Result, RuntimeError};
+use crate::error::Result;
+use crate::frozen::{NodeBatchOptions, Probe};
 use crate::knowledge::Knowledge;
 use crate::scratch::ScratchPool;
-use crate::view::LocalView;
 
 /// The result of a ball-view execution: per-node outputs and radii.
 #[derive(Debug, Clone)]
@@ -117,18 +113,7 @@ impl<O> BallExecution<O> {
     }
 }
 
-/// How the executor obtains the view at each probed radius.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GrowthStrategy {
-    /// Incremental frontier growth on a CSR snapshot — `Θ(ball(v))` per node.
-    #[default]
-    Incremental,
-    /// A full BFS extraction per probe — `Θ(r(v)²)` per node. Kept as the
-    /// measured baseline for benches and equivalence tests.
-    FromScratch,
-}
-
-/// How the per-node work of a full run is distributed over the threads.
+/// How the nodes of a run are distributed over the threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduling {
     /// Fine-grained dynamic chunks claimed from the persistent worker pool's
@@ -137,14 +122,10 @@ pub enum Scheduling {
     /// it. The default.
     #[default]
     WorkStealing,
-    /// The pre-pool behaviour: one contiguous, statically chosen batch of
-    /// nodes per thread, executed on fresh scoped threads spawned for the
-    /// call. (The old engine nominally cut 4 ranges per thread, but the old
-    /// shim then handed each spawned thread 4 *consecutive* ranges — one
-    /// contiguous `n/threads` span per thread, which is exactly what this
-    /// reproduces.) Kept as the measured baseline for the skewed-workload
-    /// benches.
-    StaticChunks,
+    /// Every node probed left to right on the calling thread, without the
+    /// pool: the reference the work-stealing schedule is tested
+    /// bit-identical against (outputs, radii and error selection).
+    Sequential,
 }
 
 /// Executor for [`BallAlgorithm`]s.
@@ -170,7 +151,6 @@ pub enum Scheduling {
 #[derive(Debug, Clone, Default)]
 pub struct BallExecutor {
     max_radius: Option<usize>,
-    strategy: GrowthStrategy,
     scheduling: Scheduling,
 }
 
@@ -188,54 +168,26 @@ impl BallExecutor {
         BallExecutor { max_radius: Some(max_radius), ..BallExecutor::default() }
     }
 
-    /// Creates an executor that re-extracts every ball from scratch at every
-    /// probed radius — the quadratic pre-CSR behaviour, kept as a measured
-    /// baseline for benches and equivalence tests.
-    #[must_use]
-    pub fn from_scratch_baseline() -> Self {
-        BallExecutor { strategy: GrowthStrategy::FromScratch, ..BallExecutor::default() }
-    }
-
-    /// Sets the growth strategy, keeping the other settings.
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: GrowthStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// The growth strategy this executor uses.
-    #[must_use]
-    pub fn strategy(&self) -> GrowthStrategy {
-        self.strategy
-    }
-
-    /// Sets how full runs are distributed over the threads, keeping the
-    /// other settings.
+    /// Sets how runs are distributed over the threads, keeping the other
+    /// settings.
     #[must_use]
     pub fn with_scheduling(mut self, scheduling: Scheduling) -> Self {
         self.scheduling = scheduling;
         self
     }
 
-    /// The scheduling policy this executor uses for full runs.
+    /// The scheduling this executor uses.
     #[must_use]
     pub fn scheduling(&self) -> Scheduling {
         self.scheduling
     }
 
-    /// Runs `algorithm` on every node of `graph` and collects outputs and
-    /// radii.
-    ///
-    /// Nodes are processed in parallel over index-ordered chunks; outputs,
-    /// radii and error selection are identical to a sequential left-to-right
-    /// run.
+    /// Freezes `graph` and runs `algorithm` on every node of the snapshot
+    /// (see [`BallExecutor::run_frozen`]).
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::NonTerminating`] if a node still refuses to
-    /// decide on a saturated view (it has seen its whole component, so no
-    /// larger radius can help), and [`RuntimeError::RoundLimitExceeded`] if a
-    /// custom radius limit is hit first.
+    /// Same conditions as [`BallExecutor::run_frozen`].
     pub fn run<A>(
         &self,
         graph: &Graph,
@@ -246,24 +198,20 @@ impl BallExecutor {
         A: BallAlgorithm + Sync,
         A::Output: Send,
     {
-        let n = graph.node_count();
-        if n == 0 {
-            return Ok(BallExecution { outputs: Vec::new(), radii: Vec::new() });
-        }
-        if self.strategy == GrowthStrategy::FromScratch {
-            return self.run_from_scratch(graph, algorithm, knowledge);
-        }
         self.run_frozen(&graph.freeze(), algorithm, knowledge)
     }
 
-    /// Runs `algorithm` on every node of a pre-frozen snapshot — same
-    /// semantics and determinism as [`BallExecutor::run`] with the
-    /// incremental strategy, minus the per-call freeze. This is what
-    /// [`crate::FrozenExecutor::run`] delegates to.
+    /// Runs `algorithm` on every node of a frozen snapshot and collects
+    /// outputs and radii. Outputs, radii and error selection are identical
+    /// under every [`Scheduling`].
     ///
     /// # Errors
     ///
-    /// Same conditions as [`BallExecutor::run`].
+    /// Returns [`crate::RuntimeError::NonTerminating`] if a node still
+    /// refuses to decide on a saturated view (it has seen its whole
+    /// component, so no larger radius can help), and
+    /// [`crate::RuntimeError::RoundLimitExceeded`] if a custom radius limit
+    /// is hit first; the error reported is the first in node order.
     pub fn run_frozen<A>(
         &self,
         csr: &CsrGraph,
@@ -274,153 +222,15 @@ impl BallExecutor {
         A: BallAlgorithm + Sync,
         A::Output: Send,
     {
-        self.run_frozen_with_pool(csr, algorithm, knowledge, &ScratchPool::new())
-    }
-
-    /// [`BallExecutor::run_frozen`] drawing its per-participant grower
-    /// scratch from `scratch_pool`, so a session running many sweeps keeps
-    /// the buffers warm across runs (see [`crate::FrozenExecutor`]).
-    pub(crate) fn run_frozen_with_pool<A>(
-        &self,
-        csr: &CsrGraph,
-        algorithm: &A,
-        knowledge: Knowledge,
-        scratch_pool: &ScratchPool,
-    ) -> Result<BallExecution<A::Output>>
-    where
-        A: BallAlgorithm + Sync,
-        A::Output: Send,
-    {
-        let n = csr.node_count();
-        if n == 0 {
-            return Ok(BallExecution { outputs: Vec::new(), radii: Vec::new() });
-        }
-        let hard_limit = self.max_radius.unwrap_or(n);
-
-        // One `(output, radius)` probe per node. Each participant checks one
-        // scratch out of the pool on its first chunk and reuses it for every
-        // chunk it claims; results land in index-addressed slots, so outputs
-        // are deterministic by position no matter who stole which chunk.
-        let probe = |pooled: &mut crate::scratch::PooledScratch<'_>, index: usize| {
-            let (result, scratch) = probe_node_on_csr(
-                csr,
-                pooled.take(),
-                NodeId::new(index),
-                algorithm,
-                &knowledge,
-                hard_limit,
-            );
-            pooled.put(scratch);
-            result
-        };
-        let per_node: Vec<Result<(A::Output, usize)>> = match self.scheduling {
-            Scheduling::WorkStealing => {
-                (0..n).into_par_iter().map_init(|| scratch_pool.checkout(), probe).collect()
-            }
-            Scheduling::StaticChunks => rayon::pool::baseline::static_chunked(
-                n,
-                rayon::current_num_threads(),
-                || scratch_pool.checkout(),
-                probe,
-            ),
-        };
-        collect_execution(per_node)
-    }
-
-    /// The plain sequential reference: one grower, nodes probed left to
-    /// right on the calling thread. The parallel schedules are tested to be
-    /// bit-identical (outputs, radii and error selection) to this.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BallExecutor::run`].
-    pub fn run_frozen_sequential<A>(
-        &self,
-        csr: &CsrGraph,
-        algorithm: &A,
-        knowledge: Knowledge,
-    ) -> Result<BallExecution<A::Output>>
-    where
-        A: BallAlgorithm,
-    {
-        let n = csr.node_count();
-        if n == 0 {
-            return Ok(BallExecution { outputs: Vec::new(), radii: Vec::new() });
-        }
-        let hard_limit = self.max_radius.unwrap_or(n);
-        let mut grower = BallGrower::new(csr, NodeId::new(0));
-        let mut outputs = Vec::with_capacity(n);
-        let mut radii = Vec::with_capacity(n);
-        for index in 0..n {
-            grower.reset(NodeId::new(index));
-            let (output, radius) = drive_grower(&mut grower, algorithm, &knowledge, hard_limit)?;
-            outputs.push(output);
-            radii.push(radius);
-        }
-        Ok(BallExecution { outputs, radii })
-    }
-
-    /// Runs `algorithm` for a single node and returns `(output, radius)`.
-    ///
-    /// With the incremental strategy this freezes a fresh snapshot and then
-    /// probes through the same borrowed-CSR path as
-    /// [`crate::FrozenExecutor::run_node`] — callers probing **many** single
-    /// nodes should use that session API directly, which freezes once and
-    /// keeps the grower scratch warm across probes.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BallExecutor::run`].
-    pub fn run_node<A: BallAlgorithm>(
-        &self,
-        graph: &Graph,
-        node: NodeId,
-        algorithm: &A,
-        knowledge: Knowledge,
-    ) -> Result<(A::Output, usize)> {
-        let hard_limit = self.max_radius.unwrap_or(graph.node_count());
-        match self.strategy {
-            GrowthStrategy::Incremental => {
-                let csr = graph.freeze();
-                let (result, _scratch) = probe_node_on_csr(
-                    &csr,
-                    GrowerScratch::default(),
-                    node,
-                    algorithm,
-                    &knowledge,
-                    hard_limit,
-                );
-                result
-            }
-            GrowthStrategy::FromScratch => {
-                run_node_from_scratch(graph, node, algorithm, &knowledge, hard_limit)
-            }
-        }
-    }
-
-    /// The sequential, from-scratch reference implementation.
-    fn run_from_scratch<A: BallAlgorithm>(
-        &self,
-        graph: &Graph,
-        algorithm: &A,
-        knowledge: Knowledge,
-    ) -> Result<BallExecution<A::Output>> {
-        let hard_limit = self.max_radius.unwrap_or(graph.node_count());
-        let mut outputs = Vec::with_capacity(graph.node_count());
-        let mut radii = Vec::with_capacity(graph.node_count());
-        for v in graph.nodes() {
-            let (out, r) = run_node_from_scratch(graph, v, algorithm, &knowledge, hard_limit)?;
-            outputs.push(out);
-            radii.push(r);
-        }
-        Ok(BallExecution { outputs, radii })
+        let options = NodeBatchOptions::new().with_scheduling(self.scheduling);
+        Probe::new(csr, algorithm, knowledge, self.max_radius).all(&ScratchPool::new(), &options)
     }
 }
 
 /// Assembles per-node probe results into a [`BallExecution`], surfacing the
 /// first error **in node order** — the same error a sequential
 /// left-to-right run would report, independent of chunk scheduling.
-fn collect_execution<O>(per_node: Vec<Result<(O, usize)>>) -> Result<BallExecution<O>> {
+pub(crate) fn collect_execution<O>(per_node: Vec<Result<(O, usize)>>) -> Result<BallExecution<O>> {
     let mut outputs = Vec::with_capacity(per_node.len());
     let mut radii = Vec::with_capacity(per_node.len());
     for result in per_node {
@@ -431,117 +241,12 @@ fn collect_execution<O>(per_node: Vec<Result<(O, usize)>>) -> Result<BallExecuti
     Ok(BallExecution { outputs, radii })
 }
 
-/// Probes a single node of a frozen snapshot with a borrowed scratch and
-/// hands the (now warmed) scratch back — the one freeze-free probe path
-/// shared by [`BallExecutor::run_node`], [`crate::FrozenExecutor::run_node`]
-/// and the chunk loops of the full runs.
-pub(crate) fn probe_node_on_csr<A: BallAlgorithm>(
-    csr: &CsrGraph,
-    scratch: GrowerScratch,
-    node: NodeId,
-    algorithm: &A,
-    knowledge: &Knowledge,
-    hard_limit: usize,
-) -> (Result<(A::Output, usize)>, GrowerScratch) {
-    probe_node_on_csr_cancellable(csr, scratch, node, algorithm, knowledge, hard_limit, &mut never)
-}
-
-/// Like [`probe_node_on_csr`] but polls `cancel` cooperatively — the probe
-/// path behind [`crate::FrozenExecutor::run_node_with_cancel`] and the
-/// service layer's per-request deadlines.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn probe_node_on_csr_cancellable<A: BallAlgorithm>(
-    csr: &CsrGraph,
-    scratch: GrowerScratch,
-    node: NodeId,
-    algorithm: &A,
-    knowledge: &Knowledge,
-    hard_limit: usize,
-    cancel: &mut dyn FnMut(usize) -> bool,
-) -> (Result<(A::Output, usize)>, GrowerScratch) {
-    let mut grower = BallGrower::with_scratch(csr, node, scratch);
-    let result = drive_grower_cancellable(&mut grower, algorithm, knowledge, hard_limit, cancel);
-    (result, grower.into_scratch())
-}
-
-/// The always-false cancellation hook of the uncancellable probe paths.
-fn never(_radius: usize) -> bool {
-    false
-}
-
-/// Probes one node with the incremental grower until the algorithm decides.
-pub(crate) fn drive_grower<A: BallAlgorithm>(
-    grower: &mut BallGrower<'_>,
-    algorithm: &A,
-    knowledge: &Knowledge,
-    hard_limit: usize,
-) -> Result<(A::Output, usize)> {
-    drive_grower_cancellable(grower, algorithm, knowledge, hard_limit, &mut never)
-}
-
-/// Probes one node, polling `cancel(radius)` once per ball-growth step —
-/// before the radius-`r` view is inspected. When the hook returns `true` the
-/// probe stops with [`RuntimeError::Cancelled`] without growing further, so
-/// an expired deadline costs at most one additional decide call. A hook that
-/// never fires leaves the probe bit-identical to [`drive_grower`].
-pub(crate) fn drive_grower_cancellable<A: BallAlgorithm>(
-    grower: &mut BallGrower<'_>,
-    algorithm: &A,
-    knowledge: &Knowledge,
-    hard_limit: usize,
-    cancel: &mut dyn FnMut(usize) -> bool,
-) -> Result<(A::Output, usize)> {
-    loop {
-        if cancel(grower.radius()) {
-            return Err(RuntimeError::Cancelled { node: grower.center(), radius: grower.radius() });
-        }
-        let view = LocalView::from_grower(grower);
-        let saturated = view.is_saturated();
-        if let Some(out) = algorithm.decide(&view, knowledge) {
-            let radius = view.radius();
-            return Ok((out, radius));
-        }
-        if saturated {
-            return Err(RuntimeError::NonTerminating { node: grower.center() });
-        }
-        if grower.radius() >= hard_limit {
-            return Err(RuntimeError::RoundLimitExceeded { limit: hard_limit, undecided: 1 });
-        }
-        grower.grow();
-    }
-}
-
-/// Probes one node by extracting a fresh ball at every radius.
-fn run_node_from_scratch<A: BallAlgorithm>(
-    graph: &Graph,
-    node: NodeId,
-    algorithm: &A,
-    knowledge: &Knowledge,
-    hard_limit: usize,
-) -> Result<(A::Output, usize)> {
-    let mut radius = 0usize;
-    loop {
-        let ball = extract_ball(graph, node, radius);
-        let view = LocalView::from_ball(&ball);
-        let saturated = view.is_saturated();
-        if let Some(out) = algorithm.decide(&view, knowledge) {
-            return Ok((out, radius));
-        }
-        if saturated {
-            return Err(RuntimeError::NonTerminating { node });
-        }
-        if radius >= hard_limit {
-            return Err(RuntimeError::RoundLimitExceeded { limit: hard_limit, undecided: 1 });
-        }
-        radius += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::examples::NaiveLargestId;
-    use avglocal_graph::{generators, IdAssignment, Identifier};
+    use crate::{FrozenExecutor, LocalView, ProbeOptions, RuntimeError};
+    use avglocal_graph::{extract_ball, generators, IdAssignment, Identifier, NodeId};
 
     struct NeverDecides;
     impl BallAlgorithm for NeverDecides {
@@ -608,12 +313,27 @@ mod tests {
         let mut g = generators::cycle(9).unwrap();
         IdAssignment::Shuffled { seed: 2 }.apply(&mut g).unwrap();
         let full = BallExecutor::new().run(&g, &NaiveLargestId, Knowledge::none()).unwrap();
+        let session = FrozenExecutor::new(&g);
         for v in g.nodes() {
-            let (out, r) =
-                BallExecutor::new().run_node(&g, v, &NaiveLargestId, Knowledge::none()).unwrap();
+            let (out, r) = session
+                .run_node_with(v, &NaiveLargestId, Knowledge::none(), ProbeOptions::new())
+                .unwrap();
             assert_eq!(out, *full.output(v));
             assert_eq!(r, full.radius(v));
         }
+    }
+
+    /// The quadratic reference: a fresh [`extract_ball`] at every radius,
+    /// sharing nothing with the incremental grower.
+    fn from_scratch_radius(g: &avglocal_graph::Graph, v: NodeId) -> (bool, usize) {
+        (0..)
+            .find_map(|r| {
+                let ball = extract_ball(g, v, r);
+                NaiveLargestId
+                    .decide(&LocalView::from_ball(&ball), &Knowledge::none())
+                    .map(|o| (o, r))
+            })
+            .unwrap()
     }
 
     #[test]
@@ -622,56 +342,45 @@ mod tests {
             let mut g = generators::cycle(n).unwrap();
             IdAssignment::Shuffled { seed }.apply(&mut g).unwrap();
             let fast = BallExecutor::new().run(&g, &NaiveLargestId, Knowledge::none()).unwrap();
-            let slow = BallExecutor::from_scratch_baseline()
-                .run(&g, &NaiveLargestId, Knowledge::none())
-                .unwrap();
-            assert_eq!(fast.outputs(), slow.outputs());
-            assert_eq!(fast.radii(), slow.radii());
+            for v in g.nodes() {
+                assert_eq!((*fast.output(v), fast.radius(v)), from_scratch_radius(&g, v));
+            }
         }
-    }
-
-    #[test]
-    fn strategies_are_selectable() {
-        let exec = BallExecutor::new().with_strategy(GrowthStrategy::FromScratch);
-        assert_eq!(exec.strategy(), GrowthStrategy::FromScratch);
-        assert_eq!(BallExecutor::new().strategy(), GrowthStrategy::Incremental);
-        assert_eq!(BallExecutor::from_scratch_baseline().strategy(), GrowthStrategy::FromScratch);
     }
 
     #[test]
     fn schedulings_are_selectable() {
         assert_eq!(BallExecutor::new().scheduling(), Scheduling::WorkStealing);
-        let exec = BallExecutor::new().with_scheduling(Scheduling::StaticChunks);
-        assert_eq!(exec.scheduling(), Scheduling::StaticChunks);
-        assert_eq!(exec.strategy(), GrowthStrategy::Incremental);
+        let exec = BallExecutor::with_max_radius(4).with_scheduling(Scheduling::Sequential);
+        assert_eq!(exec.scheduling(), Scheduling::Sequential);
+        assert_eq!(exec.max_radius, Some(4));
     }
 
     #[test]
     fn all_schedules_match_the_sequential_reference() {
         // Adversarial (identity) and random assignments; outputs and radii
-        // must be bit-identical across work-stealing, static chunks and the
-        // sequential reference.
+        // must be bit-identical between work-stealing and the sequential
+        // reference.
         for assignment in [IdAssignment::Identity, IdAssignment::Shuffled { seed: 13 }] {
             let mut g = generators::cycle(257).unwrap();
             assignment.apply(&mut g).unwrap();
             let csr = g.freeze();
             let reference = BallExecutor::new()
-                .run_frozen_sequential(&csr, &NaiveLargestId, Knowledge::none())
+                .with_scheduling(Scheduling::Sequential)
+                .run_frozen(&csr, &NaiveLargestId, Knowledge::none())
                 .unwrap();
-            for scheduling in [Scheduling::WorkStealing, Scheduling::StaticChunks] {
-                let exec = BallExecutor::new().with_scheduling(scheduling);
-                let run = exec.run_frozen(&csr, &NaiveLargestId, Knowledge::none()).unwrap();
-                assert_eq!(run.outputs(), reference.outputs(), "{scheduling:?}");
-                assert_eq!(run.radii(), reference.radii(), "{scheduling:?}");
-            }
+            let run =
+                BallExecutor::new().run_frozen(&csr, &NaiveLargestId, Knowledge::none()).unwrap();
+            assert_eq!(run.outputs(), reference.outputs());
+            assert_eq!(run.radii(), reference.radii());
         }
     }
 
     #[test]
     fn error_selection_is_in_node_order_under_stealing() {
         // An algorithm that never decides for a band of node identifiers:
-        // every schedule must surface the *first* failing node in node
-        // order, exactly like the sequential run.
+        // work-stealing must surface the *first* failing node in node order,
+        // exactly like the sequential run.
         struct FailsOnSmallIds;
         impl BallAlgorithm for FailsOnSmallIds {
             type Output = u64;
@@ -686,22 +395,21 @@ mod tests {
         let mut g = generators::cycle(200).unwrap();
         IdAssignment::Shuffled { seed: 5 }.apply(&mut g).unwrap();
         let csr = g.freeze();
-        let expected = BallExecutor::new()
-            .run_frozen_sequential(&csr, &FailsOnSmallIds, Knowledge::none())
-            .unwrap_err();
-        let RuntimeError::NonTerminating { node: expected_node } = expected else {
-            panic!("sequential reference must fail with NonTerminating");
-        };
-        for scheduling in [Scheduling::WorkStealing, Scheduling::StaticChunks] {
-            let err = BallExecutor::new()
+        let run = |scheduling| {
+            BallExecutor::new()
                 .with_scheduling(scheduling)
                 .run_frozen(&csr, &FailsOnSmallIds, Knowledge::none())
-                .unwrap_err();
-            assert!(
-                matches!(err, RuntimeError::NonTerminating { node } if node == expected_node),
-                "{scheduling:?} selected a different error node: {err:?}"
-            );
-        }
+                .unwrap_err()
+        };
+        let RuntimeError::NonTerminating { node: expected_node } = run(Scheduling::Sequential)
+        else {
+            panic!("sequential reference must fail with NonTerminating");
+        };
+        let err = run(Scheduling::WorkStealing);
+        assert!(
+            matches!(err, RuntimeError::NonTerminating { node } if node == expected_node),
+            "work-stealing selected a different error node: {err:?}"
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub enum RuntimeError {
     },
     /// A cooperative cancellation hook stopped the probe before the
     /// algorithm decided (see
-    /// [`crate::FrozenExecutor::run_node_with_cancel`]); typically a service
+    /// [`crate::ProbeOptions::with_cancel`]); typically a service
     /// deadline expiring mid-query.
     Cancelled {
         /// The node whose probe was abandoned.

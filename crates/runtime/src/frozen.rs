@@ -1,39 +1,37 @@
 //! A session executor that freezes the graph once and reuses everything.
 //!
-//! [`crate::BallExecutor::run_node`] freezes a fresh CSR snapshot and
-//! allocates fresh grower buffers on every call, so a caller probing many
-//! single nodes pays `O(n + m)` per probe before any ball is grown.
-//! [`FrozenExecutor`] is the session counterpart: it owns the [`CsrGraph`]
-//! and a pool of detached [`avglocal_graph::GrowerScratch`] buffers, so
-//! after the first probe each [`FrozenExecutor::run_node`] costs only
-//! `Θ(ball(v))` — the same bound the full-graph executor achieves per node —
-//! and repeated [`FrozenExecutor::run`] calls hand the same warmed buffers
-//! to the worker pool's participants.
+//! [`FrozenExecutor`] owns the [`CsrGraph`] and a pool of detached
+//! [`GrowerScratch`] buffers, so after the first probe each
+//! [`FrozenExecutor::run_node_with`] costs only `Θ(ball(v))`, and repeated
+//! [`FrozenExecutor::run`] / [`FrozenExecutor::run_nodes_with`] calls hand
+//! the same warmed buffers to the worker pool's participants.
 //!
 //! Experiment trials vary only the identifier assignment, never the
 //! adjacency, so the session also supports swapping the identifier table in
 //! `O(n)` via [`FrozenExecutor::set_identifiers`] instead of re-freezing.
+//!
+//! Every probe of the runtime runs through this module: one probe loop
+//! (grow the ball until the algorithm decides, polling an optional
+//! cancellation hook once per growth step) and one node loop (slot `i`
+//! answers the `i`-th requested node, scheduled on the pool or in order on
+//! the caller). A full run is the node loop over every node plus the first
+//! error in node order.
 
 use std::fmt;
 
-use avglocal_graph::{CsrGraph, Graph, GraphError, Identifier, NodeId};
+use avglocal_graph::{BallGrower, CsrGraph, Graph, GraphError, GrowerScratch, Identifier, NodeId};
 use rayon::prelude::*;
 
 use crate::algorithm::BallAlgorithm;
-use crate::ball_executor::{
-    probe_node_on_csr_cancellable, BallExecution, BallExecutor, Scheduling,
-};
+use crate::ball_executor::{collect_execution, BallExecution, Scheduling};
 use crate::error::{Result, RuntimeError};
 use crate::knowledge::Knowledge;
-use crate::scratch::ScratchPool;
+use crate::scratch::{PooledScratch, ScratchPool};
+use crate::view::LocalView;
 
-/// Options of a single-node probe ([`FrozenExecutor::run_node_with`]): the
-/// one probe path behind [`FrozenExecutor::run_node`] and
-/// [`FrozenExecutor::run_node_with_cancel`], which are thin wrappers that
-/// fill these in.
+/// Options of a single-node probe ([`FrozenExecutor::run_node_with`]).
 ///
-/// The default options probe to completion with no cancellation hook —
-/// bit-identical to the historical `run_node`.
+/// The default options probe to completion with no cancellation hook.
 #[derive(Default)]
 pub struct ProbeOptions<'c> {
     cancel: Option<&'c mut dyn FnMut(usize) -> bool>,
@@ -87,17 +85,18 @@ impl<'c> NodeBatchOptions<'c> {
     }
 
     /// How the shards are distributed over the threads (the same knob as
-    /// [`BallExecutor::with_scheduling`]).
+    /// [`crate::BallExecutor::with_scheduling`]).
     #[must_use]
     pub fn with_scheduling(mut self, scheduling: Scheduling) -> Self {
         self.scheduling = scheduling;
         self
     }
 
-    /// Nodes per dynamically claimed shard (minimum 1). Shards are
-    /// contiguous runs of the requested node list; the pool's chunk cursor
-    /// hands them out dynamically, so a shard with one expensive node stalls
-    /// only itself. `1` (the default) is pure per-node scheduling.
+    /// Nodes per shard (minimum 1): the pool's chunk cursor hands out
+    /// contiguous runs of the requested node list in whole shards, so a
+    /// participant claims at least `shard` nodes at a time. `1` (the
+    /// default) leaves the chunk size to the pool. Results never depend on
+    /// it.
     #[must_use]
     pub fn with_shard(mut self, shard: usize) -> Self {
         self.shard = shard.max(1);
@@ -131,8 +130,8 @@ impl fmt::Debug for NodeBatchOptions<'_> {
 /// # Examples
 ///
 /// ```
-/// use avglocal_graph::{generators, IdAssignment, NodeId};
-/// use avglocal_runtime::{BallExecutor, FrozenExecutor, Knowledge};
+/// use avglocal_graph::{generators, IdAssignment};
+/// use avglocal_runtime::{BallExecutor, FrozenExecutor, Knowledge, ProbeOptions};
 /// use avglocal_runtime::examples::NaiveLargestId;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -141,11 +140,11 @@ impl fmt::Debug for NodeBatchOptions<'_> {
 ///
 /// // Freeze once; every probe after the first is O(ball).
 /// let session = FrozenExecutor::new(&ring);
+/// let full = BallExecutor::new().run(&ring, &NaiveLargestId, Knowledge::none())?;
 /// for v in ring.nodes() {
-///     let (out, r) = session.run_node(v, &NaiveLargestId, Knowledge::none())?;
-///     let (expected_out, expected_r) =
-///         BallExecutor::new().run_node(&ring, v, &NaiveLargestId, Knowledge::none())?;
-///     assert_eq!((out, r), (expected_out, expected_r));
+///     let (out, r) =
+///         session.run_node_with(v, &NaiveLargestId, Knowledge::none(), ProbeOptions::new())?;
+///     assert_eq!((out, r), (*full.output(v), full.radius(v)));
 /// }
 /// # Ok(())
 /// # }
@@ -155,7 +154,7 @@ pub struct FrozenExecutor {
     csr: CsrGraph,
     max_radius: Option<usize>,
     /// Warmed grower scratch buffers, shared by the single-node probes and
-    /// (one per pool participant) the parallel full runs.
+    /// (one per pool participant) the parallel runs.
     scratch_pool: ScratchPool,
 }
 
@@ -173,7 +172,7 @@ impl FrozenExecutor {
     }
 
     /// Refuses to grow balls beyond `max_radius`, like
-    /// [`BallExecutor::with_max_radius`].
+    /// [`crate::BallExecutor::with_max_radius`].
     #[must_use]
     pub fn with_max_radius(mut self, max_radius: usize) -> Self {
         self.max_radius = Some(max_radius);
@@ -217,22 +216,26 @@ impl FrozenExecutor {
         self.csr.try_set_identifiers(identifiers).map_err(crate::RuntimeError::Graph)
     }
 
+    fn probe<'a, A: BallAlgorithm>(
+        &'a self,
+        algorithm: &'a A,
+        knowledge: Knowledge,
+    ) -> Probe<'a, A> {
+        Probe::new(&self.csr, algorithm, knowledge, self.max_radius)
+    }
+
     /// Runs `algorithm` for a single node under `options` and returns
-    /// `(output, radius)` — **the** single-node probe path of the session.
-    /// Takes `&self`, so concurrent queries can share one session behind an
-    /// `Arc`; [`FrozenExecutor::run_node`] and
-    /// [`FrozenExecutor::run_node_with_cancel`] are thin wrappers over this.
-    ///
-    /// Identical, probe for probe, to [`BallExecutor::run_node`], but the
-    /// snapshot is frozen once per session and the grower buffers are reused
-    /// across calls, so repeated probes cost `Θ(ball(v))` instead of
-    /// `O(n + m + ball(v))`.
+    /// `(output, radius)` — the session's single-node probe. Takes `&self`,
+    /// so concurrent queries can share one session behind an `Arc`; the
+    /// grower buffers are reused across calls, so repeated probes cost
+    /// `Θ(ball(v))`.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`BallExecutor::run_node`], plus
-    /// [`crate::RuntimeError::Cancelled`] when the options' cancellation
-    /// hook fires.
+    /// [`RuntimeError::Graph`] with [`GraphError::NodeOutOfBounds`] for a
+    /// node outside the snapshot, the conditions of
+    /// [`crate::BallExecutor::run_frozen`], and [`RuntimeError::Cancelled`]
+    /// when the options' cancellation hook fires.
     pub fn run_node_with<A: BallAlgorithm>(
         &self,
         node: NodeId,
@@ -240,60 +243,9 @@ impl FrozenExecutor {
         knowledge: Knowledge,
         options: ProbeOptions<'_>,
     ) -> Result<(A::Output, usize)> {
-        let hard_limit = self.max_radius.unwrap_or_else(|| self.csr.node_count());
         let mut never = |_: usize| false;
         let cancel = options.cancel.unwrap_or(&mut never);
-        let mut pooled = self.scratch_pool.checkout();
-        let (result, scratch) = probe_node_on_csr_cancellable(
-            &self.csr,
-            pooled.take(),
-            node,
-            algorithm,
-            &knowledge,
-            hard_limit,
-            cancel,
-        );
-        pooled.put(scratch);
-        result
-    }
-
-    /// [`FrozenExecutor::run_node_with`] with the default options (probe to
-    /// completion, no cancellation hook).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BallExecutor::run_node`].
-    pub fn run_node<A: BallAlgorithm>(
-        &self,
-        node: NodeId,
-        algorithm: &A,
-        knowledge: Knowledge,
-    ) -> Result<(A::Output, usize)> {
-        self.run_node_with(node, algorithm, knowledge, ProbeOptions::new())
-    }
-
-    /// [`FrozenExecutor::run_node_with`] with a cancellation hook, polled
-    /// cooperatively once per ball-growth step with the radius the probe is
-    /// about to inspect.
-    ///
-    /// When the hook returns `true` the probe stops immediately with
-    /// [`crate::RuntimeError::Cancelled`]; a hook that never fires makes the
-    /// call bit-identical to [`FrozenExecutor::run_node`]. This is the
-    /// single-query probe entry point of the service layer, which wires
-    /// per-request deadline budgets into the hook.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FrozenExecutor::run_node`], plus
-    /// [`crate::RuntimeError::Cancelled`] when the hook fires.
-    pub fn run_node_with_cancel<A: BallAlgorithm>(
-        &self,
-        node: NodeId,
-        algorithm: &A,
-        knowledge: Knowledge,
-        cancel: &mut dyn FnMut(usize) -> bool,
-    ) -> Result<(A::Output, usize)> {
-        self.run_node_with(node, algorithm, knowledge, ProbeOptions::new().with_cancel(cancel))
+        self.probe(algorithm, knowledge).node(&mut self.scratch_pool.checkout(), node, cancel)
     }
 
     /// Probes an arbitrary **set** of nodes on the shared session, sharded
@@ -301,22 +253,15 @@ impl FrozenExecutor {
     /// [`FrozenExecutor::run_node_with`] and the probe engine of the service
     /// layer's `query_batch`.
     ///
-    /// The node list is cut into contiguous shards of
-    /// [`NodeBatchOptions::with_shard`] nodes; shards are claimed dynamically
-    /// from the pool's atomic chunk cursor (or statically partitioned under
-    /// [`Scheduling::StaticChunks`]), and each participant reuses one warmed
-    /// [`avglocal_graph::GrowerScratch`] across every shard it claims — the
-    /// same `run_frozen`-style scheduling and zero-steady-state-allocation
-    /// discipline as the full runs.
-    ///
     /// Returns one result per requested node, **index-addressed** (slot `i`
     /// answers `nodes[i]`), so results are deterministic by position no
     /// matter how shards are stolen: every completed slot is bit-identical
-    /// to a sequential [`FrozenExecutor::run_node`] on the same snapshot.
-    /// A shared cancellation hook ([`NodeBatchOptions::with_cancel`]) marks
-    /// slots it interrupts with [`RuntimeError::Cancelled`]; out-of-bounds
-    /// nodes report [`GraphError::NodeOutOfBounds`] in their slot without
-    /// disturbing the others.
+    /// to a sequential [`FrozenExecutor::run_node_with`] on the same
+    /// snapshot. A shared cancellation hook
+    /// ([`NodeBatchOptions::with_cancel`]) marks slots it interrupts with
+    /// [`RuntimeError::Cancelled`]; out-of-bounds nodes report
+    /// [`GraphError::NodeOutOfBounds`] in their slot without disturbing the
+    /// others.
     #[must_use]
     pub fn run_nodes_with<A>(
         &self,
@@ -329,77 +274,138 @@ impl FrozenExecutor {
         A: BallAlgorithm + Sync,
         A::Output: Send,
     {
-        if nodes.is_empty() {
-            return Vec::new();
-        }
-        let hard_limit = self.max_radius.unwrap_or_else(|| self.csr.node_count());
-        let node_count = self.csr.node_count();
-        let shard = options.shard.max(1);
-        let shards = nodes.len().div_ceil(shard);
-        let probe_shard = |pooled: &mut crate::scratch::PooledScratch<'_>, s: usize| {
-            let lo = s * shard;
-            let hi = (lo + shard).min(nodes.len());
-            nodes[lo..hi]
-                .iter()
-                .map(|&node| {
-                    if node.index() >= node_count {
-                        return Err(RuntimeError::Graph(GraphError::NodeOutOfBounds {
-                            node,
-                            node_count,
-                        }));
-                    }
-                    let mut hook = |radius: usize| options.cancel.is_some_and(|c| c(radius));
-                    let (result, scratch) = probe_node_on_csr_cancellable(
-                        &self.csr,
-                        pooled.take(),
-                        node,
-                        algorithm,
-                        &knowledge,
-                        hard_limit,
-                        &mut hook,
-                    );
-                    pooled.put(scratch);
-                    result
-                })
-                .collect::<Vec<_>>()
-        };
-        type ShardResults<O> = Vec<Vec<Result<(O, usize)>>>;
-        let per_shard: ShardResults<A::Output> = match options.scheduling {
-            Scheduling::WorkStealing => (0..shards)
-                .into_par_iter()
-                .map_init(|| self.scratch_pool.checkout(), probe_shard)
-                .collect(),
-            Scheduling::StaticChunks => rayon::pool::baseline::static_chunked(
-                shards,
-                rayon::current_num_threads(),
-                || self.scratch_pool.checkout(),
-                probe_shard,
-            ),
-        };
-        // Shard `s` covers the contiguous slice `s*shard..`, so flattening
-        // in shard order restores the request's node order exactly.
-        per_shard.into_iter().flatten().collect()
+        self.probe(algorithm, knowledge).nodes(
+            &self.scratch_pool,
+            nodes.len(),
+            |i| nodes[i],
+            options,
+        )
     }
 
-    /// Runs `algorithm` on every node of the snapshot, with the same dynamic
-    /// scheduling and deterministic results as [`BallExecutor::run`] — minus
-    /// the per-call freeze, and with the session's warmed scratch buffers
-    /// handed to the pool participants (steady-state runs allocate a bounded
-    /// handful of buffers per call, never per probe).
+    /// Runs `algorithm` on every node of the snapshot on the work-stealing
+    /// pool, with the session's warmed scratch buffers handed to the pool
+    /// participants (steady-state runs allocate a bounded handful of
+    /// buffers per call, never per probe).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`BallExecutor::run`].
+    /// Same conditions as [`crate::BallExecutor::run_frozen`].
     pub fn run<A>(&self, algorithm: &A, knowledge: Knowledge) -> Result<BallExecution<A::Output>>
     where
         A: BallAlgorithm + Sync,
         A::Output: Send,
     {
-        let executor = match self.max_radius {
-            Some(limit) => BallExecutor::with_max_radius(limit),
-            None => BallExecutor::new(),
+        self.probe(algorithm, knowledge).all(&self.scratch_pool, &NodeBatchOptions::new())
+    }
+}
+
+/// One algorithm on one borrowed snapshot: the probe loop and the node loop
+/// every entry point of the runtime ends in.
+pub(crate) struct Probe<'a, A> {
+    csr: &'a CsrGraph,
+    algorithm: &'a A,
+    knowledge: Knowledge,
+    hard_limit: usize,
+}
+
+impl<'a, A: BallAlgorithm> Probe<'a, A> {
+    /// A probe that grows balls up to `max_radius` (the node count when
+    /// unset, which views always saturate by).
+    pub(crate) fn new(
+        csr: &'a CsrGraph,
+        algorithm: &'a A,
+        knowledge: Knowledge,
+        max_radius: Option<usize>,
+    ) -> Self {
+        Probe { csr, algorithm, knowledge, hard_limit: max_radius.unwrap_or(csr.node_count()) }
+    }
+
+    /// Probes `node` with a borrowed scratch until the algorithm decides,
+    /// polling `cancel(radius)` once per ball-growth step — before the
+    /// radius-`r` view is inspected. When the hook returns `true` the probe
+    /// stops with [`RuntimeError::Cancelled`] without growing further, so an
+    /// expired deadline costs at most one additional decide call; a hook
+    /// that never fires leaves the probe bit-identical to an uncancelled one.
+    fn node(
+        &self,
+        scratch: &mut GrowerScratch,
+        node: NodeId,
+        cancel: &mut dyn FnMut(usize) -> bool,
+    ) -> Result<(A::Output, usize)> {
+        let node_count = self.csr.node_count();
+        if node.index() >= node_count {
+            return Err(RuntimeError::Graph(GraphError::NodeOutOfBounds { node, node_count }));
+        }
+        let mut grower = BallGrower::with_scratch(self.csr, node, std::mem::take(scratch));
+        let result = loop {
+            if cancel(grower.radius()) {
+                break Err(RuntimeError::Cancelled { node, radius: grower.radius() });
+            }
+            let view = LocalView::from_grower(&grower);
+            let saturated = view.is_saturated();
+            if let Some(out) = self.algorithm.decide(&view, &self.knowledge) {
+                break Ok((out, view.radius()));
+            }
+            if saturated {
+                break Err(RuntimeError::NonTerminating { node });
+            }
+            if grower.radius() >= self.hard_limit {
+                break Err(RuntimeError::RoundLimitExceeded {
+                    limit: self.hard_limit,
+                    undecided: 1,
+                });
+            }
+            grower.grow();
         };
-        executor.run_frozen_with_pool(&self.csr, algorithm, knowledge, &self.scratch_pool)
+        *scratch = grower.into_scratch();
+        result
+    }
+
+    /// The node loop: slot `i` answers `node_at(i)` for `i in 0..count`.
+    /// Under [`Scheduling::WorkStealing`] each pool participant checks one
+    /// scratch out of `scratch_pool` on its first chunk and reuses it for
+    /// every chunk it claims; results land in index-addressed slots, so
+    /// they are deterministic by position no matter who stole which chunk.
+    fn nodes(
+        &self,
+        scratch_pool: &ScratchPool,
+        count: usize,
+        node_at: impl Fn(usize) -> NodeId + Sync,
+        options: &NodeBatchOptions<'_>,
+    ) -> Vec<Result<(A::Output, usize)>>
+    where
+        A: Sync,
+        A::Output: Send,
+    {
+        let probe = |pooled: &mut PooledScratch<'_>, i: usize| {
+            let mut hook = |radius: usize| options.cancel.is_some_and(|cancel| cancel(radius));
+            self.node(pooled, node_at(i), &mut hook)
+        };
+        match options.scheduling {
+            Scheduling::WorkStealing => (0..count)
+                .into_par_iter()
+                .with_min_len(options.shard)
+                .map_init(|| scratch_pool.checkout(), probe)
+                .collect(),
+            Scheduling::Sequential => {
+                let mut pooled = scratch_pool.checkout();
+                (0..count).map(|i| probe(&mut pooled, i)).collect()
+            }
+        }
+    }
+
+    /// Every node of the snapshot through the node loop, reporting the
+    /// first error in node order.
+    pub(crate) fn all(
+        &self,
+        scratch_pool: &ScratchPool,
+        options: &NodeBatchOptions<'_>,
+    ) -> Result<BallExecution<A::Output>>
+    where
+        A: Sync,
+        A::Output: Send,
+    {
+        collect_execution(self.nodes(scratch_pool, self.csr.node_count(), NodeId::new, options))
     }
 }
 
@@ -407,8 +413,13 @@ impl FrozenExecutor {
 mod tests {
     use super::*;
     use crate::examples::NaiveLargestId;
-    use crate::RuntimeError;
+    use crate::BallExecutor;
     use avglocal_graph::{generators, IdAssignment, Topology};
+
+    /// A hook-less largest-ID probe of `v` on `session`.
+    fn probe(session: &FrozenExecutor, v: NodeId) -> (bool, usize) {
+        session.run_node_with(v, &NaiveLargestId, Knowledge::none(), ProbeOptions::new()).unwrap()
+    }
 
     #[test]
     fn session_matches_per_call_executor_on_all_topologies() {
@@ -424,12 +435,11 @@ mod tests {
             let mut g = topology.build(18).unwrap();
             IdAssignment::Shuffled { seed: 11 }.apply(&mut g).unwrap();
             let session = FrozenExecutor::new(&g);
+            let full = BallExecutor::new().run(&g, &NaiveLargestId, Knowledge::none()).unwrap();
             for v in g.nodes() {
-                let fresh = BallExecutor::new()
-                    .run_node(&g, v, &NaiveLargestId, Knowledge::none())
-                    .unwrap();
-                let reused = session.run_node(v, &NaiveLargestId, Knowledge::none()).unwrap();
-                assert_eq!(fresh, reused, "{topology}, node {v:?}");
+                let fresh = probe(&FrozenExecutor::new(&g), v);
+                assert_eq!(fresh, probe(&session, v), "{topology}, node {v:?}");
+                assert_eq!(fresh, (*full.output(v), full.radius(v)), "{topology}, node {v:?}");
             }
         }
     }
@@ -459,7 +469,7 @@ mod tests {
             let got = session.run(&NaiveLargestId, Knowledge::none()).unwrap();
             assert_eq!(expected.radii(), got.radii(), "seed {seed}");
             for v in fresh_graph.nodes() {
-                let (out, r) = session.run_node(v, &NaiveLargestId, Knowledge::none()).unwrap();
+                let (out, r) = probe(&session, v);
                 assert_eq!(out, *expected.output(v));
                 assert_eq!(r, expected.radius(v));
             }
@@ -489,11 +499,16 @@ mod tests {
         IdAssignment::Shuffled { seed: 5 }.apply(&mut g).unwrap();
         let session = FrozenExecutor::new(&g);
         for v in g.nodes() {
-            let plain = session.run_node(v, &NaiveLargestId, Knowledge::none()).unwrap();
+            let mut never = |_: usize| false;
             let cancellable = session
-                .run_node_with_cancel(v, &NaiveLargestId, Knowledge::none(), &mut |_| false)
+                .run_node_with(
+                    v,
+                    &NaiveLargestId,
+                    Knowledge::none(),
+                    ProbeOptions::new().with_cancel(&mut never),
+                )
                 .unwrap();
-            assert_eq!(plain, cancellable, "node {v:?}");
+            assert_eq!(probe(&session, v), cancellable, "node {v:?}");
         }
     }
 
@@ -509,15 +524,16 @@ mod tests {
         let g = generators::cycle(40).unwrap();
         let session = FrozenExecutor::new(&g);
         let mut seen = Vec::new();
+        let mut hook = |r: usize| {
+            seen.push(r);
+            r >= 3
+        };
         let err = session
-            .run_node_with_cancel(
+            .run_node_with(
                 NodeId::new(0),
                 &DecideAtRadius(10),
                 Knowledge::none(),
-                &mut |r| {
-                    seen.push(r);
-                    r >= 3
-                },
+                ProbeOptions::new().with_cancel(&mut hook),
             )
             .unwrap_err();
         assert_eq!(seen, vec![0, 1, 2, 3]);
@@ -530,8 +546,10 @@ mod tests {
         // before any ball is grown.
         let g = generators::cycle(8).unwrap();
         let session = FrozenExecutor::new(&g);
+        let mut expired = |_: usize| true;
+        let options = ProbeOptions::new().with_cancel(&mut expired);
         let err = session
-            .run_node_with_cancel(NodeId::new(2), &NaiveLargestId, Knowledge::none(), &mut |_| true)
+            .run_node_with(NodeId::new(2), &NaiveLargestId, Knowledge::none(), options)
             .unwrap_err();
         assert!(matches!(
             err,
@@ -553,12 +571,13 @@ mod tests {
                 let reference = &reference;
                 scope.spawn(move || {
                     for v in (t..25).step_by(4).map(NodeId::new) {
+                        let mut never = |_: usize| false;
                         let (out, r) = session
-                            .run_node_with_cancel(
+                            .run_node_with(
                                 v,
                                 &NaiveLargestId,
                                 Knowledge::none(),
-                                &mut |_| false,
+                                ProbeOptions::new().with_cancel(&mut never),
                             )
                             .unwrap();
                         assert_eq!(out, *reference.output(v));
@@ -577,15 +596,14 @@ mod tests {
         // An arbitrary, repetitive, out-of-order node set: slots must answer
         // positionally, duplicates included.
         let nodes: Vec<NodeId> = [7usize, 0, 19, 3, 3, 12, 8, 1, 19].map(NodeId::new).to_vec();
-        for scheduling in [Scheduling::WorkStealing, Scheduling::StaticChunks] {
+        for scheduling in [Scheduling::WorkStealing, Scheduling::Sequential] {
             for shard in [1usize, 2, 4, 64] {
                 let options = NodeBatchOptions::new().with_scheduling(scheduling).with_shard(shard);
                 let batch =
                     session.run_nodes_with(&nodes, &NaiveLargestId, Knowledge::none(), &options);
                 assert_eq!(batch.len(), nodes.len());
                 for (slot, &node) in batch.iter().zip(&nodes) {
-                    let single =
-                        session.run_node(node, &NaiveLargestId, Knowledge::none()).unwrap();
+                    let single = probe(&session, node);
                     assert_eq!(
                         slot.as_ref().unwrap(),
                         &single,
@@ -635,8 +653,7 @@ mod tests {
         // Completed slots are bit-identical to uncancelled single probes.
         for (slot, &node) in batch.iter().zip(&nodes) {
             if let Ok(got) = slot {
-                let want = session.run_node(node, &NaiveLargestId, Knowledge::none()).unwrap();
-                assert_eq!(*got, want);
+                assert_eq!(*got, probe(&session, node));
             }
         }
     }
@@ -652,23 +669,45 @@ mod tests {
 
     #[test]
     fn run_node_with_is_the_one_probe_path() {
-        // The two public wrappers and the merged entry point agree bit for
-        // bit, hook or no hook.
+        // Single probes, batches and the full run agree bit for bit, hook or
+        // no hook.
         let mut g = generators::cycle(24).unwrap();
         IdAssignment::Shuffled { seed: 8 }.apply(&mut g).unwrap();
         let session = FrozenExecutor::new(&g);
-        for v in g.nodes() {
-            let merged = session
-                .run_node_with(v, &NaiveLargestId, Knowledge::none(), ProbeOptions::new())
-                .unwrap();
-            let plain = session.run_node(v, &NaiveLargestId, Knowledge::none()).unwrap();
+        let full = session.run(&NaiveLargestId, Knowledge::none()).unwrap();
+        let nodes: Vec<NodeId> = g.nodes().collect();
+        let batch = session.run_nodes_with(
+            &nodes,
+            &NaiveLargestId,
+            Knowledge::none(),
+            &NodeBatchOptions::new(),
+        );
+        for (v, slot) in nodes.into_iter().zip(batch) {
             let mut hook = |_: usize| false;
             let cancellable = session
-                .run_node_with_cancel(v, &NaiveLargestId, Knowledge::none(), &mut hook)
+                .run_node_with(
+                    v,
+                    &NaiveLargestId,
+                    Knowledge::none(),
+                    ProbeOptions::new().with_cancel(&mut hook),
+                )
                 .unwrap();
-            assert_eq!(merged, plain);
-            assert_eq!(merged, cancellable);
+            assert_eq!(probe(&session, v), (*full.output(v), full.radius(v)));
+            assert_eq!(cancellable, slot.unwrap());
+            assert_eq!(cancellable, probe(&session, v));
         }
+    }
+
+    #[test]
+    fn run_node_with_reports_out_of_bounds_typed() {
+        let session = FrozenExecutor::new(&generators::cycle(6).unwrap());
+        let err = session
+            .run_node_with(NodeId::new(6), &NaiveLargestId, Knowledge::none(), ProbeOptions::new())
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            RuntimeError::Graph(GraphError::NodeOutOfBounds { node_count: 6, .. })
+        ));
     }
 
     #[test]
@@ -682,8 +721,14 @@ mod tests {
         }
         let g = generators::cycle(30).unwrap();
         let session = FrozenExecutor::new(&g).with_max_radius(3);
-        let err =
-            session.run_node(NodeId::new(0), &DecideAtRadius(10), Knowledge::none()).unwrap_err();
+        let err = session
+            .run_node_with(
+                NodeId::new(0),
+                &DecideAtRadius(10),
+                Knowledge::none(),
+                ProbeOptions::new(),
+            )
+            .unwrap_err();
         assert!(matches!(err, RuntimeError::RoundLimitExceeded { limit: 3, .. }));
         let err = session.run(&DecideAtRadius(10), Knowledge::none()).unwrap_err();
         assert!(matches!(err, RuntimeError::RoundLimitExceeded { limit: 3, .. }));

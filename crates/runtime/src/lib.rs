@@ -28,15 +28,13 @@
 //! right scheduling for the paper's skewed per-node costs, where one node
 //! pays `Θ(n)` while the rest pay `O(1)` — and results are index-addressed,
 //! so outputs, radii and error selection stay bit-identical to a sequential
-//! run ([`BallExecutor::run_frozen_sequential`]). The static-partition
-//! scheduling ([`Scheduling::StaticChunks`]) and the quadratic from-scratch
-//! probing ([`BallExecutor::from_scratch_baseline`]) remain available as
-//! measured baselines for benches and equivalence tests.
+//! run ([`Scheduling::Sequential`]).
 //!
-//! Callers probing many single nodes should use [`FrozenExecutor`], the
-//! session counterpart of [`BallExecutor::run_node`]: it freezes the graph
-//! once and reuses the grower scratch across probes, so each probe is
-//! `Θ(ball(v))` instead of paying an `O(n + m)` freeze per call.
+//! Callers probing many single nodes or node sets should use
+//! [`FrozenExecutor`]: it freezes the graph once and reuses the grower
+//! scratch across probes, so each probe is `Θ(ball(v))` instead of paying an
+//! `O(n + m)` freeze per call. Full runs, batches and single probes share one
+//! node loop and one probe loop.
 //!
 //! # Example
 //!
@@ -76,7 +74,7 @@ mod view;
 
 pub use adapter::{GatherAdapter, GatherState, Record};
 pub use algorithm::{BallAlgorithm, NodeContext, RoundAlgorithm};
-pub use ball_executor::{BallExecution, BallExecutor, GrowthStrategy, Scheduling};
+pub use ball_executor::{BallExecution, BallExecutor, Scheduling};
 pub use error::{Result, RuntimeError};
 pub use executor::{Execution, SyncExecutor};
 pub use frozen::{FrozenExecutor, NodeBatchOptions, ProbeOptions};

@@ -7,6 +7,7 @@
 //! ([`crate::FrozenExecutor`]) that runs many sweeps re-warms nothing: the
 //! next run's participants check the warmed buffers straight back out.
 
+use std::ops::{Deref, DerefMut};
 use std::sync::Mutex;
 
 use avglocal_graph::GrowerScratch;
@@ -51,16 +52,17 @@ pub(crate) struct PooledScratch<'a> {
     scratch: GrowerScratch,
 }
 
-impl PooledScratch<'_> {
-    /// Takes the scratch out of the guard (leaving an empty one behind);
-    /// pair with [`PooledScratch::put`] around each grower borrow.
-    pub(crate) fn take(&mut self) -> GrowerScratch {
-        std::mem::take(&mut self.scratch)
-    }
+impl Deref for PooledScratch<'_> {
+    type Target = GrowerScratch;
 
-    /// Puts a (typically warmed) scratch back into the guard.
-    pub(crate) fn put(&mut self, scratch: GrowerScratch) {
-        self.scratch = scratch;
+    fn deref(&self) -> &GrowerScratch {
+        &self.scratch
+    }
+}
+
+impl DerefMut for PooledScratch<'_> {
+    fn deref_mut(&mut self) -> &mut GrowerScratch {
+        &mut self.scratch
     }
 }
 
@@ -80,8 +82,7 @@ mod tests {
         let pool = ScratchPool::new();
         {
             let mut guard = pool.checkout();
-            let scratch = guard.take();
-            guard.put(scratch);
+            *guard = GrowerScratch::default();
         }
         // The parked buffer is handed out again.
         assert_eq!(pool.parked.lock().unwrap().len(), 1);

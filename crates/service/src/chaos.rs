@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use avglocal_graph::{generators, CsrGraph, IdAssignment, NodeId};
 use avglocal_runtime::examples::NaiveLargestId;
-use avglocal_runtime::{BallExecution, BallExecutor, Knowledge};
+use avglocal_runtime::{BallExecution, BallExecutor, Knowledge, Scheduling};
 use rayon::prelude::*;
 
 use crate::batch::{BatchOutcome, Consistency, QueryOptions, QueryRequest};
@@ -215,7 +215,8 @@ pub fn run_chaos(plan: &ChaosPlan) -> ChaosReport {
         .iter()
         .map(|csr| {
             BallExecutor::new()
-                .run_frozen_sequential(csr, &NaiveLargestId, Knowledge::none())
+                .with_scheduling(Scheduling::Sequential)
+                .run_frozen(csr, &NaiveLargestId, Knowledge::none())
                 .expect("sequential reference")
         })
         .collect();
@@ -256,15 +257,18 @@ pub fn run_chaos(plan: &ChaosPlan) -> ChaosReport {
                             continue;
                         }
                         let node = NodeId::new(splitmix64(&mut rng) as usize % plan.nodes);
-                        let result = if plan.deadline_every > 0 && q % plan.deadline_every == 0 {
+                        let options = if plan.deadline_every > 0 && q % plan.deadline_every == 0 {
                             // Already-expired budget: a scripted deadline
                             // fault, cancelled deterministically at radius 0.
-                            service.query_with_deadline(node, 0)
+                            QueryOptions::new().with_deadline(0)
                         } else if plan.latest_every > 0 && q % plan.latest_every == 0 {
-                            service.query_latest(node)
+                            let retry_limit = service.config().retry_limit;
+                            QueryOptions::new()
+                                .with_consistency(Consistency::Latest { retry_limit })
                         } else {
-                            service.query(node)
+                            QueryOptions::new()
                         };
+                        let result = service.query_with(node, options);
                         match result {
                             Ok(reply) => {
                                 local.completed += 1;

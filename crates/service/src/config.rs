@@ -10,8 +10,6 @@
 
 use std::fmt;
 
-use avglocal_runtime::Scheduling;
-
 /// Tunables of a [`RadiusQueryService`](crate::RadiusQueryService).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
@@ -34,8 +32,6 @@ pub struct ServiceConfig {
     /// the paper's skewed per-node costs; larger shards amortise claim
     /// traffic on huge uniform batches.
     pub batch_shard: usize,
-    /// How batch shards are distributed over the persistent pool.
-    pub batch_scheduling: Scheduling,
 }
 
 impl Default for ServiceConfig {
@@ -47,7 +43,6 @@ impl Default for ServiceConfig {
             backoff_base: 1,
             max_radius: None,
             batch_shard: 1,
-            batch_scheduling: Scheduling::WorkStealing,
         }
     }
 }
@@ -118,13 +113,6 @@ impl ServiceConfigBuilder {
     #[must_use]
     pub fn batch_shard(mut self, nodes: usize) -> Self {
         self.config.batch_shard = nodes;
-        self
-    }
-
-    /// Sets the batch scheduling strategy.
-    #[must_use]
-    pub fn batch_scheduling(mut self, scheduling: Scheduling) -> Self {
-        self.config.batch_scheduling = scheduling;
         self
     }
 
@@ -216,7 +204,6 @@ mod tests {
             .backoff_base(2)
             .max_radius(Some(9))
             .batch_shard(32)
-            .batch_scheduling(Scheduling::StaticChunks)
             .build()
             .unwrap();
         let expected = ServiceConfig {
@@ -226,7 +213,6 @@ mod tests {
             backoff_base: 2,
             max_radius: Some(9),
             batch_shard: 32,
-            batch_scheduling: Scheduling::StaticChunks,
         };
         assert_eq!(config, expected);
     }

@@ -9,8 +9,9 @@
 //!
 //! 1. a candidate snapshot is built **off to the side** (the service keeps
 //!    answering on the current generation throughout);
-//! 2. the candidate is validated through the snapshot codec — and a build
-//!    that panics is caught — so a bad candidate is **rolled back**, never
+//! 2. the candidate is validated in place ([`CsrGraph::validate`], the
+//!    snapshot decoder's own check) — and a build that panics is caught — so
+//!    a bad candidate is **rolled back**, never
 //!    published ([`ServiceError::PublishRejected`] /
 //!    [`ServiceError::PublishPanicked`]);
 //! 3. an accepted candidate is installed by atomically swapping the shared
@@ -32,15 +33,12 @@
 //! enforced by cooperative cancellation polled once per ball-growth step
 //! ([`ServiceError::DeadlineExceeded`]).
 //!
-//! Every entry point funnels through one implementation path driven by
-//! [`QueryOptions`]: the deadline budget plus a [`Consistency`] mode.
-//! Pinned consistency (the default) serves from the generation pinned at
-//! admission; latest consistency re-probes with bounded exponential backoff
-//! when a swap invalidated the pinned generation mid-probe, giving up with
-//! [`ServiceError::StaleGeneration`]. The historical names
-//! ([`RadiusQueryService::query`], [`RadiusQueryService::query_with_deadline`],
-//! [`RadiusQueryService::query_latest`]) are thin wrappers over
-//! [`RadiusQueryService::query_with`].
+//! Single queries ([`RadiusQueryService::query_with`]) and batches share one
+//! path driven by [`QueryOptions`]: the deadline budget plus a
+//! [`Consistency`] mode. Pinned consistency (the default) serves from the
+//! generation pinned at admission; latest consistency re-probes with bounded
+//! exponential backoff when a swap invalidated the pinned generation
+//! mid-probe, giving up with [`ServiceError::StaleGeneration`].
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -48,7 +46,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use avglocal_graph::{CsrGraph, GraphError, NodeId};
-use avglocal_runtime::{BallAlgorithm, FrozenExecutor, Knowledge, RuntimeError};
+use avglocal_runtime::{BallAlgorithm, FrozenExecutor, Knowledge, ProbeOptions, RuntimeError};
 
 use crate::batch::{Consistency, QueryOptions};
 use crate::clock::Clock;
@@ -148,7 +146,7 @@ pub(crate) struct Counters {
 /// use std::sync::Arc;
 /// use avglocal_graph::{generators, NodeId};
 /// use avglocal_runtime::{examples::NaiveLargestId, Knowledge};
-/// use avglocal_service::{RadiusQueryService, ServiceConfig, TestClock};
+/// use avglocal_service::{QueryOptions, RadiusQueryService, ServiceConfig, TestClock};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let csr = generators::cycle(16)?.freeze();
@@ -159,7 +157,7 @@ pub(crate) struct Counters {
 ///     Arc::new(TestClock::new()),
 ///     ServiceConfig::default(),
 /// );
-/// let reply = service.query(NodeId::new(3))?;
+/// let reply = service.query_with(NodeId::new(3), QueryOptions::new())?;
 /// assert_eq!(reply.epoch, 1);
 /// # Ok(())
 /// # }
@@ -296,59 +294,18 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
         options.deadline.unwrap_or(self.config.default_deadline)
     }
 
-    /// Queries `node` on the currently published generation with the
-    /// configured default deadline. Equivalent to
-    /// [`RadiusQueryService::query_with`] with default [`QueryOptions`].
+    /// Queries `node`: one admission slot, then one probe per consistency
+    /// attempt, each under the deadline budget of `options` (the configured
+    /// default when unset).
     ///
     /// # Errors
     ///
     /// [`ServiceError::Overloaded`] when shed at admission,
     /// [`ServiceError::DeadlineExceeded`] when the budget expires mid-probe,
-    /// [`ServiceError::Probe`] for algorithm/runtime failures.
-    pub fn query(&self, node: NodeId) -> Result<QueryReply<A::Output>> {
-        self.query_with(node, QueryOptions::new())
-    }
-
-    /// Like [`RadiusQueryService::query`] with an explicit deadline budget
-    /// in clock ticks. Equivalent to [`RadiusQueryService::query_with`]
-    /// with `QueryOptions::new().with_deadline(budget)`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RadiusQueryService::query`].
-    pub fn query_with_deadline(&self, node: NodeId, budget: u64) -> Result<QueryReply<A::Output>> {
-        self.query_with(node, QueryOptions::new().with_deadline(budget))
-    }
-
-    /// Queries `node`, insisting the answer come from a generation that is
-    /// **still current** when the probe completes: if a swap invalidated the
-    /// pinned generation mid-probe, the query retries (with bounded
-    /// exponential backoff) on the new one. Equivalent to
-    /// [`RadiusQueryService::query_with`] with
-    /// `Consistency::Latest { retry_limit }` taken from the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RadiusQueryService::query`], plus
-    /// [`ServiceError::StaleGeneration`] when `retry_limit` consecutive
-    /// attempts were each invalidated by a swap. Each attempt gets the full
-    /// default deadline budget.
-    pub fn query_latest(&self, node: NodeId) -> Result<QueryReply<A::Output>> {
-        self.query_with(
-            node,
-            QueryOptions::new()
-                .with_consistency(Consistency::Latest { retry_limit: self.config.retry_limit }),
-        )
-    }
-
-    /// The single-node entry point every `query*` wrapper forwards to: one
-    /// admission slot, then one probe per consistency attempt.
-    ///
-    /// # Errors
-    ///
-    /// Per [`QueryOptions`]: [`ServiceError::Overloaded`],
-    /// [`ServiceError::DeadlineExceeded`], [`ServiceError::Probe`], and —
-    /// under [`Consistency::Latest`] — [`ServiceError::StaleGeneration`].
+    /// [`ServiceError::Probe`] for algorithm/runtime failures (an
+    /// out-of-bounds node included), and — under [`Consistency::Latest`] —
+    /// [`ServiceError::StaleGeneration`] when every allowed attempt was
+    /// invalidated by a swap. Each attempt gets the full budget.
     pub fn query_with(&self, node: NodeId, options: QueryOptions) -> Result<QueryReply<A::Output>> {
         let _slot = self.admit()?;
         let budget = self.budget_of(&options);
@@ -411,19 +368,14 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
         node: NodeId,
         budget: u64,
     ) -> Result<QueryReply<A::Output>> {
-        if node.index() >= generation.node_count() {
-            return Err(ServiceError::Probe(RuntimeError::Graph(GraphError::NodeOutOfBounds {
-                node,
-                node_count: generation.node_count(),
-            })));
-        }
         let start = self.clock.now();
         let clock = self.clock.as_ref();
-        let result = generation.session.run_node_with_cancel(
+        let mut expired = |_radius| clock.now().saturating_sub(start) >= budget;
+        let result = generation.session.run_node_with(
             node,
             &self.algorithm,
             self.knowledge,
-            &mut |_radius| clock.now().saturating_sub(start) >= budget,
+            ProbeOptions::new().with_cancel(&mut expired),
         );
         match result {
             Ok((output, radius)) => Ok(QueryReply { output, radius, epoch: generation.epoch }),
@@ -438,9 +390,10 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
     /// Publishes a candidate built by `build`, catching a panicking build.
     ///
     /// The build runs off to the side — queries keep being served from the
-    /// current generation — and its result goes through full codec
-    /// validation before the swap, so a panicked or invalid candidate is
-    /// rolled back without ever being visible to a reader.
+    /// current generation — and its result goes through
+    /// [`RadiusQueryService::publish_csr`]'s validation before the swap, so a
+    /// panicked or invalid candidate is rolled back without ever being
+    /// visible to a reader.
     ///
     /// # Errors
     ///
@@ -457,22 +410,18 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
         }
     }
 
-    /// Validates `csr` through the snapshot codec and, on success, installs
-    /// it as the next generation.
+    /// Validates `csr` in place ([`CsrGraph::validate`], the check the
+    /// snapshot decoder enforces on untrusted bytes) and, on success,
+    /// installs it as the next generation. Nothing invalid can be swapped in,
+    /// however the candidate was produced.
     ///
     /// # Errors
     ///
     /// [`ServiceError::PublishRejected`] when the candidate fails
     /// validation; the current generation is untouched.
     pub fn publish_csr(&self, csr: CsrGraph) -> Result<u64> {
-        // Encode-then-decode pushes the candidate through every structural
-        // check the codec enforces on untrusted bytes, so nothing invalid
-        // can be swapped in regardless of how the candidate was produced.
-        let validated = CsrGraph::from_bytes(&csr.to_bytes()).map_err(|source| {
-            self.counters.publish_rejected.fetch_add(1, Ordering::Relaxed);
-            ServiceError::PublishRejected { source }
-        })?;
-        Ok(self.install(validated))
+        csr.validate().map_err(|source| self.rejected(source))?;
+        Ok(self.install(csr))
     }
 
     /// Decodes untrusted snapshot bytes and, on success, installs them as
@@ -483,11 +432,14 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
     /// [`ServiceError::PublishRejected`] carrying the codec's typed
     /// rejection; the current generation is untouched.
     pub fn publish_bytes(&self, bytes: &[u8]) -> Result<u64> {
-        let csr = CsrGraph::from_bytes(bytes).map_err(|source| {
-            self.counters.publish_rejected.fetch_add(1, Ordering::Relaxed);
-            ServiceError::PublishRejected { source }
-        })?;
+        let csr = CsrGraph::from_bytes(bytes).map_err(|source| self.rejected(source))?;
         Ok(self.install(csr))
+    }
+
+    /// Counts a rejected candidate and wraps the validation error.
+    fn rejected(&self, source: GraphError) -> ServiceError {
+        self.counters.publish_rejected.fetch_add(1, Ordering::Relaxed);
+        ServiceError::PublishRejected { source }
     }
 
     /// Swaps a validated snapshot in as the next generation.
@@ -518,7 +470,7 @@ mod tests {
     use crate::clock::TestClock;
     use avglocal_graph::generators;
     use avglocal_runtime::examples::NaiveLargestId;
-    use avglocal_runtime::BallExecutor;
+    use avglocal_runtime::{BallExecutor, Scheduling};
 
     fn service_on_cycle(n: usize, config: ServiceConfig) -> RadiusQueryService<NaiveLargestId> {
         RadiusQueryService::new(
@@ -534,7 +486,8 @@ mod tests {
     fn answers_match_the_sequential_reference() {
         let csr = generators::grid(4, 5).unwrap().freeze();
         let reference = BallExecutor::new()
-            .run_frozen_sequential(&csr, &NaiveLargestId, Knowledge::none())
+            .with_scheduling(Scheduling::Sequential)
+            .run_frozen(&csr, &NaiveLargestId, Knowledge::none())
             .unwrap();
         let service = RadiusQueryService::new(
             NaiveLargestId,
@@ -544,7 +497,7 @@ mod tests {
             ServiceConfig::default(),
         );
         for v in (0..20).map(NodeId::new) {
-            let reply = service.query(v).unwrap();
+            let reply = service.query_with(v, QueryOptions::new()).unwrap();
             assert_eq!(reply.output, *reference.output(v));
             assert_eq!(reply.radius, reference.radius(v));
             assert_eq!(reply.epoch, 1);
@@ -557,7 +510,7 @@ mod tests {
         assert_eq!(service.current_epoch(), 1);
         let epoch = service.publish_csr(generators::cycle(12).unwrap().freeze()).unwrap();
         assert_eq!(epoch, 2);
-        let reply = service.query(NodeId::new(10)).unwrap();
+        let reply = service.query_with(NodeId::new(10), QueryOptions::new()).unwrap();
         assert_eq!(reply.epoch, 2);
         assert_eq!(service.stats().publishes, 2);
     }
@@ -581,7 +534,7 @@ mod tests {
         assert_eq!(service.current_epoch(), 1);
         assert_eq!(service.stats().publish_panicked, 1);
         // The service still answers on the rolled-back-to generation.
-        assert_eq!(service.query(NodeId::new(0)).unwrap().epoch, 1);
+        assert_eq!(service.query_with(NodeId::new(0), QueryOptions::new()).unwrap().epoch, 1);
     }
 
     #[test]
@@ -599,7 +552,7 @@ mod tests {
     fn admission_bound_sheds_typed() {
         let service =
             service_on_cycle(8, ServiceConfig { max_in_flight: 0, ..ServiceConfig::default() });
-        let err = service.query(NodeId::new(0)).unwrap_err();
+        let err = service.query_with(NodeId::new(0), QueryOptions::new()).unwrap_err();
         assert!(matches!(err, ServiceError::Overloaded { limit: 0, .. }), "{err}");
         assert_eq!(service.stats().shed, 1);
         assert_eq!(service.stats().admitted, 0);
@@ -611,8 +564,8 @@ mod tests {
         // are admitted again once load drops.
         let service =
             service_on_cycle(8, ServiceConfig { max_in_flight: 1, ..ServiceConfig::default() });
-        assert!(service.query(NodeId::new(0)).is_ok());
-        assert!(service.query(NodeId::new(1)).is_ok());
+        assert!(service.query_with(NodeId::new(0), QueryOptions::new()).is_ok());
+        assert!(service.query_with(NodeId::new(1), QueryOptions::new()).is_ok());
         assert_eq!(service.stats().shed, 0);
     }
 
@@ -627,18 +580,21 @@ mod tests {
             Arc::new(TestClock::with_autotick(1)),
             ServiceConfig::default(),
         );
-        let err = service.query_with_deadline(NodeId::new(0), 0).unwrap_err();
+        let err =
+            service.query_with(NodeId::new(0), QueryOptions::new().with_deadline(0)).unwrap_err();
         assert!(matches!(err, ServiceError::DeadlineExceeded { budget: 0, radius: 0 }), "{err}");
         assert_eq!(service.stats().deadline_expired, 1);
         // A generous budget completes.
-        let reply = service.query_with_deadline(NodeId::new(0), u64::MAX).unwrap();
+        let reply = service
+            .query_with(NodeId::new(0), QueryOptions::new().with_deadline(u64::MAX))
+            .unwrap();
         assert_eq!(reply.epoch, 1);
     }
 
     #[test]
     fn out_of_bounds_node_is_a_typed_probe_error() {
         let service = service_on_cycle(8, ServiceConfig::default());
-        let err = service.query(NodeId::new(8)).unwrap_err();
+        let err = service.query_with(NodeId::new(8), QueryOptions::new()).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -654,10 +610,11 @@ mod tests {
     #[test]
     fn query_latest_returns_current_epoch_answers() {
         let service = service_on_cycle(16, ServiceConfig::default());
-        let reply = service.query_latest(NodeId::new(3)).unwrap();
+        let latest = QueryOptions::new().with_consistency(Consistency::Latest { retry_limit: 2 });
+        let reply = service.query_with(NodeId::new(3), latest).unwrap();
         assert_eq!(reply.epoch, 1);
         service.publish_csr(generators::cycle(16).unwrap().freeze()).unwrap();
-        let reply = service.query_latest(NodeId::new(3)).unwrap();
+        let reply = service.query_with(NodeId::new(3), latest).unwrap();
         assert_eq!(reply.epoch, 2);
     }
 
@@ -681,7 +638,7 @@ mod tests {
             Arc::new(TestClock::new()),
             ServiceConfig { max_radius: Some(2), ..ServiceConfig::default() },
         );
-        let err = service.query(NodeId::new(0)).unwrap_err();
+        let err = service.query_with(NodeId::new(0), QueryOptions::new()).unwrap_err();
         assert!(
             matches!(err, ServiceError::Probe(RuntimeError::RoundLimitExceeded { limit: 2, .. })),
             "{err}"

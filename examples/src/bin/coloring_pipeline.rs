@@ -17,7 +17,7 @@ fn main() -> Result<(), avglocal::CoreError> {
     for n in [64usize, 1024, 16384] {
         let assignment = IdAssignment::Shuffled { seed: 3 };
         println!("== ring of {n} nodes ==");
-        let graph = cycle_with_assignment(n, &assignment)?;
+        let graph = topology_with_assignment(&Topology::Cycle, n, &assignment)?;
 
         // Cole–Vishkin: constant radius, 3 colours.
         let (colors, rounds) = run_three_coloring(&graph)?;
@@ -25,13 +25,15 @@ fn main() -> Result<(), avglocal::CoreError> {
         print_profile("Cole-Vishkin (3 colours)", &RadiusProfile::new(rounds));
 
         // Landmark colouring: variable radius, 4 colours.
-        let landmark = run_on_cycle(Problem::LandmarkColoring, n, &assignment)?;
+        let landmark =
+            run_on_topology(Problem::LandmarkColoring, &Topology::Cycle, n, &assignment)?;
         print_profile("landmark (4 colours)", &landmark);
 
         // Full-information baseline: 3 colours, linear radius. Its simulation
         // cost is quadratic in n, so it is only run on the smaller rings.
         if n <= 256 {
-            let baseline = run_on_cycle(Problem::FullInfoColoring, n, &assignment)?;
+            let baseline =
+                run_on_topology(Problem::FullInfoColoring, &Topology::Cycle, n, &assignment)?;
             print_profile("full information (3 col.)", &baseline);
         }
 

@@ -24,14 +24,15 @@ fn main() -> Result<(), avglocal::CoreError> {
         let assignment = IdAssignment::Shuffled { seed: 7 };
         let mut cells = vec![n.to_string()];
         for problem in [Problem::LargestId, Problem::ThreeColoring, Problem::LandmarkColoring] {
-            let profile = run_on_cycle(problem, n, &assignment)?;
+            let profile = run_on_topology(problem, &Topology::Cycle, n, &assignment)?;
             cells.push(format!("{:.1}", expected_invalidated_nodes(&profile)));
         }
         // The know-the-leader baseline pays the saturation radius at every
         // node (quadratic simulation cost), so it is only simulated on the
         // smaller rings; on larger ones the answer is simply n.
         if n <= 256 {
-            let profile = run_on_cycle(Problem::KnowTheLeader, n, &assignment)?;
+            let profile =
+                run_on_topology(Problem::KnowTheLeader, &Topology::Cycle, n, &assignment)?;
             cells.push(format!("{:.1}", expected_invalidated_nodes(&profile)));
         } else {
             cells.push(format!("{n}.0 (= n)"));

@@ -21,9 +21,9 @@ fn main() -> Result<(), avglocal::CoreError> {
     );
 
     for problem in [Problem::LandmarkColoring, Problem::LargestId] {
-        let random = random_permutation_study(problem, n, 10, 1)?;
+        let random = random_permutation_study_on(problem, &Topology::Cycle, n, 10, 1)?;
         let section3 = section3_assignment(problem, n)?;
-        let adversarial = run_on_cycle(problem, n, &section3)?;
+        let adversarial = run_on_topology(problem, &Topology::Cycle, n, &section3)?;
         let climbed = AdversarySearch::new(problem, Measure::NodeAveraged)
             .hill_climb(n, 2, 60, 7)
             .map(|r| r.objective)?;

@@ -33,7 +33,7 @@ fn main() -> Result<(), avglocal::CoreError> {
         Problem::LandmarkColoring,
         Problem::KnowTheLeader,
     ] {
-        let profile = run_on_cycle(problem, n, &assignment)?;
+        let profile = run_on_topology(problem, &Topology::Cycle, n, &assignment)?;
         let outcome = schedule_radii(&profile, workers);
         table.push_row(vec![
             problem.to_string(),

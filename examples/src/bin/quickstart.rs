@@ -18,7 +18,7 @@ fn main() -> Result<(), avglocal::CoreError> {
     let assignment = IdAssignment::Shuffled { seed: 2015 };
 
     println!("-- Section 2: the largest-ID problem --");
-    let largest = run_on_cycle(Problem::LargestId, n, &assignment)?;
+    let largest = run_on_topology(Problem::LargestId, &Topology::Cycle, n, &assignment)?;
     print_profile("largest ID (ball-growing)", &largest);
     println!(
         "paper's prediction:          average ≈ Θ(log n) vs worst case n/2 = {}\n",
@@ -26,7 +26,7 @@ fn main() -> Result<(), avglocal::CoreError> {
     );
 
     println!("-- Section 3: 3-colouring the ring --");
-    let coloring = run_on_cycle(Problem::ThreeColoring, n, &assignment)?;
+    let coloring = run_on_topology(Problem::ThreeColoring, &Topology::Cycle, n, &assignment)?;
     print_profile("3-colouring (Cole-Vishkin)", &coloring);
     println!(
         "paper's bounds:              Ω(log* n) = {} ≤ average ≤ {} (Cole-Vishkin, 64-bit ids)",
@@ -38,9 +38,10 @@ fn main() -> Result<(), avglocal::CoreError> {
     // their simulation cost is quadratic; a smaller ring makes the point.
     let small = 256;
     println!("\n-- Baselines with no average/worst-case gap (ring of {small} nodes) --");
-    let baseline = run_on_cycle(Problem::FullInfoLargestId, small, &assignment)?;
+    let baseline =
+        run_on_topology(Problem::FullInfoLargestId, &Topology::Cycle, small, &assignment)?;
     print_profile("largest ID (full info)", &baseline);
-    let leader = run_on_cycle(Problem::KnowTheLeader, small, &assignment)?;
+    let leader = run_on_topology(Problem::KnowTheLeader, &Topology::Cycle, small, &assignment)?;
     print_profile("know the leader", &leader);
 
     Ok(())

@@ -17,7 +17,7 @@ use avglocal::prelude::*;
 /// Panics if `n < 3` (the helper is for tests, which always use valid sizes).
 #[must_use]
 pub fn shuffled_ring(n: usize, seed: u64) -> Graph {
-    cycle_with_assignment(n, &IdAssignment::Shuffled { seed })
+    topology_with_assignment(&Topology::Cycle, n, &IdAssignment::Shuffled { seed })
         .expect("test rings always have at least 3 nodes")
 }
 

@@ -20,7 +20,7 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 #[test]
 fn steady_state_run_frozen_allocations_are_bounded_per_run() {
     let n = 2048usize;
-    let graph = cycle_with_assignment(n, &IdAssignment::Identity)
+    let graph = topology_with_assignment(&Topology::Cycle, n, &IdAssignment::Identity)
         .expect("a 2048-cycle is a valid instance");
     let session = FrozenExecutor::new(&graph);
 

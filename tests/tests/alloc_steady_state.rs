@@ -18,8 +18,8 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 #[test]
 fn grower_steady_state_does_not_allocate() {
     let n = 512usize;
-    let graph =
-        cycle_with_assignment(n, &IdAssignment::Identity).expect("a 512-cycle is a valid instance");
+    let graph = topology_with_assignment(&Topology::Cycle, n, &IdAssignment::Identity)
+        .expect("a 512-cycle is a valid instance");
     let csr = graph.freeze();
     let knowledge = Knowledge::none();
 

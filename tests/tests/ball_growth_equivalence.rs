@@ -6,7 +6,7 @@
 use avglocal::algorithms::LargestId;
 use avglocal::graph::{extract_ball, generators, BallGrower};
 use avglocal::prelude::*;
-use avglocal::runtime::{BallExecutor, Knowledge, LocalView};
+use avglocal::runtime::{BallAlgorithm, BallExecutor, Knowledge, LocalView};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,17 +46,20 @@ fn assert_grower_matches_extraction(g: &Graph) {
     }
 }
 
-/// Checks that the incremental executor and the from-scratch baseline agree
-/// on every radius and output of the largest-ID algorithm on `g`.
+/// Checks that the incremental executor agrees with a from-scratch probe (a
+/// fresh [`extract_ball`] per radius) on every radius and output of the
+/// largest-ID algorithm on `g`.
 fn assert_executors_agree(g: &Graph) {
     let fast = BallExecutor::new()
         .run(g, &LargestId, Knowledge::none())
         .expect("largest-ID terminates on every graph");
-    let slow = BallExecutor::from_scratch_baseline()
-        .run(g, &LargestId, Knowledge::none())
-        .expect("largest-ID terminates on every graph");
-    assert_eq!(fast.radii(), slow.radii());
-    assert_eq!(fast.outputs(), slow.outputs());
+    for v in g.nodes() {
+        let slow = (0..=g.node_count()).find_map(|r| {
+            let view = LocalView::from_ball(&extract_ball(g, v, r));
+            LargestId.decide(&view, &Knowledge::none()).map(|output| (output, r))
+        });
+        assert_eq!(Some((*fast.output(v), fast.radius(v))), slow, "node {v}");
+    }
 }
 
 fn shuffled(mut g: Graph, seed: u64) -> Graph {

@@ -35,9 +35,11 @@ fn coloring_average_respects_the_lower_bound() {
             assignments.push(IdAssignment::Identity);
         }
         for assignment in assignments {
-            let cv = run_on_cycle(Problem::ThreeColoring, n, &assignment).unwrap();
+            let cv =
+                run_on_topology(Problem::ThreeColoring, &Topology::Cycle, n, &assignment).unwrap();
             assert!(cv.average() >= bound, "CV at n={n}: {} < {bound}", cv.average());
-            let lm = run_on_cycle(Problem::LandmarkColoring, n, &assignment).unwrap();
+            let lm = run_on_topology(Problem::LandmarkColoring, &Topology::Cycle, n, &assignment)
+                .unwrap();
             assert!(lm.average() >= bound, "landmark at n={n}: {} < {bound}", lm.average());
         }
     }
@@ -48,7 +50,7 @@ fn section3_construction_does_not_fall_below_the_bound() {
     for n in [64usize, 128] {
         for problem in [Problem::ThreeColoring, Problem::LandmarkColoring] {
             let assignment = section3_assignment(problem, n).unwrap();
-            let profile = run_on_cycle(problem, n, &assignment).unwrap();
+            let profile = run_on_topology(problem, &Topology::Cycle, n, &assignment).unwrap();
             assert!(
                 profile.average() >= theory::coloring_average_lower_bound(n),
                 "{problem} at n={n}"
@@ -69,7 +71,7 @@ fn landmark_coloring_is_proper_under_adversarial_assignments() {
             IdAssignment::Rotated { shift: 3 },
             IdAssignment::Shuffled { seed: 4 },
         ] {
-            let graph = cycle_with_assignment(n, &assignment).unwrap();
+            let graph = topology_with_assignment(&Topology::Cycle, n, &assignment).unwrap();
             let profile = Problem::LandmarkColoring.run(&graph).unwrap();
             assert_eq!(profile.len(), n);
             let marks = landmarks(&graph);

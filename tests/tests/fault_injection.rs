@@ -114,7 +114,7 @@ fn algorithm_panics_rethrow_the_first_node_in_order() {
         .expect("some node carries a small identifier");
     let algorithm = PanicBelow { threshold };
 
-    for scheduling in [Scheduling::WorkStealing, Scheduling::StaticChunks] {
+    for scheduling in [Scheduling::WorkStealing, Scheduling::Sequential] {
         let executor = BallExecutor::new().with_scheduling(scheduling);
         for round in 0..4 {
             let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -141,11 +141,12 @@ fn first_typed_error_in_node_order_survives_delay_injection() {
     let algorithm = RefuseMarked { refuse: marked };
 
     let want = BallExecutor::new()
-        .run_frozen_sequential(&csr, &algorithm, Knowledge::none())
+        .with_scheduling(Scheduling::Sequential)
+        .run_frozen(&csr, &algorithm, Knowledge::none())
         .expect_err("refusing nodes must error");
     assert_eq!(want, RuntimeError::NonTerminating { node: NodeId::new(40) });
 
-    for scheduling in [Scheduling::WorkStealing, Scheduling::StaticChunks] {
+    for scheduling in [Scheduling::WorkStealing, Scheduling::Sequential] {
         let executor = BallExecutor::new().with_scheduling(scheduling);
         for round in 0..4 {
             arm(Plan::new().delay_every(3, 80));
@@ -196,8 +197,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random delay plans perturb which worker claims which chunk when;
-    /// outputs and radii must stay bit-identical to the sequential reference
-    /// on both schedules.
+    /// outputs and radii must stay bit-identical to the sequential reference.
     #[test]
     fn delayed_interleavings_stay_bit_identical_to_sequential(
         n in 8usize..160,
@@ -208,23 +208,15 @@ proptest! {
         let graph = shuffled_ring(n, seed);
         let csr = graph.freeze();
         let want = BallExecutor::new()
-            .run_frozen_sequential(&csr, &NaiveLargestId, Knowledge::none())
+            .with_scheduling(Scheduling::Sequential).run_frozen(&csr, &NaiveLargestId, Knowledge::none())
             .unwrap();
 
         arm(Plan::new().delay_every(every, micros));
-        let stealing = BallExecutor::new()
-            .with_scheduling(Scheduling::WorkStealing)
-            .run_frozen(&csr, &NaiveLargestId, Knowledge::none());
-        let chunked = BallExecutor::new()
-            .with_scheduling(Scheduling::StaticChunks)
-            .run_frozen(&csr, &NaiveLargestId, Knowledge::none());
+        let stealing = BallExecutor::new().run_frozen(&csr, &NaiveLargestId, Knowledge::none());
         disarm();
 
         let stealing = stealing.unwrap();
-        let chunked = chunked.unwrap();
         prop_assert_eq!(stealing.outputs(), want.outputs());
         prop_assert_eq!(stealing.radii(), want.radii());
-        prop_assert_eq!(chunked.outputs(), want.outputs());
-        prop_assert_eq!(chunked.radii(), want.radii());
     }
 }

@@ -237,8 +237,8 @@ proptest! {
     #[test]
     fn cycle_edge_average_is_sandwiched(n in 4usize..48, seed in 0u64..200) {
         let assignment = IdAssignment::Shuffled { seed };
-        let graph = cycle_with_assignment(n, &assignment).unwrap();
-        let profile = run_on_cycle(Problem::LargestId, n, &assignment).unwrap();
+        let graph = topology_with_assignment(&Topology::Cycle,n, &assignment).unwrap();
+        let profile = run_on_topology(Problem::LargestId, &Topology::Cycle, n, &assignment).unwrap();
         let edge = brute_force_edge_averaged(&graph, profile.radii(), true);
         let node = profile.average();
         prop_assert!(edge >= node - 1e-12);

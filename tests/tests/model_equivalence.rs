@@ -79,16 +79,15 @@ proptest! {
     fn rotation_invariance_of_measures(n in 4usize..40, seed in 0u64..100, shift in 1usize..40) {
         let shift = shift % n;
         let base = IdAssignment::Shuffled { seed };
-        let base_profile = run_on_cycle(Problem::LargestId, n, &base).unwrap();
+        let base_profile = run_on_topology(Problem::LargestId, &Topology::Cycle, n, &base).unwrap();
 
         // Compose the shuffle with a rotation of the positions.
         let perm = base.permutation(n);
         let rotated: Vec<usize> = (0..n).map(|i| perm.get((i + shift) % n)).collect();
-        let rotated_profile = run_on_cycle(
-            Problem::LargestId,
+        let rotated_profile = run_on_topology(
+            Problem::LargestId, &Topology::Cycle,
             n,
-            &IdAssignment::from_vec(rotated).unwrap(),
-        )
+            &IdAssignment::from_vec(rotated).unwrap())
         .unwrap();
 
         let mut a = base_profile.radii().to_vec();

@@ -1,17 +1,11 @@
-//! The parallel `Graph::freeze` against its serial reference.
+//! `Graph::freeze` against the graph it freezes.
 //!
-//! The parallel build (parallel degree count, prefix-sum offsets, race-free
-//! parallel scatter, lock-free union-find component labelling) must be
-//! **bit-identical** to the serial left-to-right build on every input: CSR
-//! offsets and targets, identifier table, and the canonical component
-//! labelling. `CsrGraph`'s derived `PartialEq` covers all four, and the
-//! component labelling is additionally cross-checked against the
-//! BFS-based `traversal::connected_components`.
-//!
-//! Thread counts: the pool size is process-global (`AVG_LOCAL_THREADS`), so
-//! CI runs this suite under both the 1-thread sequential-reference pool and
-//! the pinned 4-thread pool; `Graph::freeze_parallel` exercises the parallel
-//! code path in both cases (a 1-participant pool runs it inline).
+//! A snapshot must reproduce its source exactly: node and edge counts, every
+//! neighbour list in port order, the identifier table, and a component
+//! labelling equal to the BFS-based `traversal::connected_components`
+//! partition (components numbered by smallest member). Every frozen graph
+//! must also pass the snapshot validator, the check untrusted snapshots go
+//! through.
 
 use avglocal::graph::csr::CsrGraph;
 use avglocal::graph::{traversal, ComponentLabels, ComponentMode};
@@ -25,16 +19,19 @@ use rand::{Rng, SeedableRng};
 const UNIVERSAL_SIZES: [usize; 3] = [9, 16, 24];
 
 fn assert_freeze_agreement(graph: &Graph) {
-    let serial = graph.freeze_serial();
-    let parallel = graph.freeze_parallel();
-    // Offsets, targets, identifiers and component labels, all at once.
-    assert_eq!(serial, parallel);
-    // The dispatching entry point picks one of the two, so it agrees too.
-    assert_eq!(graph.freeze(), serial);
+    let csr = graph.freeze();
+    assert_eq!(csr.node_count(), graph.node_count());
+    assert_eq!(csr.edge_count(), graph.edge_count());
+    for v in graph.nodes() {
+        let expected: Vec<u32> = graph.neighbors(v).iter().map(|u| u.index() as u32).collect();
+        assert_eq!(csr.neighbors(v.index() as u32), expected.as_slice(), "node {v}");
+        assert_eq!(csr.identifier(v.index() as u32), graph.identifier(v));
+    }
+    assert_eq!(csr.validate(), Ok(()));
     // The component labelling matches the BFS ground truth: same partition,
     // components numbered by smallest member.
     let expected = traversal::connected_components(graph);
-    let labels = serial.components();
+    let labels = csr.components();
     assert_eq!(labels.count(), expected.len());
     for (c, nodes) in expected.iter().enumerate() {
         assert_eq!(labels.sizes()[c] as usize, nodes.len());
@@ -55,6 +52,9 @@ fn freeze_agrees_on_every_topology_family() {
         }
         assert_freeze_agreement(&Topology::gnp_connected(n, 7).build(n).unwrap());
     }
+    for topology in [Topology::Cycle, Topology::Grid] {
+        assert_freeze_agreement(&topology.build(1 << 13).unwrap());
+    }
 }
 
 #[test]
@@ -73,31 +73,23 @@ fn freeze_agrees_on_disconnected_instances() {
 }
 
 #[test]
-fn freeze_agrees_on_large_instances_past_the_parallel_cutoff() {
-    // Large enough that `freeze()` takes the parallel path on a multi-thread
-    // pool: the dispatch itself must stay invisible.
-    let n = 1 << 13;
-    for topology in [Topology::Cycle, Topology::Grid] {
-        assert_freeze_agreement(&topology.build(n).unwrap());
-    }
-}
-
-#[test]
 fn frozen_components_feed_the_executors_unchanged() {
-    // A frozen snapshot of a disconnected graph still runs (balls saturate
-    // at the component), and the labelling the executors would consult is
-    // the same one the serial reference computes.
+    // The labelling the executors consult on a disconnected snapshot is the
+    // one a standalone labelling of the graph computes, and a session over
+    // the snapshot carries it unchanged.
     let graph = Topology::Gnp { p: 0.02, seed: 3 }.build_unchecked(40).unwrap();
     let csr = graph.freeze();
-    assert_eq!(csr.components(), graph.freeze_serial().components());
+    assert_eq!(csr.components(), &ComponentLabels::of_graph(&graph));
     assert_eq!(CsrGraph::from_graph(&graph), csr);
+    let session = avglocal::runtime::FrozenExecutor::from_csr(csr.clone());
+    assert_eq!(session.csr().components(), csr.components());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random multigraph-free edge sets: the parallel freeze matches the
-    /// serial reference on arbitrary (often disconnected) graphs.
+    /// Random multigraph-free edge sets: the snapshot matches its source on
+    /// arbitrary (often disconnected) graphs.
     #[test]
     fn freeze_agrees_on_random_graphs(n in 1usize..64, extra in 0usize..96, seed in 0u64..1000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -112,25 +104,6 @@ proptest! {
                 graph.add_edge(u, v).unwrap();
             }
         }
-        let serial = graph.freeze_serial();
-        let parallel = graph.freeze_parallel();
-        prop_assert_eq!(&serial, &parallel);
-        prop_assert_eq!(
-            serial.components().count(),
-            traversal::connected_components(&graph).len()
-        );
-    }
-
-    /// Repeated parallel freezes of the same graph are identical — the
-    /// union-find's canonical labelling is independent of scheduling.
-    #[test]
-    fn parallel_freeze_is_deterministic(seed in 0u64..200) {
-        let n = 96;
-        let topology = Topology::Gnp { p: 1.2 / n as f64, seed };
-        let graph = topology.build_unchecked(n).unwrap();
-        let first = graph.freeze_parallel();
-        for _ in 0..3 {
-            prop_assert_eq!(&graph.freeze_parallel(), &first);
-        }
+        assert_freeze_agreement(&graph);
     }
 }

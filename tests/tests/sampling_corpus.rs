@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use avglocal::algorithms::{KnowTheLeader, LargestId};
 use avglocal::graph::CsrGraph;
 use avglocal::prelude::*;
-use avglocal::runtime::{BallAlgorithm, BallExecutor};
+use avglocal::runtime::{BallAlgorithm, BallExecutor, Scheduling};
 use avglocal::sampling::Estimate;
 use avglocal::{hub_adversarial_assignment, SamplePlan};
 
@@ -48,7 +48,8 @@ where
     A::Output: Send,
 {
     let run = BallExecutor::new()
-        .run_frozen_sequential(csr, algo, Knowledge::none())
+        .with_scheduling(Scheduling::Sequential)
+        .run_frozen(csr, algo, Knowledge::none())
         .expect("corpus algorithms terminate on corpus families");
     (0..csr.node_count()).map(|v| run.radius(NodeId::new(v))).collect()
 }

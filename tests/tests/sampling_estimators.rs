@@ -14,7 +14,7 @@
 //!    reason the stratified plan exists).
 //!
 //! Plus the determinism leg: same `(seed, plan)` → bit-identical sample set
-//! and estimate across WorkStealing/StaticChunks (and both CI thread legs,
+//! and estimate across WorkStealing/Sequential (and both CI thread legs,
 //! which run this whole suite); disjoint seeds → disjoint sample streams.
 
 use std::sync::Arc;
@@ -35,7 +35,10 @@ where
     A: BallAlgorithm + Sync,
     A::Output: Send,
 {
-    let run = BallExecutor::new().run_frozen_sequential(csr, algo, Knowledge::none()).unwrap();
+    let run = BallExecutor::new()
+        .with_scheduling(Scheduling::Sequential)
+        .run_frozen(csr, algo, Knowledge::none())
+        .unwrap();
     (0..csr.node_count()).map(|v| run.radius(NodeId::new(v))).collect()
 }
 
@@ -262,7 +265,7 @@ fn estimates_are_bit_identical_across_schedulings() {
             let sample = plan.draw(&csr, plan.seed_for(3, 0));
             let session = FrozenExecutor::from_csr(csr.clone());
             let mut estimates = Vec::new();
-            for scheduling in [Scheduling::WorkStealing, Scheduling::StaticChunks] {
+            for scheduling in [Scheduling::WorkStealing, Scheduling::Sequential] {
                 let radii = Problem::LargestId
                     .probe_radii(
                         &session,
@@ -310,13 +313,13 @@ proptest! {
             first.nodes(),
             &NodeBatchOptions::new().with_scheduling(Scheduling::WorkStealing),
         ).unwrap();
-        let chunked = Problem::LargestId.probe_radii(
+        let sequential = Problem::LargestId.probe_radii(
             &session,
             first.nodes(),
-            &NodeBatchOptions::new().with_scheduling(Scheduling::StaticChunks),
+            &NodeBatchOptions::new().with_scheduling(Scheduling::Sequential),
         ).unwrap();
-        prop_assert_eq!(&stealing, &chunked);
-        prop_assert_eq!(first.estimate(&stealing), second.estimate(&chunked));
+        prop_assert_eq!(&stealing, &sequential);
+        prop_assert_eq!(first.estimate(&stealing), second.estimate(&sequential));
     }
 
     /// Disjoint base seeds derive disjoint sample streams: different stream

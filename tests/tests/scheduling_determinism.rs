@@ -13,7 +13,7 @@ use avglocal::prelude::*;
 use avglocal::runtime::{BallExecutor, Knowledge, Scheduling};
 use proptest::prelude::*;
 
-/// The scheduler-adversarial assignment from the skewed bench: the paper's
+/// The scheduler-adversarial assignment: the paper's
 /// worst-case `a(p)` segment arrangement packed into one quarter of the
 /// ring, ascending filler, global maximum adjacent to the block (shared
 /// construction: [`clustered_adversarial_arrangement`]).
@@ -53,24 +53,12 @@ fn stealing_matches_sequential_on_all_families_under_skew() {
             assignment.apply(&mut graph).unwrap();
             let csr = graph.freeze();
             let reference = BallExecutor::new()
-                .run_frozen_sequential(&csr, &LargestId, Knowledge::none())
+                .with_scheduling(Scheduling::Sequential)
+                .run_frozen(&csr, &LargestId, Knowledge::none())
                 .unwrap();
-            for scheduling in [Scheduling::WorkStealing, Scheduling::StaticChunks] {
-                let run = BallExecutor::new()
-                    .with_scheduling(scheduling)
-                    .run_frozen(&csr, &LargestId, Knowledge::none())
-                    .unwrap();
-                assert_eq!(
-                    run.outputs(),
-                    reference.outputs(),
-                    "{topology}, {assignment:?}, {scheduling:?}"
-                );
-                assert_eq!(
-                    run.radii(),
-                    reference.radii(),
-                    "{topology}, {assignment:?}, {scheduling:?}"
-                );
-            }
+            let run = BallExecutor::new().run_frozen(&csr, &LargestId, Knowledge::none()).unwrap();
+            assert_eq!(run.outputs(), reference.outputs(), "{topology}, {assignment:?}");
+            assert_eq!(run.radii(), reference.radii(), "{topology}, {assignment:?}");
         }
     }
 }
@@ -81,7 +69,7 @@ fn repeated_runs_are_bit_identical() {
     // run the same frozen session several times and demand equality of every
     // output and radius, on the most skewed cycle workload we have.
     let n = 1024;
-    let graph = cycle_with_assignment(n, &clustered_adversarial(n)).unwrap();
+    let graph = topology_with_assignment(&Topology::Cycle, n, &clustered_adversarial(n)).unwrap();
     let session = FrozenExecutor::new(&graph);
     let first = session.run(&LargestId, Knowledge::none()).unwrap();
     for round in 0..4 {
@@ -127,7 +115,7 @@ proptest! {
         IdAssignment::Shuffled { seed }.apply(&mut graph).unwrap();
         let csr = graph.freeze();
         let reference = BallExecutor::new()
-            .run_frozen_sequential(&csr, &LargestId, Knowledge::none())
+            .with_scheduling(Scheduling::Sequential).run_frozen(&csr, &LargestId, Knowledge::none())
             .unwrap();
         let stolen = BallExecutor::new()
             .run_frozen(&csr, &LargestId, Knowledge::none())

@@ -2,9 +2,9 @@
 //! service.
 //!
 //! The central claim of `query_batch`: however the node set is sharded
-//! across the persistent pool — WorkStealing or StaticChunks, any shard
-//! size, either CI thread leg — every completed batch entry is
-//! **bit-identical** to a sequential single `query` of the same node on the
+//! across the persistent pool — any shard size, either CI thread leg —
+//! every completed batch entry is
+//! **bit-identical** to a sequential single `query_with` of the same node on the
 //! same pinned generation. On top of that, the batch-specific contracts:
 //! one admission slot per batch regardless of size, typed *partial* replies
 //! when the shared deadline expires mid-batch, per-entry typed failures
@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use avglocal::graph::{generators, CsrGraph, GraphError, IdAssignment, NodeId};
 use avglocal::runtime::examples::NaiveLargestId;
-use avglocal::runtime::{Knowledge, RuntimeError, Scheduling};
+use avglocal::runtime::{Knowledge, RuntimeError};
 use avglocal::AggregateQueries;
 use avglocal_service::{
     BatchOutcome, Consistency, QueryOptions, QueryRequest, RadiusQueryService, ServiceConfig,
@@ -43,26 +43,20 @@ fn service_on(csr: CsrGraph, config: ServiceConfig) -> RadiusQueryService<NaiveL
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `query_batch` replies are bit-identical to a loop of single `query`
-    /// calls on the same pinned generation, across both schedulings and a
-    /// spread of shard sizes (1 = pure per-node dynamic scheduling, larger
-    /// shards, and one shard covering the whole batch).
+    /// `query_batch` replies are bit-identical to a loop of single
+    /// `query_with` calls on the same pinned generation, across a spread of
+    /// shard sizes (1 = pure per-node dynamic scheduling, larger shards, and
+    /// one shard covering the whole batch).
     #[test]
     fn batch_entries_are_bit_identical_to_single_queries(
         n in 8usize..64,
         seed in 0u64..500,
         batch_len in 1usize..80,
         shard in 1usize..100,
-        work_stealing in 0u8..2,
     ) {
         let csr = shuffled_cycle(n, seed);
-        let scheduling =
-            if work_stealing == 1 { Scheduling::WorkStealing } else { Scheduling::StaticChunks };
-        let config = ServiceConfig::builder()
-            .batch_shard(shard)
-            .batch_scheduling(scheduling)
-            .build()
-            .expect("positive tunables are valid");
+        let config =
+            ServiceConfig::builder().batch_shard(shard).build().expect("positive tunables are valid");
         let service = service_on(csr, config);
 
         // A scripted node list with duplicates and arbitrary order.
@@ -76,7 +70,8 @@ proptest! {
         prop_assert!(reply.is_complete(), "no deadline, no faults: every entry completes");
         prop_assert_eq!(reply.epoch(), 1);
         for (slot, node) in reply.outcomes().iter().zip(&nodes) {
-            let single = service.query(*node).expect("single queries complete");
+            let single =
+                service.query_with(*node, QueryOptions::new()).expect("single queries complete");
             match slot {
                 BatchOutcome::Completed { output, radius } => {
                     prop_assert_eq!(output, &single.output, "{:?}", node);
@@ -108,23 +103,18 @@ proptest! {
 
     /// An expired shared deadline yields a typed **partial** reply: with a
     /// zero budget on an autoticking clock every entry is cancelled at
-    /// radius 0, deterministically, on every scheduling.
+    /// radius 0, deterministically.
     #[test]
     fn expired_batch_deadline_is_a_typed_partial_reply(
         n in 8usize..48,
         seed in 0u64..200,
-        work_stealing in 0u8..2,
     ) {
-        let scheduling =
-            if work_stealing == 1 { Scheduling::WorkStealing } else { Scheduling::StaticChunks };
-        let config =
-            ServiceConfig::builder().batch_scheduling(scheduling).build().unwrap();
         let service = RadiusQueryService::new(
             NaiveLargestId,
             Knowledge::none(),
             shuffled_cycle(n, seed),
             Arc::new(TestClock::with_autotick(1)),
-            config,
+            ServiceConfig::default(),
         );
         let reply = service
             .query_batch(&QueryRequest::all(QueryOptions::new().with_deadline(0)))
@@ -158,7 +148,10 @@ proptest! {
     fn aggregates_fold_exactly_the_single_query_radii(n in 8usize..48, seed in 0u64..200) {
         let service = service_on(shuffled_cycle(n, seed), ServiceConfig::default());
         let radii: Vec<usize> = (0..n)
-            .map(|v| service.query(NodeId::new(v)).expect("single queries complete").radius)
+            .map(|v| {
+                let reply = service.query_with(NodeId::new(v), QueryOptions::new());
+                reply.expect("single queries complete").radius
+            })
             .collect();
 
         let cdf = service.query_cdf(QueryOptions::new()).expect("aggregates admit");
@@ -174,32 +167,6 @@ proptest! {
             measures.measures,
             avglocal::MeasureSet::of_csr(&profile, service.pin().session().csr())
         );
-    }
-
-    /// The three historical entry points are exactly `query_with` under the
-    /// corresponding `QueryOptions` — same replies, same epoch stamps.
-    #[test]
-    fn wrappers_are_equivalent_to_query_with(n in 8usize..48, seed in 0u64..200) {
-        let service = service_on(shuffled_cycle(n, seed), ServiceConfig::default());
-        for v in 0..n {
-            let node = NodeId::new(v);
-            let plain = service.query(node).unwrap();
-            prop_assert_eq!(plain, service.query_with(node, QueryOptions::new()).unwrap());
-            prop_assert_eq!(
-                service.query_with_deadline(node, 1_000).unwrap(),
-                service.query_with(node, QueryOptions::new().with_deadline(1_000)).unwrap()
-            );
-            prop_assert_eq!(
-                service.query_latest(node).unwrap(),
-                service
-                    .query_with(
-                        node,
-                        QueryOptions::new()
-                            .with_consistency(Consistency::Latest { retry_limit: 3 })
-                    )
-                    .unwrap()
-            );
-        }
     }
 }
 

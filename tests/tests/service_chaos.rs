@@ -23,9 +23,11 @@ use std::sync::Arc;
 
 use avglocal::graph::{generators, CsrGraph, GraphError, IdAssignment, NodeId};
 use avglocal::runtime::examples::NaiveLargestId;
-use avglocal::runtime::{BallAlgorithm, BallExecutor, Knowledge, LocalView};
+use avglocal::runtime::{BallAlgorithm, BallExecutor, Knowledge, LocalView, Scheduling};
 use avglocal_service::chaos::{run_chaos, ChaosPlan};
-use avglocal_service::{RadiusQueryService, ServiceConfig, ServiceError, SnapshotStore, TestClock};
+use avglocal_service::{
+    QueryOptions, RadiusQueryService, ServiceConfig, ServiceError, SnapshotStore, TestClock,
+};
 
 /// A cycle on `n` nodes with a shuffled identifier table, frozen.
 fn shuffled_cycle(n: usize, seed: u64) -> CsrGraph {
@@ -103,11 +105,11 @@ fn admission_pressure_sheds_with_the_typed_overload_error() {
     );
 
     std::thread::scope(|scope| {
-        let holder = scope.spawn(|| service.query(NodeId::new(0)));
+        let holder = scope.spawn(|| service.query_with(NodeId::new(0), QueryOptions::new()));
         while !entered.load(SeqCst) {
             std::thread::yield_now();
         }
-        match service.query(NodeId::new(1)) {
+        match service.query_with(NodeId::new(1), QueryOptions::new()) {
             Err(ServiceError::Overloaded { in_flight, limit }) => {
                 assert_eq!(in_flight, 1);
                 assert_eq!(limit, 1);
@@ -119,7 +121,8 @@ fn admission_pressure_sheds_with_the_typed_overload_error() {
         assert_eq!(held.output, hold_id);
     });
 
-    let after = service.query(NodeId::new(1)).expect("freed slot admits again");
+    let after =
+        service.query_with(NodeId::new(1), QueryOptions::new()).expect("freed slot admits again");
     assert_eq!(after.output, graph.identifier(NodeId::new(1)).value());
     let stats = service.stats();
     assert_eq!(stats.shed, 1, "exactly the blocked query was shed");
@@ -178,7 +181,8 @@ fn restart_after_torn_write_recovers_the_last_durable_generation() {
     // The restarted service serves bit-identical answers on the recovered
     // generation.
     let reference = BallExecutor::new()
-        .run_frozen_sequential(&durable, &NaiveLargestId, Knowledge::none())
+        .with_scheduling(Scheduling::Sequential)
+        .run_frozen(&durable, &NaiveLargestId, Knowledge::none())
         .expect("largest-ID terminates");
     let service = RadiusQueryService::new(
         NaiveLargestId,
@@ -189,7 +193,8 @@ fn restart_after_torn_write_recovers_the_last_durable_generation() {
     );
     for v in 0..30 {
         let node = NodeId::new(v);
-        let reply = service.query(node).expect("recovered service answers");
+        let reply =
+            service.query_with(node, QueryOptions::new()).expect("recovered service answers");
         assert_eq!(&reply.output, reference.output(node));
         assert_eq!(reply.radius, reference.radius(node));
         assert_eq!(reply.epoch, 1, "a restart begins a fresh epoch sequence");

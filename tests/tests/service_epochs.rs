@@ -17,8 +17,8 @@ use std::sync::Arc;
 
 use avglocal::graph::{generators, CsrGraph, IdAssignment, NodeId};
 use avglocal::runtime::examples::NaiveLargestId;
-use avglocal::runtime::{BallExecution, BallExecutor, Knowledge};
-use avglocal_service::{RadiusQueryService, ServiceConfig, TestClock};
+use avglocal::runtime::{BallExecution, BallExecutor, Knowledge, ProbeOptions, Scheduling};
+use avglocal_service::{Consistency, QueryOptions, RadiusQueryService, ServiceConfig, TestClock};
 use proptest::prelude::*;
 
 /// A cycle on `n` nodes with a shuffled identifier table, frozen.
@@ -51,7 +51,7 @@ proptest! {
             .iter()
             .map(|csr| {
                 BallExecutor::new()
-                    .run_frozen_sequential(csr, &NaiveLargestId, Knowledge::none())
+                    .with_scheduling(Scheduling::Sequential).run_frozen(csr, &NaiveLargestId, Knowledge::none())
                     .expect("largest-ID terminates on cycles")
             })
             .collect();
@@ -72,11 +72,13 @@ proptest! {
                         let mut replies = Vec::new();
                         for q in 0..2 * n {
                             let node = NodeId::new((reader + q * readers) % n);
-                            let result = if q % latest_every == 0 {
-                                service.query_latest(node)
+                            let options = if q % latest_every == 0 {
+                                QueryOptions::new()
+                                    .with_consistency(Consistency::Latest { retry_limit: 3 })
                             } else {
-                                service.query(node)
+                                QueryOptions::new()
                             };
+                            let result = service.query_with(node, options);
                             match result {
                                 Ok(reply) => replies.push((node, reply)),
                                 Err(error) => panic!("unlimited-budget query failed: {error}"),
@@ -125,7 +127,7 @@ proptest! {
     ) {
         let first = shuffled_cycle(n, base_seed);
         let reference = BallExecutor::new()
-            .run_frozen_sequential(&first, &NaiveLargestId, Knowledge::none())
+            .with_scheduling(Scheduling::Sequential).run_frozen(&first, &NaiveLargestId, Knowledge::none())
             .expect("largest-ID terminates on cycles");
         let service = RadiusQueryService::new(
             NaiveLargestId,
@@ -149,7 +151,7 @@ proptest! {
             let node = NodeId::new(v);
             let (output, radius) = pinned
                 .session()
-                .run_node_with_cancel(node, &NaiveLargestId, Knowledge::none(), &mut |_| false)
+                .run_node_with(node, &NaiveLargestId, Knowledge::none(), ProbeOptions::new())
                 .expect("pinned probes complete");
             prop_assert_eq!(&output, reference.output(node));
             prop_assert_eq!(radius, reference.radius(node));

@@ -4,11 +4,11 @@
 //!
 //! Three guarantees are pinned down here:
 //!
-//! 1. a sweep on [`Topology::Cycle`] is **bit-for-bit** the old
-//!    `run_on_cycle` pipeline — rows, summaries, and determinism under
-//!    parallel trials;
-//! 2. [`FrozenExecutor::run_node`] matches [`BallExecutor::run_node`] on
-//!    every supported topology;
+//! 1. a sweep on [`Topology::Cycle`] is **bit-for-bit** a sequential loop
+//!    of single `run_on_topology` runs — rows, summaries, and determinism
+//!    under parallel trials;
+//! 2. a reused [`FrozenExecutor`] session matches a fresh one per probe and
+//!    the full [`BallExecutor`] run on every supported topology;
 //! 3. a `G(n, p)` family that cannot produce a connected instance is a loud
 //!    error, never a silently component-local measurement.
 
@@ -16,6 +16,7 @@ use avglocal::analysis::Summary;
 use avglocal::graph::GraphError;
 use avglocal::prelude::*;
 use avglocal::runtime::examples::NaiveLargestId;
+use avglocal::runtime::ProbeOptions;
 use avglocal::{CoreError, SweepResult};
 use proptest::prelude::*;
 
@@ -29,8 +30,8 @@ fn supported_topologies(n: usize, seed: u64) -> Vec<Topology> {
     all
 }
 
-/// Rebuilds a one-size sweep row the way the pre-topology harness did:
-/// sequentially, through the cycle-only entry points.
+/// Rebuilds a one-size cycle sweep row the way the pre-topology harness
+/// did: sequentially, one single run per trial.
 fn legacy_cycle_row(
     problem: Problem,
     n: usize,
@@ -42,7 +43,7 @@ fn legacy_cycle_row(
     let mut totals = Vec::new();
     for trial in 0..trials {
         let assignment = policy.assignment_for_trial(trial);
-        let profile = run_on_cycle(problem, n, &assignment).unwrap();
+        let profile = run_on_topology(problem, &Topology::Cycle, n, &assignment).unwrap();
         let pair = MeasurePair::of(&profile);
         worst.push(pair.worst_case);
         averages.push(pair.average);
@@ -123,27 +124,18 @@ proptest! {
                 &IdAssignment::Shuffled { seed },
             ).unwrap();
             let session = FrozenExecutor::new(&graph);
-            let per_call = BallExecutor::new();
+            let full = BallExecutor::new().run(&graph, &NaiveLargestId, Knowledge::none()).unwrap();
+            let probe = |session: &FrozenExecutor, v| {
+                session
+                    .run_node_with(v, &NaiveLargestId, Knowledge::none(), ProbeOptions::new())
+                    .unwrap()
+            };
             for v in graph.nodes() {
-                let fresh = per_call
-                    .run_node(&graph, v, &NaiveLargestId, Knowledge::none())
-                    .unwrap();
-                let reused = session
-                    .run_node(v, &NaiveLargestId, Knowledge::none())
-                    .unwrap();
-                prop_assert_eq!(fresh, reused, "{} node {:?}", topology, v);
+                let fresh = probe(&FrozenExecutor::new(&graph), v);
+                prop_assert_eq!(fresh, probe(&session, v), "{} node {:?}", topology, v);
+                prop_assert_eq!(fresh, (*full.output(v), full.radius(v)), "{} node {:?}", topology, v);
             }
         }
-    }
-
-    /// `run_on_topology` on the cycle family is exactly `run_on_cycle`.
-    #[test]
-    fn run_on_topology_generalises_run_on_cycle(n in 3usize..64, seed in 0u64..300) {
-        let assignment = IdAssignment::Shuffled { seed };
-        let via_topology =
-            run_on_topology(Problem::LargestId, &Topology::Cycle, n, &assignment).unwrap();
-        let via_cycle = run_on_cycle(Problem::LargestId, n, &assignment).unwrap();
-        prop_assert_eq!(via_topology, via_cycle);
     }
 }
 
