@@ -245,22 +245,42 @@ mod tests {
             generators::path(5).unwrap(),
             generators::grid(3, 4).unwrap(),
             generators::complete(6).unwrap(),
-            generators::star(7).unwrap(),
             generators::petersen(),
-            generators::cycle(1 << 13).unwrap(),
         ];
         for g in &graphs {
             let csr = g.freeze();
-            assert_eq!(csr.node_count(), g.node_count());
-            assert_eq!(csr.edge_count(), g.edge_count());
-            for v in g.nodes() {
-                let expected: Vec<u32> = g.neighbors(v).iter().map(|u| u.index() as u32).collect();
-                assert_eq!(csr.neighbors(v.index() as u32), expected.as_slice());
-                assert_eq!(csr.degree(v.index() as u32), g.degree(v));
-                assert_eq!(csr.identifier(v.index() as u32), g.identifier(v));
-            }
+            assert_mirrors(g, &csr);
             assert!(csr.is_connected());
         }
+    }
+
+    /// Node and edge counts, every neighbour list in port order, degrees and
+    /// identifiers of `csr` equal those of `g`.
+    fn assert_mirrors(g: &Graph, csr: &CsrGraph) {
+        assert_eq!(csr.node_count(), g.node_count());
+        assert_eq!(csr.edge_count(), g.edge_count());
+        for v in g.nodes() {
+            let expected: Vec<u32> = g.neighbors(v).iter().map(|u| u.index() as u32).collect();
+            assert_eq!(csr.neighbors(v.index() as u32), expected.as_slice());
+            assert_eq!(csr.degree(v.index() as u32), g.degree(v));
+            assert_eq!(csr.identifier(v.index() as u32), g.identifier(v));
+        }
+    }
+
+    /// Freezes `g` on four threads at once (the round-based problems' trial
+    /// loops freeze their instances on pool workers) and checks each of those
+    /// snapshots against the one built on the calling thread, and that one
+    /// against `g`.
+    fn assert_parallel_builds_match_serial(g: &Graph) {
+        let serial = g.freeze();
+        let parallel: Vec<CsrGraph> = std::thread::scope(|s| {
+            let builds: Vec<_> = (0..4).map(|_| s.spawn(|| g.freeze())).collect();
+            builds.into_iter().map(|b| b.join().unwrap()).collect()
+        });
+        for csr in &parallel {
+            assert_eq!(csr, &serial);
+        }
+        assert_mirrors(g, &serial);
     }
 
     #[test]
@@ -271,6 +291,28 @@ mod tests {
         assert!(csr.identifiers().is_empty());
         assert!(csr.is_connected());
         assert_eq!(csr.components().count(), 0);
+    }
+
+    #[test]
+    fn parallel_build_matches_serial_on_every_small_family() {
+        let graphs = [
+            generators::cycle(9).unwrap(),
+            generators::path(5).unwrap(),
+            generators::grid(3, 4).unwrap(),
+            generators::complete(6).unwrap(),
+            generators::star(7).unwrap(),
+            Graph::new(),
+        ];
+        for g in &graphs {
+            assert_parallel_builds_match_serial(g);
+        }
+    }
+
+    #[test]
+    fn parallel_build_matches_serial_above_the_cutoff() {
+        // 2^13 nodes: the size from which `Graph::freeze` used to switch to
+        // a separate parallel build.
+        assert_parallel_builds_match_serial(&generators::cycle(1 << 13).unwrap());
     }
 
     #[test]

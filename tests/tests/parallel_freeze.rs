@@ -52,9 +52,6 @@ fn freeze_agrees_on_every_topology_family() {
         }
         assert_freeze_agreement(&Topology::gnp_connected(n, 7).build(n).unwrap());
     }
-    for topology in [Topology::Cycle, Topology::Grid] {
-        assert_freeze_agreement(&topology.build(1 << 13).unwrap());
-    }
 }
 
 #[test]
@@ -70,6 +67,16 @@ fn freeze_agrees_on_disconnected_instances() {
     // The degenerate extremes: no edges at all, and the empty graph.
     assert_freeze_agreement(&Topology::Gnp { p: 0.0, seed: 1 }.build_unchecked(16).unwrap());
     assert_freeze_agreement(&Graph::new());
+}
+
+#[test]
+fn freeze_agrees_on_large_instances_past_the_parallel_cutoff() {
+    // 2^13 nodes: the size from which `Graph::freeze` used to switch to a
+    // separate parallel build.
+    let n = 1 << 13;
+    for topology in [Topology::Cycle, Topology::Grid] {
+        assert_freeze_agreement(&topology.build(n).unwrap());
+    }
 }
 
 #[test]
