@@ -233,7 +233,7 @@ impl<T: Send> ParallelIterator for VecIter<T> {
         let mut items = ManuallyDrop::new(self.items);
         let buffer = RawBuffer { ptr: items.as_mut_ptr(), capacity: items.capacity() };
         let base = ItemsPtr(buffer.ptr.cast_const());
-        let results = pool::run_chunked(len, 1, init, |state, index| {
+        let results = pool::run_chunked(len, init, |state, index| {
             // SAFETY: the chunk cursor hands out every index exactly once,
             // so each item is moved out exactly once.
             let item = unsafe { std::ptr::read(base.base().add(index)) };
@@ -257,18 +257,6 @@ impl<T: Send> IntoParallelIterator for Vec<T> {
 #[derive(Debug)]
 pub struct RangeIter {
     range: Range<usize>,
-    grain: usize,
-}
-
-impl RangeIter {
-    /// Claims the range in chunks of at least `min` consecutive indices
-    /// (whole multiples of `min`, minimum 1), like rayon's `with_min_len`.
-    /// Only the scheduling changes; results stay in index order.
-    #[must_use]
-    pub fn with_min_len(mut self, min: usize) -> Self {
-        self.grain = min.max(1);
-        self
-    }
 }
 
 impl ParallelIterator for RangeIter {
@@ -283,7 +271,7 @@ impl ParallelIterator for RangeIter {
     {
         let start = self.range.start;
         let len = self.range.len();
-        pool::run_chunked(len, self.grain, init, |state, index| f(state, start + index))
+        pool::run_chunked(len, init, |state, index| f(state, start + index))
     }
 }
 
@@ -291,7 +279,7 @@ impl IntoParallelIterator for Range<usize> {
     type Item = usize;
     type Iter = RangeIter;
     fn into_par_iter(self) -> RangeIter {
-        RangeIter { range: self, grain: 1 }
+        RangeIter { range: self }
     }
 }
 
@@ -567,15 +555,5 @@ mod tests {
         }
         // A no-op request is always fine.
         assert!(super::ThreadPoolBuilder::new().build_global().is_ok());
-    }
-
-    #[test]
-    fn min_len_changes_only_the_scheduling() {
-        let plain: Vec<usize> = (0..1000).into_par_iter().map(|i| i * 3).collect();
-        for min in [0, 1, 7, 64, 5000, usize::MAX] {
-            let grained: Vec<usize> =
-                (0..1000).into_par_iter().with_min_len(min).map(|i| i * 3).collect();
-            assert_eq!(grained, plain, "min_len {min}");
-        }
     }
 }

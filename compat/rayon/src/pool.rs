@@ -483,17 +483,13 @@ where
 
 /// Chunk size for a job of `len` items on a pool of `threads` participants:
 /// roughly 16 claims per participant, so one expensive item stalls only a
-/// small chunk while cursor traffic stays negligible. Chunks are whole
-/// multiples of `grain` items (see [`crate::RangeIter::with_min_len`]).
-fn chunk_size(len: usize, grain: usize, threads: usize) -> usize {
-    // A grain beyond `len` is one chunk; capping it keeps the product <= 2·len.
-    let grain = grain.clamp(1, len.max(1));
-    (len.div_ceil(grain) / (threads * 16)).clamp(1, 1024) * grain
+/// small chunk while cursor traffic stays negligible.
+fn chunk_size(len: usize, threads: usize) -> usize {
+    (len / (threads * 16)).clamp(1, 1024)
 }
 
 /// Runs `work(state, index)` for every `index in 0..len` on the global pool
-/// and returns the results in index order. Every claimed chunk is a whole
-/// multiple of `grain` indices (the last one may be shorter).
+/// and returns the results in index order.
 ///
 /// Each participant lazily creates one `state` with `init` and reuses it for
 /// every chunk it claims — the hook executors use to keep per-worker scratch
@@ -503,25 +499,19 @@ fn chunk_size(len: usize, grain: usize, threads: usize) -> usize {
 ///
 /// Re-throws the recorded panic with the smallest item index among those
 /// raised by `init` or `work` (see the module docs); the pool survives.
-pub(crate) fn run_chunked<S, R, G, F>(len: usize, grain: usize, init: G, work: F) -> Vec<R>
+pub(crate) fn run_chunked<S, R, G, F>(len: usize, init: G, work: F) -> Vec<R>
 where
     S: Send,
     R: Send,
     G: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> R + Sync,
 {
-    run_chunked_on(shared(), len, grain, init, work)
+    run_chunked_on(shared(), len, init, work)
 }
 
 /// `run_chunked` against an explicit pool state instead of the global one.
 /// The loom suite uses this to run the real job protocol inside a model.
-pub fn run_chunked_on<S, R, G, F>(
-    shared: &Shared,
-    len: usize,
-    grain: usize,
-    init: G,
-    work: F,
-) -> Vec<R>
+pub fn run_chunked_on<S, R, G, F>(shared: &Shared, len: usize, init: G, work: F) -> Vec<R>
 where
     S: Send,
     R: Send,
@@ -537,7 +527,7 @@ where
         // same chunk granularity the pool would use, so the 1-thread CI leg
         // exercises injected faults too (panics propagate directly to the
         // caller here — there is no pool to survive).
-        let chunk = chunk_size(len, grain, 1);
+        let chunk = chunk_size(len, 1);
         let mut state = init();
         return (0..len)
             .map(|i| {
@@ -555,7 +545,7 @@ where
         (0..shared.threads).map(|_| UnsafeCell::new(None)).collect();
     let job = ChunkJob {
         len,
-        chunk: chunk_size(len, grain, shared.threads),
+        chunk: chunk_size(len, shared.threads),
         cursor: AtomicUsize::new(0),
         failpoints,
         outputs: outputs.as_ptr(),

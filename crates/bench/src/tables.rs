@@ -863,9 +863,9 @@ mod tests {
     #[test]
     fn e7_cycle_rows_match_the_independent_cycle_run() {
         // The cross-topology sweep on Topology::Cycle must agree with an
-        // independently reconstructed per-trial aggregate built from the
-        // cycle-only run_on_cycle entry point. (The full bit-for-bit property
-        // test lives in tests/tests/topology_sweeps.rs.)
+        // independently reconstructed per-trial aggregate built from single
+        // run_on_topology calls on Topology::Cycle. (The full bit-for-bit
+        // property test lives in tests/tests/topology_sweeps.rs.)
         let n = 16;
         let policy = AssignmentPolicy::Random { base_seed: 11 };
         let via_topology = Sweep::on(Problem::LargestId, Topology::Cycle, vec![n])

@@ -61,20 +61,13 @@ impl fmt::Debug for ProbeOptions<'_> {
     }
 }
 
-/// Options of a sharded multi-node probe ([`FrozenExecutor::run_nodes_with`]):
-/// how the requested node set is distributed over the persistent pool, and an
+/// Options of a multi-node probe ([`FrozenExecutor::run_nodes_with`]): how
+/// the requested node set is distributed over the persistent pool, and an
 /// optional shared cancellation hook polled by every participant.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 pub struct NodeBatchOptions<'c> {
     scheduling: Scheduling,
-    shard: usize,
     cancel: Option<&'c (dyn Fn(usize) -> bool + Sync)>,
-}
-
-impl Default for NodeBatchOptions<'_> {
-    fn default() -> Self {
-        NodeBatchOptions { scheduling: Scheduling::default(), shard: 1, cancel: None }
-    }
 }
 
 impl<'c> NodeBatchOptions<'c> {
@@ -84,22 +77,11 @@ impl<'c> NodeBatchOptions<'c> {
         NodeBatchOptions::default()
     }
 
-    /// How the shards are distributed over the threads (the same knob as
+    /// How the nodes are distributed over the threads (the same knob as
     /// [`crate::BallExecutor::with_scheduling`]).
     #[must_use]
     pub fn with_scheduling(mut self, scheduling: Scheduling) -> Self {
         self.scheduling = scheduling;
-        self
-    }
-
-    /// Nodes per shard (minimum 1): the pool's chunk cursor hands out
-    /// contiguous runs of the requested node list in whole shards, so a
-    /// participant claims at least `shard` nodes at a time. `1` (the
-    /// default) leaves the chunk size to the pool. Results never depend on
-    /// it.
-    #[must_use]
-    pub fn with_shard(mut self, shard: usize) -> Self {
-        self.shard = shard.max(1);
         self
     }
 
@@ -119,7 +101,6 @@ impl fmt::Debug for NodeBatchOptions<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NodeBatchOptions")
             .field("scheduling", &self.scheduling)
-            .field("shard", &self.shard)
             .field("cancel", &self.cancel.is_some())
             .finish()
     }
@@ -255,9 +236,9 @@ impl FrozenExecutor {
     ///
     /// Returns one result per requested node, **index-addressed** (slot `i`
     /// answers `nodes[i]`), so results are deterministic by position no
-    /// matter how shards are stolen: every completed slot is bit-identical
-    /// to a sequential [`FrozenExecutor::run_node_with`] on the same
-    /// snapshot. A shared cancellation hook
+    /// matter which participant ran which slot: every completed slot is
+    /// bit-identical to a sequential [`FrozenExecutor::run_node_with`] on
+    /// the same snapshot. A shared cancellation hook
     /// ([`NodeBatchOptions::with_cancel`]) marks slots it interrupts with
     /// [`RuntimeError::Cancelled`]; out-of-bounds nodes report
     /// [`GraphError::NodeOutOfBounds`] in their slot without disturbing the
@@ -382,11 +363,9 @@ impl<'a, A: BallAlgorithm> Probe<'a, A> {
             self.node(pooled, node_at(i), &mut hook)
         };
         match options.scheduling {
-            Scheduling::WorkStealing => (0..count)
-                .into_par_iter()
-                .with_min_len(options.shard)
-                .map_init(|| scratch_pool.checkout(), probe)
-                .collect(),
+            Scheduling::WorkStealing => {
+                (0..count).into_par_iter().map_init(|| scratch_pool.checkout(), probe).collect()
+            }
             Scheduling::Sequential => {
                 let mut pooled = scratch_pool.checkout();
                 (0..count).map(|i| probe(&mut pooled, i)).collect()
@@ -597,19 +576,13 @@ mod tests {
         // positionally, duplicates included.
         let nodes: Vec<NodeId> = [7usize, 0, 19, 3, 3, 12, 8, 1, 19].map(NodeId::new).to_vec();
         for scheduling in [Scheduling::WorkStealing, Scheduling::Sequential] {
-            for shard in [1usize, 2, 4, 64] {
-                let options = NodeBatchOptions::new().with_scheduling(scheduling).with_shard(shard);
-                let batch =
-                    session.run_nodes_with(&nodes, &NaiveLargestId, Knowledge::none(), &options);
-                assert_eq!(batch.len(), nodes.len());
-                for (slot, &node) in batch.iter().zip(&nodes) {
-                    let single = probe(&session, node);
-                    assert_eq!(
-                        slot.as_ref().unwrap(),
-                        &single,
-                        "{scheduling:?} shard={shard} node {node:?}"
-                    );
-                }
+            let options = NodeBatchOptions::new().with_scheduling(scheduling);
+            let batch =
+                session.run_nodes_with(&nodes, &NaiveLargestId, Knowledge::none(), &options);
+            assert_eq!(batch.len(), nodes.len());
+            for (slot, &node) in batch.iter().zip(&nodes) {
+                let single = probe(&session, node);
+                assert_eq!(slot.as_ref().unwrap(), &single, "{scheduling:?} node {node:?}");
             }
         }
     }

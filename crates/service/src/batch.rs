@@ -1,8 +1,8 @@
 //! Batched, sharded queries behind the unified [`QueryRequest`] API.
 //!
 //! A batch pins **one** generation, holds **one** admission slot for its
-//! whole lifetime, and shards its node set across the persistent pool via
-//! the session's dynamic per-shard scheduling
+//! whole lifetime, and spreads its node set over the persistent pool
+//! through the session's node loop
 //! ([`avglocal_runtime::FrozenExecutor::run_nodes_with`]), reusing one
 //! `GrowerScratch` per pool participant. One cooperative deadline budget
 //! covers the entire batch: every probe polls the same shared cancel hook
@@ -253,7 +253,7 @@ where
     /// shared deadline, node set sharded across the persistent pool.
     ///
     /// Completed entries are bit-identical to sequential single queries of
-    /// the same nodes on the same generation — the shards are
+    /// the same nodes on the same generation — the slots are
     /// index-addressed, so scheduling never shows in the reply. A deadline
     /// expiring mid-batch yields a *partial* reply (typed per-entry
     /// outcomes), not an error; [`BatchReply::radii`] converts partiality
@@ -322,8 +322,7 @@ where
         let clock = self.clock();
         let start = clock.now();
         let cancel = move |_radius: usize| clock.now().saturating_sub(start) >= budget;
-        let options =
-            NodeBatchOptions::new().with_shard(self.config().batch_shard).with_cancel(&cancel);
+        let options = NodeBatchOptions::new().with_cancel(&cancel);
         let results = generation.session().run_nodes_with(
             &nodes,
             self.algorithm(),

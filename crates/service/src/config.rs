@@ -4,9 +4,8 @@
 //! and embedders can still write `ServiceConfig { max_in_flight: 1, ..Default::default() }`
 //! — but the recommended construction path is [`ServiceConfig::builder`],
 //! which rejects the degenerate settings a literal silently accepts: a
-//! zero admission bound sheds every request, a zero backoff base makes
-//! latest-consistency retries spin without ever yielding the clock, and a
-//! zero batch shard size would divide by zero when sharding a batch.
+//! zero admission bound sheds every request, and a zero backoff base makes
+//! latest-consistency retries spin without ever yielding the clock.
 
 use std::fmt;
 
@@ -27,11 +26,6 @@ pub struct ServiceConfig {
     /// Optional ball-radius hard limit applied to every generation's
     /// session (see [`avglocal_runtime::FrozenExecutor::with_max_radius`]).
     pub max_radius: Option<usize>,
-    /// Nodes per dynamically claimed shard of a batched query. `1` (the
-    /// default) is pure per-node dynamic scheduling — the right choice for
-    /// the paper's skewed per-node costs; larger shards amortise claim
-    /// traffic on huge uniform batches.
-    pub batch_shard: usize,
 }
 
 impl Default for ServiceConfig {
@@ -42,7 +36,6 @@ impl Default for ServiceConfig {
             retry_limit: 3,
             backoff_base: 1,
             max_radius: None,
-            batch_shard: 1,
         }
     }
 }
@@ -62,7 +55,7 @@ impl ServiceConfig {
 /// ```
 /// use avglocal_service::{InvalidConfig, ServiceConfig};
 ///
-/// let config = ServiceConfig::builder().max_in_flight(8).batch_shard(16).build().unwrap();
+/// let config = ServiceConfig::builder().max_in_flight(8).build().unwrap();
 /// assert_eq!(config.max_in_flight, 8);
 ///
 /// let err = ServiceConfig::builder().backoff_base(0).build().unwrap_err();
@@ -109,30 +102,19 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Sets the batch shard size. Zero is rejected by [`Self::build`].
-    #[must_use]
-    pub fn batch_shard(mut self, nodes: usize) -> Self {
-        self.config.batch_shard = nodes;
-        self
-    }
-
     /// Validates and returns the configuration.
     ///
     /// # Errors
     ///
     /// A typed [`InvalidConfig`] naming the first degenerate setting: zero
-    /// `max_in_flight` (the service would shed everything), zero
-    /// `backoff_base` (retries would spin without sleeping), or zero
-    /// `batch_shard` (batches could not be sharded).
+    /// `max_in_flight` (the service would shed everything) or zero
+    /// `backoff_base` (retries would spin without sleeping).
     pub fn build(self) -> std::result::Result<ServiceConfig, InvalidConfig> {
         if self.config.max_in_flight == 0 {
             return Err(InvalidConfig::ZeroMaxInFlight);
         }
         if self.config.backoff_base == 0 {
             return Err(InvalidConfig::ZeroBackoffBase);
-        }
-        if self.config.batch_shard == 0 {
-            return Err(InvalidConfig::ZeroBatchShard);
         }
         Ok(self.config)
     }
@@ -148,8 +130,6 @@ pub enum InvalidConfig {
     /// `backoff_base == 0`: latest-consistency retries would never back
     /// off, spinning on the clock.
     ZeroBackoffBase,
-    /// `batch_shard == 0`: a batch could not be split into shards.
-    ZeroBatchShard,
 }
 
 impl fmt::Display for InvalidConfig {
@@ -160,9 +140,6 @@ impl fmt::Display for InvalidConfig {
             }
             InvalidConfig::ZeroBackoffBase => {
                 write!(f, "backoff_base must be positive: zero backoff spins on retry")
-            }
-            InvalidConfig::ZeroBatchShard => {
-                write!(f, "batch_shard must be positive: batches are sharded by this size")
             }
         }
     }
@@ -189,10 +166,6 @@ mod tests {
             ServiceConfig::builder().backoff_base(0).build().unwrap_err(),
             InvalidConfig::ZeroBackoffBase
         );
-        assert_eq!(
-            ServiceConfig::builder().batch_shard(0).build().unwrap_err(),
-            InvalidConfig::ZeroBatchShard
-        );
     }
 
     #[test]
@@ -203,7 +176,6 @@ mod tests {
             .retry_limit(7)
             .backoff_base(2)
             .max_radius(Some(9))
-            .batch_shard(32)
             .build()
             .unwrap();
         let expected = ServiceConfig {
@@ -212,7 +184,6 @@ mod tests {
             retry_limit: 7,
             backoff_base: 2,
             max_radius: Some(9),
-            batch_shard: 32,
         };
         assert_eq!(config, expected);
     }

@@ -68,7 +68,6 @@ fn chunk_job_outputs_written_exactly_once_and_in_order() {
         let results = run_chunked_on(
             &shared,
             2,
-            1,
             || (),
             move |(), i| {
                 counts[i].fetch_add(1, Ordering::Relaxed);
@@ -95,7 +94,6 @@ fn chunk_job_reuses_one_state_per_participant() {
         let results = run_chunked_on(
             &shared,
             2,
-            1,
             move || init_count.fetch_add(1, Ordering::Relaxed),
             |state, i| (*state, i),
         );
@@ -142,7 +140,6 @@ fn panicking_item_is_contained_and_pool_survives() {
                 run_chunked_on(
                     &shared,
                     2,
-                    1,
                     || (),
                     |(), i| {
                         if i == 0 {
@@ -157,7 +154,7 @@ fn panicking_item_is_contained_and_pool_survives() {
             assert_eq!(message, "item 0 failed");
             worker.join().unwrap();
             // The same pool state is still fully usable afterwards.
-            let results = run_chunked_on(&shared, 2, 1, || (), |(), i| i + 1);
+            let results = run_chunked_on(&shared, 2, || (), |(), i| i + 1);
             assert_eq!(results, vec![1, 2]);
         });
     });
@@ -170,7 +167,7 @@ fn smallest_index_panic_wins_on_every_interleaving() {
             let shared = Arc::new(Shared::with_threads(2));
             let worker = spawn_worker(&shared, 1, 2);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                run_chunked_on(&shared, 2, 1, || (), |(), i| -> usize { panic!("item {i} failed") })
+                run_chunked_on(&shared, 2, || (), |(), i| -> usize { panic!("item {i} failed") })
             }));
             // Both items panic; with chunk size 1 the two panics can be
             // recorded in either order, but the *propagated* payload must be

@@ -1,11 +1,11 @@
 //! Property tests for the batched, sharded query path of the radius-query
 //! service.
 //!
-//! The central claim of `query_batch`: however the node set is sharded
-//! across the persistent pool — any shard size, either CI thread leg —
-//! every completed batch entry is
-//! **bit-identical** to a sequential single `query_with` of the same node on the
-//! same pinned generation. On top of that, the batch-specific contracts:
+//! The central claim of `query_batch`: however the pool's participants
+//! split the node set — on either CI thread leg — every completed batch
+//! entry is **bit-identical** to a sequential single `query_with` of the
+//! same node on the same pinned generation. On top of that, the
+//! batch-specific contracts:
 //! one admission slot per batch regardless of size, typed *partial* replies
 //! when the shared deadline expires mid-batch, per-entry typed failures
 //! that never disturb their neighbours, and the same `QueryOptions`
@@ -44,20 +44,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// `query_batch` replies are bit-identical to a loop of single
-    /// `query_with` calls on the same pinned generation, across a spread of
-    /// shard sizes (1 = pure per-node dynamic scheduling, larger shards, and
-    /// one shard covering the whole batch).
+    /// `query_with` calls on the same pinned generation.
     #[test]
     fn batch_entries_are_bit_identical_to_single_queries(
         n in 8usize..64,
         seed in 0u64..500,
         batch_len in 1usize..80,
-        shard in 1usize..100,
     ) {
-        let csr = shuffled_cycle(n, seed);
-        let config =
-            ServiceConfig::builder().batch_shard(shard).build().expect("positive tunables are valid");
-        let service = service_on(csr, config);
+        let service = service_on(shuffled_cycle(n, seed), ServiceConfig::default());
 
         // A scripted node list with duplicates and arbitrary order.
         let nodes: Vec<NodeId> =
@@ -220,10 +214,6 @@ fn batches_pin_one_epoch_and_latest_consistency_tracks_swaps() {
 
 #[test]
 fn builder_rejects_degenerate_batch_configs() {
-    assert!(matches!(
-        ServiceConfig::builder().batch_shard(0).build(),
-        Err(avglocal_service::InvalidConfig::ZeroBatchShard)
-    ));
     assert!(matches!(
         ServiceConfig::builder().max_in_flight(0).build(),
         Err(avglocal_service::InvalidConfig::ZeroMaxInFlight)
