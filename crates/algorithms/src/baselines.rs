@@ -110,7 +110,7 @@ mod tests {
     use crate::verify;
     use crate::LargestId;
     use avglocal_graph::{generators, IdAssignment};
-    use avglocal_runtime::BallExecutor;
+    use avglocal_runtime::FrozenExecutor;
 
     fn ring(n: usize, seed: u64) -> Graph {
         let mut g = generators::cycle(n).unwrap();
@@ -153,7 +153,7 @@ mod tests {
     #[test]
     fn full_info_coloring_pays_the_saturation_radius() {
         let g = ring(18, 2);
-        let run = BallExecutor::new().run(&g, &FullInfoColoring, Knowledge::none()).unwrap();
+        let run = FrozenExecutor::new(&g).run(&FullInfoColoring, Knowledge::none()).unwrap();
         assert!(verify::is_proper_coloring(&g, run.outputs(), 3));
         assert_eq!(run.max_radius(), 9);
         assert_eq!(run.average_radius(), 9.0);
@@ -162,8 +162,8 @@ mod tests {
     #[test]
     fn full_info_largest_id_matches_outputs_but_not_radii() {
         let g = ring(22, 6);
-        let smart = BallExecutor::new().run(&g, &LargestId, Knowledge::none()).unwrap();
-        let lazy = BallExecutor::new().run(&g, &FullInfoLargestId, Knowledge::none()).unwrap();
+        let smart = FrozenExecutor::new(&g).run(&LargestId, Knowledge::none()).unwrap();
+        let lazy = FrozenExecutor::new(&g).run(&FullInfoLargestId, Knowledge::none()).unwrap();
         assert_eq!(smart.outputs(), lazy.outputs());
         assert_eq!(lazy.average_radius(), lazy.max_radius() as f64);
         assert!(smart.average_radius() < lazy.average_radius());

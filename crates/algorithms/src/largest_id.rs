@@ -7,7 +7,9 @@
 //! paper's headline separation.
 
 use avglocal_graph::Graph;
-use avglocal_runtime::{BallAlgorithm, BallExecution, BallExecutor, Knowledge, LocalView, Result};
+use avglocal_runtime::{
+    BallAlgorithm, BallExecution, FrozenExecutor, Knowledge, LocalView, Result,
+};
 
 /// The paper's algorithm for the largest-ID problem.
 ///
@@ -23,12 +25,12 @@ use avglocal_runtime::{BallAlgorithm, BallExecution, BallExecutor, Knowledge, Lo
 /// ```
 /// use avglocal_algorithms::LargestId;
 /// use avglocal_graph::{generators, IdAssignment};
-/// use avglocal_runtime::{BallExecutor, Knowledge};
+/// use avglocal_runtime::{FrozenExecutor, Knowledge};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut ring = generators::cycle(128)?;
 /// IdAssignment::Shuffled { seed: 5 }.apply(&mut ring)?;
-/// let run = BallExecutor::new().run(&ring, &LargestId, Knowledge::none())?;
+/// let run = FrozenExecutor::new(&ring).run(&LargestId, Knowledge::none())?;
 /// assert_eq!(run.outputs().iter().filter(|&&b| b).count(), 1);
 /// assert_eq!(run.max_radius(), 64);       // worst case is n/2
 /// assert!(run.average_radius() < 10.0);   // average is logarithmic
@@ -67,7 +69,7 @@ impl BallAlgorithm for LargestId {
 /// Propagates executor errors; with [`LargestId`] these can only occur on
 /// graphs with non-distinct identifiers.
 pub fn run_largest_id(graph: &Graph) -> Result<BallExecution<bool>> {
-    BallExecutor::new().run(graph, &LargestId, Knowledge::none())
+    FrozenExecutor::new(graph).run(&LargestId, Knowledge::none())
 }
 
 /// The exact radius the paper predicts for each node of a **cycle**, given

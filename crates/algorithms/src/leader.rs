@@ -9,7 +9,9 @@
 //! concluding question about which problems admit an average/worst-case gap.
 
 use avglocal_graph::{Graph, Identifier, NodeId};
-use avglocal_runtime::{BallAlgorithm, BallExecution, BallExecutor, Knowledge, LocalView, Result};
+use avglocal_runtime::{
+    BallAlgorithm, BallExecution, FrozenExecutor, Knowledge, LocalView, Result,
+};
 
 use crate::largest_id::LargestId;
 
@@ -50,7 +52,7 @@ pub struct Election {
 ///
 /// Propagates executor errors.
 pub fn elect_leader(graph: &Graph) -> Result<Election> {
-    let execution = BallExecutor::new().run(graph, &LargestId, Knowledge::none())?;
+    let execution = FrozenExecutor::new(graph).run(&LargestId, Knowledge::none())?;
     let leader = graph
         .nodes()
         .find(|&v| *execution.output(v))
@@ -80,7 +82,7 @@ mod tests {
     #[test]
     fn know_the_leader_agrees_everywhere() {
         let g = ring(12, 8);
-        let run = BallExecutor::new().run(&g, &KnowTheLeader, Knowledge::none()).unwrap();
+        let run = FrozenExecutor::new(&g).run(&KnowTheLeader, Knowledge::none()).unwrap();
         let expected = g.identifier(g.max_identifier_node().unwrap());
         assert!(run.outputs().iter().all(|&id| id == expected));
     }
@@ -88,7 +90,7 @@ mod tests {
     #[test]
     fn know_the_leader_has_no_average_gap() {
         let g = ring(20, 5);
-        let run = BallExecutor::new().run(&g, &KnowTheLeader, Knowledge::none()).unwrap();
+        let run = FrozenExecutor::new(&g).run(&KnowTheLeader, Knowledge::none()).unwrap();
         // Every node needs the saturation radius, so average == max.
         assert_eq!(run.average_radius(), run.max_radius() as f64);
         assert_eq!(run.max_radius(), 10);
@@ -97,8 +99,8 @@ mod tests {
     #[test]
     fn largest_id_has_an_average_gap_on_the_same_instance() {
         let g = ring(20, 5);
-        let largest = BallExecutor::new().run(&g, &LargestId, Knowledge::none()).unwrap();
-        let naming = BallExecutor::new().run(&g, &KnowTheLeader, Knowledge::none()).unwrap();
+        let largest = FrozenExecutor::new(&g).run(&LargestId, Knowledge::none()).unwrap();
+        let naming = FrozenExecutor::new(&g).run(&KnowTheLeader, Knowledge::none()).unwrap();
         assert!(largest.average_radius() < naming.average_radius());
         assert_eq!(largest.max_radius(), naming.max_radius());
     }

@@ -27,12 +27,12 @@
 //! ```
 //! use avglocal_algorithms::{LargestId, verify};
 //! use avglocal_graph::{generators, IdAssignment};
-//! use avglocal_runtime::{BallExecutor, Knowledge};
+//! use avglocal_runtime::{FrozenExecutor, Knowledge};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut ring = generators::cycle(256)?;
 //! IdAssignment::Shuffled { seed: 42 }.apply(&mut ring)?;
-//! let run = BallExecutor::new().run(&ring, &LargestId, Knowledge::none())?;
+//! let run = FrozenExecutor::new(&ring).run(&LargestId, Knowledge::none())?;
 //! assert!(verify::is_correct_largest_id(&ring, run.outputs()));
 //! assert_eq!(run.max_radius(), 128);      // the winner sees half the ring
 //! assert!(run.average_radius() < 10.0);   // everyone else stops early
@@ -70,7 +70,7 @@ pub use three_coloring::{
 mod proptests {
     use super::*;
     use avglocal_graph::{generators, IdAssignment};
-    use avglocal_runtime::{BallExecutor, Knowledge};
+    use avglocal_runtime::{FrozenExecutor, Knowledge};
     use proptest::prelude::*;
 
     proptest! {
@@ -104,7 +104,7 @@ mod proptests {
         fn landmark_coloring_proper_on_random_rings(n in 3usize..64, seed in 0u64..500) {
             let mut g = generators::cycle(n).unwrap();
             IdAssignment::Shuffled { seed }.apply(&mut g).unwrap();
-            let run = BallExecutor::new().run(&g, &LandmarkColoring, Knowledge::none()).unwrap();
+            let run = FrozenExecutor::new(&g).run(&LandmarkColoring, Knowledge::none()).unwrap();
             prop_assert!(verify::is_proper_coloring(&g, run.outputs(), 4));
         }
 

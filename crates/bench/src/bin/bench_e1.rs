@@ -47,7 +47,7 @@ use std::time::Instant;
 use avglocal::algorithms::{KnowTheLeader, LargestId};
 use avglocal::graph::CsrGraph;
 use avglocal::prelude::*;
-use avglocal::runtime::{BallExecutor, FrozenExecutor, Knowledge, NodeBatchOptions, ProbeOptions};
+use avglocal::runtime::{FrozenExecutor, Knowledge, NodeBatchOptions, ProbeOptions};
 use avglocal_bench::load::{raw_probe_load, service_batch_load, service_load, LoadConfig};
 
 /// Repetitions per measurement; the minimum is reported.
@@ -406,10 +406,8 @@ fn main() -> ExitCode {
     for &n in sampling_sizes {
         let csr = sampling_graph(n);
         let session = FrozenExecutor::from_csr(csr.clone());
-        let exec = BallExecutor::new();
-        let (exact_run, exact_ms) = measure_ms(|| {
-            exec.run_frozen(&csr, &KnowTheLeader, Knowledge::none()).expect("terminates")
-        });
+        let (exact_run, exact_ms) =
+            measure_ms(|| session.run(&KnowTheLeader, Knowledge::none()).expect("terminates"));
         let exact =
             MeasureSet::of_csr(&RadiusProfile::new(exact_run.radii().to_vec()), &csr).node_averaged;
         let plan = SamplePlan::Uniform { budget: n / 10 };

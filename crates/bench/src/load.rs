@@ -73,63 +73,31 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-fn report(
-    clock: &WallClock,
-    started_us: u64,
-    mut latencies: Vec<u64>,
-    total_radius: u64,
-    completed: u64,
+/// The one reader loop behind every load path: `config.readers` scoped
+/// threads each walk their [`reader_script`] in requests of `per_request`
+/// nodes, and `request` answers one request with the sum of its radii. Each
+/// request is timed on the wall clock; every walked node counts as one
+/// completed query (a failed request panics instead).
+fn drive(
+    config: &LoadConfig,
+    per_request: usize,
+    request: impl Fn(&[NodeId]) -> u64 + Sync,
 ) -> LoadReport {
-    let elapsed_us = clock.now().saturating_sub(started_us).max(1);
-    latencies.sort_unstable();
-    LoadReport {
-        completed,
-        total_radius,
-        elapsed_us,
-        qps: completed as f64 / (elapsed_us as f64 / 1e6),
-        p50_us: quantile(&latencies, 0.50),
-        p99_us: quantile(&latencies, 0.99),
-        max_us: latencies.last().copied().unwrap_or(0),
-    }
-}
-
-/// Runs the load through the full service layer: admission, deadline
-/// bookkeeping and epoch pinning on every query.
-///
-/// # Panics
-///
-/// Panics if the cycle cannot be built or any query fails — under this
-/// load shape (`max_in_flight >= readers`, unbounded deadline) every query
-/// must complete.
-#[must_use]
-pub fn service_load(config: &LoadConfig) -> LoadReport {
-    let csr = generators::cycle(config.nodes).expect("load cycles are valid").freeze();
-    let service_config =
-        ServiceConfig { max_in_flight: config.readers.max(1) * 2, ..ServiceConfig::default() };
     let clock = WallClock::new();
-    let service = RadiusQueryService::new(
-        LargestId,
-        Knowledge::none(),
-        csr,
-        Arc::new(WallClock::new()),
-        service_config,
-    );
     let started = clock.now();
     let per_reader = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..config.readers)
             .map(|reader| {
-                let service = &service;
-                let clock = &clock;
+                let (clock, request) = (&clock, &request);
                 scope.spawn(move || {
-                    let mut latencies = Vec::with_capacity(config.queries_per_reader);
+                    let script: Vec<NodeId> = reader_script(config, reader).collect();
+                    let mut latencies = Vec::with_capacity(script.len().div_ceil(per_request));
                     let mut total_radius = 0u64;
-                    for node in reader_script(config, reader) {
+                    for chunk in script.chunks(per_request) {
                         let before = clock.now();
-                        let reply = service
-                            .query_with(node, QueryOptions::new())
-                            .expect("load queries complete");
+                        let radius = request(chunk);
                         latencies.push(clock.now().saturating_sub(before));
-                        total_radius += reply.radius as u64;
+                        total_radius += radius;
                     }
                     (latencies, total_radius)
                 })
@@ -146,8 +114,51 @@ pub fn service_load(config: &LoadConfig) -> LoadReport {
         latencies.extend(reader_latencies);
         total_radius += reader_radius;
     }
-    let completed = latencies.len() as u64;
-    report(&clock, started, latencies, total_radius, completed)
+    let elapsed_us = clock.now().saturating_sub(started).max(1);
+    let completed = (config.readers * config.queries_per_reader) as u64;
+    latencies.sort_unstable();
+    LoadReport {
+        completed,
+        total_radius,
+        elapsed_us,
+        qps: completed as f64 / (elapsed_us as f64 / 1e6),
+        p50_us: quantile(&latencies, 0.50),
+        p99_us: quantile(&latencies, 0.99),
+        max_us: latencies.last().copied().unwrap_or(0),
+    }
+}
+
+/// The service every service path runs against: largest-ID on a
+/// `config.nodes`-cycle, with admission room for every reader.
+fn load_service(config: &LoadConfig) -> RadiusQueryService<LargestId> {
+    let csr = generators::cycle(config.nodes).expect("load cycles are valid").freeze();
+    let service_config =
+        ServiceConfig { max_in_flight: config.readers.max(1) * 2, ..ServiceConfig::default() };
+    RadiusQueryService::new(
+        LargestId,
+        Knowledge::none(),
+        csr,
+        Arc::new(WallClock::new()),
+        service_config,
+    )
+}
+
+/// Runs the load through the full service layer: admission, deadline
+/// bookkeeping and epoch pinning on every query.
+///
+/// # Panics
+///
+/// Panics if the cycle cannot be built or any query fails — under this
+/// load shape (`max_in_flight >= readers`, unbounded deadline) every query
+/// must complete.
+#[must_use]
+pub fn service_load(config: &LoadConfig) -> LoadReport {
+    let service = load_service(config);
+    drive(config, 1, |nodes| {
+        let reply =
+            service.query_with(nodes[0], QueryOptions::new()).expect("load queries complete");
+        reply.radius as u64
+    })
 }
 
 /// Runs the same per-reader node scripts through the **batched** query
@@ -168,56 +179,13 @@ pub fn service_load(config: &LoadConfig) -> LoadReport {
 /// nodes) every entry must complete.
 #[must_use]
 pub fn service_batch_load(config: &LoadConfig, batch_size: usize) -> LoadReport {
-    let csr = generators::cycle(config.nodes).expect("load cycles are valid").freeze();
-    let service_config =
-        ServiceConfig { max_in_flight: config.readers.max(1) * 2, ..ServiceConfig::default() };
-    let clock = WallClock::new();
-    let service = RadiusQueryService::new(
-        LargestId,
-        Knowledge::none(),
-        csr,
-        Arc::new(WallClock::new()),
-        service_config,
-    );
-    let batch_size = batch_size.max(1);
-    let started = clock.now();
-    let per_reader = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.readers)
-            .map(|reader| {
-                let service = &service;
-                let clock = &clock;
-                scope.spawn(move || {
-                    let script: Vec<NodeId> = reader_script(config, reader).collect();
-                    let mut latencies = Vec::with_capacity(script.len().div_ceil(batch_size));
-                    let mut total_radius = 0u64;
-                    let mut completed = 0u64;
-                    for chunk in script.chunks(batch_size) {
-                        let request = QueryRequest::nodes(chunk.to_vec(), QueryOptions::new());
-                        let before = clock.now();
-                        let reply = service.query_batch(&request).expect("load batches admit");
-                        latencies.push(clock.now().saturating_sub(before));
-                        let radii = reply.radii().expect("load batch entries complete");
-                        total_radius += radii.iter().map(|&r| r as u64).sum::<u64>();
-                        completed += radii.len() as u64;
-                    }
-                    (latencies, total_radius, completed)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("load readers do not panic"))
-            .collect::<Vec<_>>()
-    });
-    let mut latencies = Vec::new();
-    let mut total_radius = 0u64;
-    let mut completed = 0u64;
-    for (reader_latencies, reader_radius, reader_completed) in per_reader {
-        latencies.extend(reader_latencies);
-        total_radius += reader_radius;
-        completed += reader_completed;
-    }
-    report(&clock, started, latencies, total_radius, completed)
+    let service = load_service(config);
+    drive(config, batch_size.max(1), |nodes| {
+        let request = QueryRequest::nodes(nodes.to_vec(), QueryOptions::new());
+        let reply = service.query_batch(&request).expect("load batches admit");
+        let radii = reply.radii().expect("load batch entries complete");
+        radii.iter().map(|&r| r as u64).sum()
+    })
 }
 
 /// Runs the identical load straight on a shared [`FrozenExecutor`] session:
@@ -231,43 +199,14 @@ pub fn service_batch_load(config: &LoadConfig, batch_size: usize) -> LoadReport 
 pub fn raw_probe_load(config: &LoadConfig) -> LoadReport {
     let csr = generators::cycle(config.nodes).expect("load cycles are valid").freeze();
     let session = FrozenExecutor::from_csr(csr);
-    let clock = WallClock::new();
-    let started = clock.now();
-    let per_reader = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.readers)
-            .map(|reader| {
-                let session = &session;
-                let clock = &clock;
-                scope.spawn(move || {
-                    let mut latencies = Vec::with_capacity(config.queries_per_reader);
-                    let mut total_radius = 0u64;
-                    for node in reader_script(config, reader) {
-                        let before = clock.now();
-                        let mut never = |_: usize| false;
-                        let options = ProbeOptions::new().with_cancel(&mut never);
-                        let (_, radius) = session
-                            .run_node_with(node, &LargestId, Knowledge::none(), options)
-                            .expect("load probes complete");
-                        latencies.push(clock.now().saturating_sub(before));
-                        total_radius += radius as u64;
-                    }
-                    (latencies, total_radius)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("load readers do not panic"))
-            .collect::<Vec<_>>()
-    });
-    let mut latencies = Vec::new();
-    let mut total_radius = 0u64;
-    for (reader_latencies, reader_radius) in per_reader {
-        latencies.extend(reader_latencies);
-        total_radius += reader_radius;
-    }
-    let completed = latencies.len() as u64;
-    report(&clock, started, latencies, total_radius, completed)
+    drive(config, 1, |nodes| {
+        let mut never = |_: usize| false;
+        let options = ProbeOptions::new().with_cancel(&mut never);
+        let (_, radius) = session
+            .run_node_with(nodes[0], &LargestId, Knowledge::none(), options)
+            .expect("load probes complete");
+        radius as u64
+    })
 }
 
 #[cfg(test)]

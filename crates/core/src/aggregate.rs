@@ -164,7 +164,7 @@ mod tests {
 
     use avglocal_graph::{generators, IdAssignment, NodeId};
     use avglocal_runtime::examples::NaiveLargestId;
-    use avglocal_runtime::{BallExecutor, Knowledge, Scheduling};
+    use avglocal_runtime::{FrozenExecutor, Knowledge, Scheduling};
     use avglocal_service::{ServiceConfig, ServiceError, TestClock};
 
     fn service_on_shuffled_cycle(n: usize, seed: u64) -> RadiusQueryService<NaiveLargestId> {
@@ -183,9 +183,9 @@ mod tests {
     fn aggregate_replies_match_the_sequential_measurement() {
         let service = service_on_shuffled_cycle(48, 11);
         let pinned = service.pin();
-        let reference = BallExecutor::new()
+        let reference = FrozenExecutor::from_csr(pinned.session().csr().clone())
             .with_scheduling(Scheduling::Sequential)
-            .run_frozen(pinned.session().csr(), &NaiveLargestId, Knowledge::none())
+            .run(&NaiveLargestId, Knowledge::none())
             .unwrap();
         let radii: Vec<usize> = (0..48).map(|v| reference.radius(NodeId::new(v))).collect();
         let profile = RadiusProfile::new(radii.clone());

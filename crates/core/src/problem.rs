@@ -7,7 +7,7 @@
 use std::fmt;
 
 use avglocal_algorithms::{
-    run_mis, run_three_coloring, verify, FullInfoColoring, FullInfoLargestId, KnowTheLeader,
+    run_three_coloring, verify, FullInfoColoring, FullInfoLargestId, KnowTheLeader,
     LandmarkColoring, LargestId,
 };
 use avglocal_graph::{ComponentLabels, Graph};
@@ -237,13 +237,10 @@ impl Problem {
                 Ok(RadiusProfile::new(rounds))
             }
             Problem::Mis => {
-                let in_set = run_mis(graph)?;
-                self.check(verify::is_maximal_independent_set(graph, &in_set))?;
-                // The MIS radii come from the round-based pipeline; re-run via
-                // the executor to obtain decision rounds.
                 let orientation = avglocal_algorithms::RingOrientation::trace(graph)?;
                 let algo = avglocal_algorithms::MisRing::new(orientation);
                 let run = avglocal_runtime::SyncExecutor::new().run(graph, &algo, knowledge)?;
+                self.check(verify::is_maximal_independent_set(graph, &run.outputs()))?;
                 RadiusProfile::from_execution(&run)
             }
             Problem::Matching => {

@@ -165,7 +165,7 @@ mod tests {
     use super::*;
     use avglocal_algorithms::LargestId;
     use avglocal_graph::{generators, IdAssignment};
-    use avglocal_runtime::{BallExecutor, GatherAdapter, Knowledge, SyncExecutor};
+    use avglocal_runtime::{FrozenExecutor, GatherAdapter, Knowledge, SyncExecutor};
 
     #[test]
     fn basic_statistics() {
@@ -231,7 +231,7 @@ mod tests {
     fn profiles_from_both_executors_agree() {
         let mut g = generators::cycle(15).unwrap();
         IdAssignment::Shuffled { seed: 2 }.apply(&mut g).unwrap();
-        let ball = BallExecutor::new().run(&g, &LargestId, Knowledge::none()).unwrap();
+        let ball = FrozenExecutor::new(&g).run(&LargestId, Knowledge::none()).unwrap();
         let rounds =
             SyncExecutor::new().run(&g, &GatherAdapter::new(LargestId), Knowledge::none()).unwrap();
         let p1 = RadiusProfile::from_ball_execution(&ball);

@@ -1,39 +1,15 @@
-//! Ball-view executor (the knowledge view of LOCAL).
+//! What a ball-view run produces and how it is scheduled.
 //!
 //! Every node independently grows the radius of the ball it sees until the
 //! algorithm commits to an output; the radius of the first decision is the
 //! node's cost `r(v)`. This is the view in which the paper states all of its
-//! results, and it is the executor used by the experiment harness because the
-//! radii it reports are exact by construction.
-//!
-//! # Performance
-//!
-//! The executor freezes the graph into a [`CsrGraph`] snapshot once, then
-//! drives one incremental [`avglocal_graph::BallGrower`] per pool
-//! participant: probing a node at radii `0, 1, …, r(v)` costs `Θ(ball(v))`
-//! edges in total instead of the `Θ(r(v)²)` a from-scratch extraction per
-//! probe would cost.
-//!
-//! Nodes are scheduled **dynamically**: the persistent worker pool hands out
-//! fine-grained index chunks from an atomic cursor, so on the paper's skewed
-//! workloads — one `Θ(n)` node among `n - 1` cheap ones under an adversarial
-//! identifier assignment — the expensive node stalls only its own small
-//! chunk while the other participants steal the rest. Each participant
-//! reuses one scratch buffer across every chunk it claims (no per-probe
-//! allocation in the steady state), results are written into index-addressed
-//! slots, and the first error in node order wins — outputs, radii and error
-//! selection are bit-identical to the left-to-right reference
-//! ([`Scheduling::Sequential`]) no matter how chunks are stolen. Full runs,
-//! node batches and single probes all share one node loop and one probe
-//! loop (see [`crate::FrozenExecutor`]).
+//! results. [`crate::FrozenExecutor`] runs it and returns a
+//! [`BallExecution`]; its [`Scheduling`] decides how the nodes are spread
+//! over the threads, and never what they answer.
 
-use avglocal_graph::{CsrGraph, Graph, NodeId};
+use avglocal_graph::NodeId;
 
-use crate::algorithm::BallAlgorithm;
 use crate::error::Result;
-use crate::frozen::{NodeBatchOptions, Probe};
-use crate::knowledge::Knowledge;
-use crate::scratch::ScratchPool;
 
 /// The result of a ball-view execution: per-node outputs and radii.
 #[derive(Debug, Clone)]
@@ -128,105 +104,6 @@ pub enum Scheduling {
     Sequential,
 }
 
-/// Executor for [`BallAlgorithm`]s.
-///
-/// # Examples
-///
-/// ```
-/// use avglocal_graph::{generators, IdAssignment};
-/// use avglocal_runtime::{BallExecutor, Knowledge};
-/// use avglocal_runtime::examples::NaiveLargestId;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut ring = generators::cycle(32)?;
-/// IdAssignment::Shuffled { seed: 7 }.apply(&mut ring)?;
-/// let run = BallExecutor::new().run(&ring, &NaiveLargestId, Knowledge::none())?;
-/// // Exactly one node answers `true` and the worst radius is n/2.
-/// assert_eq!(run.outputs().iter().filter(|&&b| b).count(), 1);
-/// assert_eq!(run.max_radius(), 16);
-/// assert!(run.average_radius() < 16.0);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct BallExecutor {
-    max_radius: Option<usize>,
-    scheduling: Scheduling,
-}
-
-impl BallExecutor {
-    /// Creates an executor with the default radius limit (the node count,
-    /// which is always enough because views saturate at the component).
-    #[must_use]
-    pub fn new() -> Self {
-        BallExecutor::default()
-    }
-
-    /// Creates an executor that refuses to grow balls beyond `max_radius`.
-    #[must_use]
-    pub fn with_max_radius(max_radius: usize) -> Self {
-        BallExecutor { max_radius: Some(max_radius), ..BallExecutor::default() }
-    }
-
-    /// Sets how runs are distributed over the threads, keeping the other
-    /// settings.
-    #[must_use]
-    pub fn with_scheduling(mut self, scheduling: Scheduling) -> Self {
-        self.scheduling = scheduling;
-        self
-    }
-
-    /// The scheduling this executor uses.
-    #[must_use]
-    pub fn scheduling(&self) -> Scheduling {
-        self.scheduling
-    }
-
-    /// Freezes `graph` and runs `algorithm` on every node of the snapshot
-    /// (see [`BallExecutor::run_frozen`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BallExecutor::run_frozen`].
-    pub fn run<A>(
-        &self,
-        graph: &Graph,
-        algorithm: &A,
-        knowledge: Knowledge,
-    ) -> Result<BallExecution<A::Output>>
-    where
-        A: BallAlgorithm + Sync,
-        A::Output: Send,
-    {
-        self.run_frozen(&graph.freeze(), algorithm, knowledge)
-    }
-
-    /// Runs `algorithm` on every node of a frozen snapshot and collects
-    /// outputs and radii. Outputs, radii and error selection are identical
-    /// under every [`Scheduling`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::RuntimeError::NonTerminating`] if a node still
-    /// refuses to decide on a saturated view (it has seen its whole
-    /// component, so no larger radius can help), and
-    /// [`crate::RuntimeError::RoundLimitExceeded`] if a custom radius limit
-    /// is hit first; the error reported is the first in node order.
-    pub fn run_frozen<A>(
-        &self,
-        csr: &CsrGraph,
-        algorithm: &A,
-        knowledge: Knowledge,
-    ) -> Result<BallExecution<A::Output>>
-    where
-        A: BallAlgorithm + Sync,
-        A::Output: Send,
-    {
-        let options = NodeBatchOptions::new().with_scheduling(self.scheduling);
-        Probe::new(csr, algorithm, knowledge, self.max_radius).all(&ScratchPool::new(), &options)
-    }
-}
-
 /// Assembles per-node probe results into a [`BallExecution`], surfacing the
 /// first error **in node order** — the same error a sequential
 /// left-to-right run would report, independent of chunk scheduling.
@@ -245,8 +122,8 @@ pub(crate) fn collect_execution<O>(per_node: Vec<Result<(O, usize)>>) -> Result<
 mod tests {
     use super::*;
     use crate::examples::NaiveLargestId;
-    use crate::{FrozenExecutor, LocalView, ProbeOptions, RuntimeError};
-    use avglocal_graph::{extract_ball, generators, IdAssignment, Identifier, NodeId};
+    use crate::{BallAlgorithm, FrozenExecutor, Knowledge, LocalView, ProbeOptions, RuntimeError};
+    use avglocal_graph::{extract_ball, generators, Graph, IdAssignment, Identifier};
 
     struct NeverDecides;
     impl BallAlgorithm for NeverDecides {
@@ -270,7 +147,7 @@ mod tests {
         // node i (for i < n-1) sees the larger identifier i+1 at radius 1,
         // while node n-1 must see the whole cycle.
         let g = generators::cycle(10).unwrap();
-        let run = BallExecutor::new().run(&g, &NaiveLargestId, Knowledge::none()).unwrap();
+        let run = FrozenExecutor::new(&g).run(&NaiveLargestId, Knowledge::none()).unwrap();
         assert_eq!(run.node_count(), 10);
         for i in 0..9 {
             assert_eq!(run.radius(NodeId::new(i)), 1);
@@ -286,15 +163,16 @@ mod tests {
     #[test]
     fn non_terminating_algorithm_is_detected() {
         let g = generators::cycle(5).unwrap();
-        let err = BallExecutor::new().run(&g, &NeverDecides, Knowledge::none()).unwrap_err();
+        let err = FrozenExecutor::new(&g).run(&NeverDecides, Knowledge::none()).unwrap_err();
         assert!(matches!(err, RuntimeError::NonTerminating { .. }));
     }
 
     #[test]
     fn radius_limit_is_enforced() {
         let g = generators::cycle(30).unwrap();
-        let err = BallExecutor::with_max_radius(3)
-            .run(&g, &DecideAtRadius(10), Knowledge::none())
+        let err = FrozenExecutor::new(&g)
+            .with_max_radius(3)
+            .run(&DecideAtRadius(10), Knowledge::none())
             .unwrap_err();
         assert!(matches!(err, RuntimeError::RoundLimitExceeded { limit: 3, .. }));
     }
@@ -302,7 +180,7 @@ mod tests {
     #[test]
     fn decide_at_radius_reports_that_radius() {
         let g = generators::cycle(12).unwrap();
-        let run = BallExecutor::new().run(&g, &DecideAtRadius(4), Knowledge::none()).unwrap();
+        let run = FrozenExecutor::new(&g).run(&DecideAtRadius(4), Knowledge::none()).unwrap();
         assert!(run.radii().iter().all(|&r| r == 4));
         assert_eq!(run.max_radius(), 4);
         assert_eq!(run.average_radius(), 4.0);
@@ -312,7 +190,7 @@ mod tests {
     fn run_node_matches_run() {
         let mut g = generators::cycle(9).unwrap();
         IdAssignment::Shuffled { seed: 2 }.apply(&mut g).unwrap();
-        let full = BallExecutor::new().run(&g, &NaiveLargestId, Knowledge::none()).unwrap();
+        let full = FrozenExecutor::new(&g).run(&NaiveLargestId, Knowledge::none()).unwrap();
         let session = FrozenExecutor::new(&g);
         for v in g.nodes() {
             let (out, r) = session
@@ -325,7 +203,7 @@ mod tests {
 
     /// The quadratic reference: a fresh [`extract_ball`] at every radius,
     /// sharing nothing with the incremental grower.
-    fn from_scratch_radius(g: &avglocal_graph::Graph, v: NodeId) -> (bool, usize) {
+    fn from_scratch_radius(g: &Graph, v: NodeId) -> (bool, usize) {
         (0..)
             .find_map(|r| {
                 let ball = extract_ball(g, v, r);
@@ -341,7 +219,7 @@ mod tests {
         for (n, seed) in [(9usize, 0u64), (16, 1), (33, 5), (64, 9)] {
             let mut g = generators::cycle(n).unwrap();
             IdAssignment::Shuffled { seed }.apply(&mut g).unwrap();
-            let fast = BallExecutor::new().run(&g, &NaiveLargestId, Knowledge::none()).unwrap();
+            let fast = FrozenExecutor::new(&g).run(&NaiveLargestId, Knowledge::none()).unwrap();
             for v in g.nodes() {
                 assert_eq!((*fast.output(v), fast.radius(v)), from_scratch_radius(&g, v));
             }
@@ -350,10 +228,14 @@ mod tests {
 
     #[test]
     fn schedulings_are_selectable() {
-        assert_eq!(BallExecutor::new().scheduling(), Scheduling::WorkStealing);
-        let exec = BallExecutor::with_max_radius(4).with_scheduling(Scheduling::Sequential);
+        let g = generators::cycle(30).unwrap();
+        assert_eq!(FrozenExecutor::new(&g).scheduling(), Scheduling::WorkStealing);
+        let exec =
+            FrozenExecutor::new(&g).with_max_radius(4).with_scheduling(Scheduling::Sequential);
         assert_eq!(exec.scheduling(), Scheduling::Sequential);
-        assert_eq!(exec.max_radius, Some(4));
+        // Choosing a scheduling keeps the radius limit.
+        let err = exec.run(&DecideAtRadius(10), Knowledge::none()).unwrap_err();
+        assert!(matches!(err, RuntimeError::RoundLimitExceeded { limit: 4, .. }));
     }
 
     #[test]
@@ -364,13 +246,12 @@ mod tests {
         for assignment in [IdAssignment::Identity, IdAssignment::Shuffled { seed: 13 }] {
             let mut g = generators::cycle(257).unwrap();
             assignment.apply(&mut g).unwrap();
-            let csr = g.freeze();
-            let reference = BallExecutor::new()
+            let session = FrozenExecutor::new(&g);
+            let run = session.run(&NaiveLargestId, Knowledge::none()).unwrap();
+            let reference = session
                 .with_scheduling(Scheduling::Sequential)
-                .run_frozen(&csr, &NaiveLargestId, Knowledge::none())
+                .run(&NaiveLargestId, Knowledge::none())
                 .unwrap();
-            let run =
-                BallExecutor::new().run_frozen(&csr, &NaiveLargestId, Knowledge::none()).unwrap();
             assert_eq!(run.outputs(), reference.outputs());
             assert_eq!(run.radii(), reference.radii());
         }
@@ -394,11 +275,12 @@ mod tests {
         }
         let mut g = generators::cycle(200).unwrap();
         IdAssignment::Shuffled { seed: 5 }.apply(&mut g).unwrap();
-        let csr = g.freeze();
+        let session = FrozenExecutor::new(&g);
         let run = |scheduling| {
-            BallExecutor::new()
+            session
+                .clone()
                 .with_scheduling(scheduling)
-                .run_frozen(&csr, &FailsOnSmallIds, Knowledge::none())
+                .run(&FailsOnSmallIds, Knowledge::none())
                 .unwrap_err()
         };
         let RuntimeError::NonTerminating { node: expected_node } = run(Scheduling::Sequential)
@@ -416,8 +298,8 @@ mod tests {
     fn into_parts_round_trip() {
         let mut g = generators::cycle(6).unwrap();
         IdAssignment::Reversed.apply(&mut g).unwrap();
-        let run = BallExecutor::new().run(&g, &NaiveLargestId, Knowledge::none()).unwrap();
-        let (outputs, radii) = run.into_parts();
+        let (outputs, radii) =
+            FrozenExecutor::new(&g).run(&NaiveLargestId, Knowledge::none()).unwrap().into_parts();
         assert_eq!(outputs.len(), 6);
         assert_eq!(radii.len(), 6);
         assert_eq!(outputs.iter().filter(|&&b| b).count(), 1);
@@ -437,8 +319,8 @@ mod tests {
 
     #[test]
     fn empty_graph_runs_to_empty_execution() {
-        let g = avglocal_graph::Graph::new();
-        let run = BallExecutor::new().run(&g, &NaiveLargestId, Knowledge::none()).unwrap();
+        let run =
+            FrozenExecutor::new(&Graph::new()).run(&NaiveLargestId, Knowledge::none()).unwrap();
         assert_eq!(run.node_count(), 0);
     }
 
@@ -446,7 +328,7 @@ mod tests {
     fn clique_winner_needs_radius_one() {
         let mut g = generators::complete(6).unwrap();
         IdAssignment::Shuffled { seed: 4 }.apply(&mut g).unwrap();
-        let run = BallExecutor::new().run(&g, &NaiveLargestId, Knowledge::none()).unwrap();
+        let run = FrozenExecutor::new(&g).run(&NaiveLargestId, Knowledge::none()).unwrap();
         let winner = g.max_identifier_node().unwrap();
         assert!(*run.output(winner));
         assert_eq!(run.radius(winner), 1);

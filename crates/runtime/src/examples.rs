@@ -123,8 +123,8 @@ impl BallAlgorithm for NaiveLargestId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ball_executor::BallExecutor;
     use crate::executor::SyncExecutor;
+    use crate::FrozenExecutor;
     use avglocal_graph::{generators, IdAssignment, NodeId};
 
     #[test]
@@ -139,7 +139,7 @@ mod tests {
     fn naive_largest_id_flags_exactly_the_maximum() {
         let mut g = generators::cycle(11).unwrap();
         IdAssignment::Shuffled { seed: 9 }.apply(&mut g).unwrap();
-        let run = BallExecutor::new().run(&g, &NaiveLargestId, Knowledge::none()).unwrap();
+        let run = FrozenExecutor::new(&g).run(&NaiveLargestId, Knowledge::none()).unwrap();
         let winners: Vec<NodeId> = g.nodes().filter(|&v| *run.output(v)).collect();
         assert_eq!(winners.len(), 1);
         assert_eq!(g.identifier(winners[0]), Identifier::new(10));

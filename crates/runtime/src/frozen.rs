@@ -1,10 +1,14 @@
-//! A session executor that freezes the graph once and reuses everything.
+//! The ball-view executor: a session that freezes the graph once and reuses
+//! everything.
 //!
 //! [`FrozenExecutor`] owns the [`CsrGraph`] and a pool of detached
 //! [`GrowerScratch`] buffers, so after the first probe each
 //! [`FrozenExecutor::run_node_with`] costs only `Θ(ball(v))`, and repeated
 //! [`FrozenExecutor::run`] / [`FrozenExecutor::run_nodes_with`] calls hand
-//! the same warmed buffers to the worker pool's participants.
+//! the same warmed buffers to the worker pool's participants. Probing a node
+//! at radii `0, 1, …, r(v)` costs `Θ(ball(v))` edges in total (one
+//! incremental [`BallGrower`]) instead of the `Θ(r(v)²)` a from-scratch
+//! extraction per probe would cost.
 //!
 //! Experiment trials vary only the identifier assignment, never the
 //! adjacency, so the session also supports swapping the identifier table in
@@ -13,9 +17,14 @@
 //! Every probe of the runtime runs through this module: one probe loop
 //! (grow the ball until the algorithm decides, polling an optional
 //! cancellation hook once per growth step) and one node loop (slot `i`
-//! answers the `i`-th requested node, scheduled on the pool or in order on
-//! the caller). A full run is the node loop over every node plus the first
-//! error in node order.
+//! answers the `i`-th requested node). Under [`Scheduling::WorkStealing`]
+//! the persistent worker pool hands out fine-grained index chunks from an
+//! atomic cursor, so on the paper's skewed workloads — one `Θ(n)` node among
+//! `n - 1` cheap ones — the expensive node stalls only its own chunk while
+//! the other participants steal the rest. Results land in index-addressed
+//! slots and a full run reports the first error in node order, so outputs,
+//! radii and error selection are bit-identical to the left-to-right
+//! reference ([`Scheduling::Sequential`]) no matter how chunks are stolen.
 
 use std::fmt;
 
@@ -61,28 +70,19 @@ impl fmt::Debug for ProbeOptions<'_> {
     }
 }
 
-/// Options of a multi-node probe ([`FrozenExecutor::run_nodes_with`]): how
-/// the requested node set is distributed over the persistent pool, and an
-/// optional shared cancellation hook polled by every participant.
+/// Options of a multi-node probe ([`FrozenExecutor::run_nodes_with`]): an
+/// optional shared cancellation hook polled by every participant. The
+/// session's [`Scheduling`] decides how the node set is distributed.
 #[derive(Clone, Copy, Default)]
 pub struct NodeBatchOptions<'c> {
-    scheduling: Scheduling,
     cancel: Option<&'c (dyn Fn(usize) -> bool + Sync)>,
 }
 
 impl<'c> NodeBatchOptions<'c> {
-    /// Per-node dynamic chunks on the work-stealing pool, no cancellation.
+    /// Options that probe every node to completion (no cancellation).
     #[must_use]
     pub fn new() -> Self {
         NodeBatchOptions::default()
-    }
-
-    /// How the nodes are distributed over the threads (the same knob as
-    /// [`crate::BallExecutor::with_scheduling`]).
-    #[must_use]
-    pub fn with_scheduling(mut self, scheduling: Scheduling) -> Self {
-        self.scheduling = scheduling;
-        self
     }
 
     /// A shared cancellation hook, polled cooperatively by **every**
@@ -99,20 +99,18 @@ impl<'c> NodeBatchOptions<'c> {
 
 impl fmt::Debug for NodeBatchOptions<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NodeBatchOptions")
-            .field("scheduling", &self.scheduling)
-            .field("cancel", &self.cancel.is_some())
-            .finish()
+        f.debug_struct("NodeBatchOptions").field("cancel", &self.cancel.is_some()).finish()
     }
 }
 
-/// A reusable execution session over one frozen graph snapshot.
+/// Executor for [`BallAlgorithm`]s: a reusable session over one frozen
+/// graph snapshot.
 ///
 /// # Examples
 ///
 /// ```
 /// use avglocal_graph::{generators, IdAssignment};
-/// use avglocal_runtime::{BallExecutor, FrozenExecutor, Knowledge, ProbeOptions};
+/// use avglocal_runtime::{FrozenExecutor, Knowledge, ProbeOptions};
 /// use avglocal_runtime::examples::NaiveLargestId;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -121,7 +119,11 @@ impl fmt::Debug for NodeBatchOptions<'_> {
 ///
 /// // Freeze once; every probe after the first is O(ball).
 /// let session = FrozenExecutor::new(&ring);
-/// let full = BallExecutor::new().run(&ring, &NaiveLargestId, Knowledge::none())?;
+/// let full = session.run(&NaiveLargestId, Knowledge::none())?;
+/// // Exactly one node answers `true` and the worst radius is n/2.
+/// assert_eq!(full.outputs().iter().filter(|&&b| b).count(), 1);
+/// assert_eq!(full.max_radius(), 16);
+/// assert!(full.average_radius() < 16.0);
 /// for v in ring.nodes() {
 ///     let (out, r) =
 ///         session.run_node_with(v, &NaiveLargestId, Knowledge::none(), ProbeOptions::new())?;
@@ -134,6 +136,7 @@ impl fmt::Debug for NodeBatchOptions<'_> {
 pub struct FrozenExecutor {
     csr: CsrGraph,
     max_radius: Option<usize>,
+    scheduling: Scheduling,
     /// Warmed grower scratch buffers, shared by the single-node probes and
     /// (one per pool participant) the parallel runs.
     scratch_pool: ScratchPool,
@@ -146,18 +149,40 @@ impl FrozenExecutor {
         Self::from_csr(graph.freeze())
     }
 
-    /// Creates a session over an already-frozen snapshot.
+    /// Creates a session over an already-frozen snapshot, with the default
+    /// radius limit (the node count, which is always enough because views
+    /// saturate at the component) and [`Scheduling::WorkStealing`].
     #[must_use]
     pub fn from_csr(csr: CsrGraph) -> Self {
-        FrozenExecutor { csr, max_radius: None, scratch_pool: ScratchPool::new() }
+        FrozenExecutor {
+            csr,
+            max_radius: None,
+            scheduling: Scheduling::default(),
+            scratch_pool: ScratchPool::new(),
+        }
     }
 
-    /// Refuses to grow balls beyond `max_radius`, like
-    /// [`crate::BallExecutor::with_max_radius`].
+    /// Refuses to grow balls beyond `max_radius`, keeping the other
+    /// settings.
     #[must_use]
     pub fn with_max_radius(mut self, max_radius: usize) -> Self {
         self.max_radius = Some(max_radius);
         self
+    }
+
+    /// Sets how [`FrozenExecutor::run`] and
+    /// [`FrozenExecutor::run_nodes_with`] distribute their nodes over the
+    /// threads, keeping the other settings.
+    #[must_use]
+    pub fn with_scheduling(mut self, scheduling: Scheduling) -> Self {
+        self.scheduling = scheduling;
+        self
+    }
+
+    /// The scheduling this session uses.
+    #[must_use]
+    pub fn scheduling(&self) -> Scheduling {
+        self.scheduling
     }
 
     /// Number of nodes in the frozen snapshot.
@@ -202,7 +227,14 @@ impl FrozenExecutor {
         algorithm: &'a A,
         knowledge: Knowledge,
     ) -> Probe<'a, A> {
-        Probe::new(&self.csr, algorithm, knowledge, self.max_radius)
+        Probe {
+            csr: &self.csr,
+            algorithm,
+            knowledge,
+            hard_limit: self.max_radius.unwrap_or(self.csr.node_count()),
+            scheduling: self.scheduling,
+            scratch_pool: &self.scratch_pool,
+        }
     }
 
     /// Runs `algorithm` for a single node under `options` and returns
@@ -214,9 +246,9 @@ impl FrozenExecutor {
     /// # Errors
     ///
     /// [`RuntimeError::Graph`] with [`GraphError::NodeOutOfBounds`] for a
-    /// node outside the snapshot, the conditions of
-    /// [`crate::BallExecutor::run_frozen`], and [`RuntimeError::Cancelled`]
-    /// when the options' cancellation hook fires.
+    /// node outside the snapshot, the conditions of [`FrozenExecutor::run`],
+    /// and [`RuntimeError::Cancelled`] when the options' cancellation hook
+    /// fires.
     pub fn run_node_with<A: BallAlgorithm>(
         &self,
         node: NodeId,
@@ -229,8 +261,8 @@ impl FrozenExecutor {
         self.probe(algorithm, knowledge).node(&mut self.scratch_pool.checkout(), node, cancel)
     }
 
-    /// Probes an arbitrary **set** of nodes on the shared session, sharded
-    /// across the persistent worker pool — the batched counterpart of
+    /// Probes an arbitrary **set** of nodes on the shared session, under the
+    /// session's [`Scheduling`] — the batched counterpart of
     /// [`FrozenExecutor::run_node_with`] and the probe engine of the service
     /// layer's `query_batch`.
     ///
@@ -255,52 +287,46 @@ impl FrozenExecutor {
         A: BallAlgorithm + Sync,
         A::Output: Send,
     {
-        self.probe(algorithm, knowledge).nodes(
-            &self.scratch_pool,
-            nodes.len(),
-            |i| nodes[i],
-            options,
-        )
+        self.probe(algorithm, knowledge).nodes(nodes.len(), |i| nodes[i], options)
     }
 
-    /// Runs `algorithm` on every node of the snapshot on the work-stealing
-    /// pool, with the session's warmed scratch buffers handed to the pool
-    /// participants (steady-state runs allocate a bounded handful of
-    /// buffers per call, never per probe).
+    /// Runs `algorithm` on every node of the snapshot under the session's
+    /// [`Scheduling`] and collects outputs and radii, with the session's
+    /// warmed scratch buffers handed to the pool participants (steady-state
+    /// runs allocate a bounded handful of buffers per call, never per
+    /// probe). Outputs, radii and error selection are identical under every
+    /// [`Scheduling`].
     ///
     /// # Errors
     ///
-    /// Same conditions as [`crate::BallExecutor::run_frozen`].
+    /// Returns [`RuntimeError::NonTerminating`] if a node still refuses to
+    /// decide on a saturated view (it has seen its whole component, so no
+    /// larger radius can help), and [`RuntimeError::RoundLimitExceeded`] if
+    /// a custom radius limit is hit first; the error reported is the first
+    /// in node order.
     pub fn run<A>(&self, algorithm: &A, knowledge: Knowledge) -> Result<BallExecution<A::Output>>
     where
         A: BallAlgorithm + Sync,
         A::Output: Send,
     {
-        self.probe(algorithm, knowledge).all(&self.scratch_pool, &NodeBatchOptions::new())
+        let probe = self.probe(algorithm, knowledge);
+        collect_execution(probe.nodes(self.node_count(), NodeId::new, &NodeBatchOptions::new()))
     }
 }
 
-/// One algorithm on one borrowed snapshot: the probe loop and the node loop
-/// every entry point of the runtime ends in.
-pub(crate) struct Probe<'a, A> {
+/// One algorithm on one session's snapshot, radius limit, scheduling and
+/// scratch pool: the probe loop and the node loop every entry point of the
+/// runtime ends in.
+struct Probe<'a, A> {
     csr: &'a CsrGraph,
     algorithm: &'a A,
     knowledge: Knowledge,
     hard_limit: usize,
+    scheduling: Scheduling,
+    scratch_pool: &'a ScratchPool,
 }
 
-impl<'a, A: BallAlgorithm> Probe<'a, A> {
-    /// A probe that grows balls up to `max_radius` (the node count when
-    /// unset, which views always saturate by).
-    pub(crate) fn new(
-        csr: &'a CsrGraph,
-        algorithm: &'a A,
-        knowledge: Knowledge,
-        max_radius: Option<usize>,
-    ) -> Self {
-        Probe { csr, algorithm, knowledge, hard_limit: max_radius.unwrap_or(csr.node_count()) }
-    }
-
+impl<A: BallAlgorithm> Probe<'_, A> {
     /// Probes `node` with a borrowed scratch until the algorithm decides,
     /// polling `cancel(radius)` once per ball-growth step — before the
     /// radius-`r` view is inspected. When the hook returns `true` the probe
@@ -344,12 +370,11 @@ impl<'a, A: BallAlgorithm> Probe<'a, A> {
 
     /// The node loop: slot `i` answers `node_at(i)` for `i in 0..count`.
     /// Under [`Scheduling::WorkStealing`] each pool participant checks one
-    /// scratch out of `scratch_pool` on its first chunk and reuses it for
-    /// every chunk it claims; results land in index-addressed slots, so
+    /// scratch out of the session's pool on its first chunk and reuses it
+    /// for every chunk it claims; results land in index-addressed slots, so
     /// they are deterministic by position no matter who stole which chunk.
     fn nodes(
         &self,
-        scratch_pool: &ScratchPool,
         count: usize,
         node_at: impl Fn(usize) -> NodeId + Sync,
         options: &NodeBatchOptions<'_>,
@@ -362,29 +387,16 @@ impl<'a, A: BallAlgorithm> Probe<'a, A> {
             let mut hook = |radius: usize| options.cancel.is_some_and(|cancel| cancel(radius));
             self.node(pooled, node_at(i), &mut hook)
         };
-        match options.scheduling {
-            Scheduling::WorkStealing => {
-                (0..count).into_par_iter().map_init(|| scratch_pool.checkout(), probe).collect()
-            }
+        match self.scheduling {
+            Scheduling::WorkStealing => (0..count)
+                .into_par_iter()
+                .map_init(|| self.scratch_pool.checkout(), probe)
+                .collect(),
             Scheduling::Sequential => {
-                let mut pooled = scratch_pool.checkout();
+                let mut pooled = self.scratch_pool.checkout();
                 (0..count).map(|i| probe(&mut pooled, i)).collect()
             }
         }
-    }
-
-    /// Every node of the snapshot through the node loop, reporting the
-    /// first error in node order.
-    pub(crate) fn all(
-        &self,
-        scratch_pool: &ScratchPool,
-        options: &NodeBatchOptions<'_>,
-    ) -> Result<BallExecution<A::Output>>
-    where
-        A: Sync,
-        A::Output: Send,
-    {
-        collect_execution(self.nodes(scratch_pool, self.csr.node_count(), NodeId::new, options))
     }
 }
 
@@ -392,7 +404,6 @@ impl<'a, A: BallAlgorithm> Probe<'a, A> {
 mod tests {
     use super::*;
     use crate::examples::NaiveLargestId;
-    use crate::BallExecutor;
     use avglocal_graph::{generators, IdAssignment, Topology};
 
     /// A hook-less largest-ID probe of `v` on `session`.
@@ -414,7 +425,7 @@ mod tests {
             let mut g = topology.build(18).unwrap();
             IdAssignment::Shuffled { seed: 11 }.apply(&mut g).unwrap();
             let session = FrozenExecutor::new(&g);
-            let full = BallExecutor::new().run(&g, &NaiveLargestId, Knowledge::none()).unwrap();
+            let full = session.run(&NaiveLargestId, Knowledge::none()).unwrap();
             for v in g.nodes() {
                 let fresh = probe(&FrozenExecutor::new(&g), v);
                 assert_eq!(fresh, probe(&session, v), "{topology}, node {v:?}");
@@ -429,7 +440,10 @@ mod tests {
         IdAssignment::Shuffled { seed: 2 }.apply(&mut g).unwrap();
         let session = FrozenExecutor::new(&g);
         let a = session.run(&NaiveLargestId, Knowledge::none()).unwrap();
-        let b = BallExecutor::new().run(&g, &NaiveLargestId, Knowledge::none()).unwrap();
+        let b = FrozenExecutor::new(&g)
+            .with_scheduling(Scheduling::Sequential)
+            .run(&NaiveLargestId, Knowledge::none())
+            .unwrap();
         assert_eq!(a.outputs(), b.outputs());
         assert_eq!(a.radii(), b.radii());
     }
@@ -444,7 +458,7 @@ mod tests {
             let mut fresh_graph = generators::cycle(12).unwrap();
             assignment.apply(&mut fresh_graph).unwrap();
             let expected =
-                BallExecutor::new().run(&fresh_graph, &NaiveLargestId, Knowledge::none()).unwrap();
+                FrozenExecutor::new(&fresh_graph).run(&NaiveLargestId, Knowledge::none()).unwrap();
             let got = session.run(&NaiveLargestId, Knowledge::none()).unwrap();
             assert_eq!(expected.radii(), got.radii(), "seed {seed}");
             for v in fresh_graph.nodes() {
@@ -571,14 +585,17 @@ mod tests {
     fn run_nodes_with_matches_single_probes_on_every_scheduling() {
         let mut g = generators::grid(4, 5).unwrap();
         IdAssignment::Shuffled { seed: 3 }.apply(&mut g).unwrap();
-        let session = FrozenExecutor::new(&g);
         // An arbitrary, repetitive, out-of-order node set: slots must answer
         // positionally, duplicates included.
         let nodes: Vec<NodeId> = [7usize, 0, 19, 3, 3, 12, 8, 1, 19].map(NodeId::new).to_vec();
         for scheduling in [Scheduling::WorkStealing, Scheduling::Sequential] {
-            let options = NodeBatchOptions::new().with_scheduling(scheduling);
-            let batch =
-                session.run_nodes_with(&nodes, &NaiveLargestId, Knowledge::none(), &options);
+            let session = FrozenExecutor::new(&g).with_scheduling(scheduling);
+            let batch = session.run_nodes_with(
+                &nodes,
+                &NaiveLargestId,
+                Knowledge::none(),
+                &NodeBatchOptions::new(),
+            );
             assert_eq!(batch.len(), nodes.len());
             for (slot, &node) in batch.iter().zip(&nodes) {
                 let single = probe(&session, node);

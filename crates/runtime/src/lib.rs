@@ -7,7 +7,7 @@
 //! * the **round-based view** ([`SyncExecutor`] + [`RoundAlgorithm`]):
 //!   synchronous message passing where every node may commit to its output at
 //!   a different round and keeps relaying messages afterwards;
-//! * the **ball view** ([`BallExecutor`] + [`BallAlgorithm`]): every node
+//! * the **ball view** ([`FrozenExecutor`] + [`BallAlgorithm`]): every node
 //!   grows the radius of the ball it sees until it can output; the radius of
 //!   the first decision is the node's cost `r(v)`.
 //!
@@ -20,7 +20,7 @@
 //! adversarial search over identifier assignments) live in the `avglocal`
 //! crate; this crate only produces exact per-node radii.
 //!
-//! The ball executor runs on a frozen CSR snapshot of the graph and grows
+//! [`FrozenExecutor`] freezes the graph into a CSR snapshot once and grows
 //! each node's view **incrementally** (see [`avglocal_graph::BallGrower`]),
 //! handing algorithms a lazy [`LocalView`] whose cheap queries never
 //! materialise the induced subgraph. Nodes are processed in parallel on a
@@ -28,26 +28,22 @@
 //! right scheduling for the paper's skewed per-node costs, where one node
 //! pays `Θ(n)` while the rest pay `O(1)` — and results are index-addressed,
 //! so outputs, radii and error selection stay bit-identical to a sequential
-//! run ([`Scheduling::Sequential`]).
-//!
-//! Callers probing many single nodes or node sets should use
-//! [`FrozenExecutor`]: it freezes the graph once and reuses the grower
-//! scratch across probes, so each probe is `Θ(ball(v))` instead of paying an
-//! `O(n + m)` freeze per call. Full runs, batches and single probes share one
-//! node loop and one probe loop.
+//! run ([`Scheduling::Sequential`]). The session reuses the grower scratch
+//! across calls, so each single-node probe is `Θ(ball(v))`; full runs,
+//! batches and single probes share one node loop and one probe loop.
 //!
 //! # Example
 //!
 //! ```
 //! use avglocal_graph::{generators, IdAssignment};
-//! use avglocal_runtime::{BallExecutor, Knowledge};
+//! use avglocal_runtime::{FrozenExecutor, Knowledge};
 //! use avglocal_runtime::examples::NaiveLargestId;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut ring = generators::cycle(64)?;
 //! IdAssignment::Shuffled { seed: 2025 }.apply(&mut ring)?;
 //!
-//! let run = BallExecutor::new().run(&ring, &NaiveLargestId, Knowledge::none())?;
+//! let run = FrozenExecutor::new(&ring).run(&NaiveLargestId, Knowledge::none())?;
 //! // Worst-case cost is linear in n, but the average is much smaller.
 //! assert_eq!(run.max_radius(), 32);
 //! assert!(run.average_radius() < 8.0);
@@ -74,7 +70,7 @@ mod view;
 
 pub use adapter::{GatherAdapter, GatherState, Record};
 pub use algorithm::{BallAlgorithm, NodeContext, RoundAlgorithm};
-pub use ball_executor::{BallExecution, BallExecutor, Scheduling};
+pub use ball_executor::{BallExecution, Scheduling};
 pub use error::{Result, RuntimeError};
 pub use executor::{Execution, SyncExecutor};
 pub use frozen::{FrozenExecutor, NodeBatchOptions, ProbeOptions};
@@ -99,7 +95,7 @@ mod proptests {
         fn views_agree_on_random_cycles(n in 3usize..40, seed in 0u64..200) {
             let mut g = generators::cycle(n).unwrap();
             IdAssignment::Shuffled { seed }.apply(&mut g).unwrap();
-            let ball = BallExecutor::new().run(&g, &NaiveLargestId, Knowledge::none()).unwrap();
+            let ball = FrozenExecutor::new(&g).run(&NaiveLargestId, Knowledge::none()).unwrap();
             let rounds = SyncExecutor::new()
                 .run(&g, &GatherAdapter::new(NaiveLargestId), Knowledge::none())
                 .unwrap();
@@ -116,7 +112,7 @@ mod proptests {
         fn largest_id_has_unique_winner(n in 3usize..60, seed in 0u64..200) {
             let mut g = generators::cycle(n).unwrap();
             IdAssignment::Shuffled { seed }.apply(&mut g).unwrap();
-            let run = BallExecutor::new().run(&g, &NaiveLargestId, Knowledge::none()).unwrap();
+            let run = FrozenExecutor::new(&g).run(&NaiveLargestId, Knowledge::none()).unwrap();
             let winners: Vec<_> = g.nodes().filter(|&v| *run.output(v)).collect();
             prop_assert_eq!(winners.len(), 1);
             prop_assert_eq!(run.radius(winners[0]), n / 2);
@@ -128,7 +124,7 @@ mod proptests {
         fn average_bounded_by_max(n in 3usize..50, seed in 0u64..100) {
             let mut g = generators::cycle(n).unwrap();
             IdAssignment::Shuffled { seed }.apply(&mut g).unwrap();
-            let run = BallExecutor::new().run(&g, &NaiveLargestId, Knowledge::none()).unwrap();
+            let run = FrozenExecutor::new(&g).run(&NaiveLargestId, Knowledge::none()).unwrap();
             prop_assert!(run.average_radius() <= run.max_radius() as f64);
             prop_assert!(run.average_radius() >= 0.0);
         }

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use avglocal_graph::{generators, CsrGraph, IdAssignment, NodeId};
 use avglocal_runtime::examples::NaiveLargestId;
-use avglocal_runtime::{BallExecution, BallExecutor, Knowledge, Scheduling};
+use avglocal_runtime::{BallExecution, FrozenExecutor, Knowledge, Scheduling};
 use rayon::prelude::*;
 
 use crate::batch::{BatchOutcome, Consistency, QueryOptions, QueryRequest};
@@ -214,9 +214,9 @@ pub fn run_chaos(plan: &ChaosPlan) -> ChaosReport {
     let references: Vec<BallExecution<bool>> = graphs
         .iter()
         .map(|csr| {
-            BallExecutor::new()
+            FrozenExecutor::from_csr(csr.clone())
                 .with_scheduling(Scheduling::Sequential)
-                .run_frozen(csr, &NaiveLargestId, Knowledge::none())
+                .run(&NaiveLargestId, Knowledge::none())
                 .expect("sequential reference")
         })
         .collect();

@@ -470,7 +470,7 @@ mod tests {
     use crate::clock::TestClock;
     use avglocal_graph::generators;
     use avglocal_runtime::examples::NaiveLargestId;
-    use avglocal_runtime::{BallExecutor, Scheduling};
+    use avglocal_runtime::{FrozenExecutor, Scheduling};
 
     fn service_on_cycle(n: usize, config: ServiceConfig) -> RadiusQueryService<NaiveLargestId> {
         RadiusQueryService::new(
@@ -485,9 +485,9 @@ mod tests {
     #[test]
     fn answers_match_the_sequential_reference() {
         let csr = generators::grid(4, 5).unwrap().freeze();
-        let reference = BallExecutor::new()
+        let reference = FrozenExecutor::from_csr(csr.clone())
             .with_scheduling(Scheduling::Sequential)
-            .run_frozen(&csr, &NaiveLargestId, Knowledge::none())
+            .run(&NaiveLargestId, Knowledge::none())
             .unwrap();
         let service = RadiusQueryService::new(
             NaiveLargestId,

@@ -6,7 +6,7 @@
 use avglocal::algorithms::LargestId;
 use avglocal::graph::{extract_ball, generators, BallGrower};
 use avglocal::prelude::*;
-use avglocal::runtime::{BallAlgorithm, BallExecutor, Knowledge, LocalView};
+use avglocal::runtime::{BallAlgorithm, FrozenExecutor, Knowledge, LocalView};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -50,8 +50,8 @@ fn assert_grower_matches_extraction(g: &Graph) {
 /// fresh [`extract_ball`] per radius) on every radius and output of the
 /// largest-ID algorithm on `g`.
 fn assert_executors_agree(g: &Graph) {
-    let fast = BallExecutor::new()
-        .run(g, &LargestId, Knowledge::none())
+    let fast = FrozenExecutor::new(g)
+        .run(&LargestId, Knowledge::none())
         .expect("largest-ID terminates on every graph");
     for v in g.nodes() {
         let slow = (0..=g.node_count()).find_map(|r| {

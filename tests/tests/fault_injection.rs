@@ -3,7 +3,7 @@
 //! The `rayon` compat pool exposes a test-only failpoint facility
 //! (`rayon::failpoints`): a plan armed on the publishing thread makes worker
 //! chunks panic and/or stall on a schedule. These tests drive real
-//! [`FrozenExecutor`]/[`BallExecutor`] runs through injected panic storms and
+//! [`FrozenExecutor`] runs through injected panic storms and
 //! delays to prove the robustness claims stated in the pool docs:
 //!
 //! * a panic storm never kills the process or wedges the pool;
@@ -103,7 +103,6 @@ fn injected_panic_storms_leave_the_session_usable() {
 #[test]
 fn algorithm_panics_rethrow_the_first_node_in_order() {
     let graph = shuffled_ring(384, 21);
-    let csr = graph.freeze();
     // Roughly a quarter of the nodes panic; the payload re-thrown must name
     // the first panicking node in *index* order (via its unique identifier),
     // not whichever worker happened to fail first.
@@ -115,11 +114,10 @@ fn algorithm_panics_rethrow_the_first_node_in_order() {
     let algorithm = PanicBelow { threshold };
 
     for scheduling in [Scheduling::WorkStealing, Scheduling::Sequential] {
-        let executor = BallExecutor::new().with_scheduling(scheduling);
+        let executor = FrozenExecutor::new(&graph).with_scheduling(scheduling);
         for round in 0..4 {
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                executor.run_frozen(&csr, &algorithm, Knowledge::none())
-            }));
+            let caught =
+                catch_unwind(AssertUnwindSafe(|| executor.run(&algorithm, Knowledge::none())));
             let payload = caught.expect_err("marked nodes must panic the run");
             assert_eq!(
                 payload_message(payload.as_ref()),
@@ -133,24 +131,23 @@ fn algorithm_panics_rethrow_the_first_node_in_order() {
 #[test]
 fn first_typed_error_in_node_order_survives_delay_injection() {
     let graph = shuffled_ring(256, 5);
-    let csr = graph.freeze();
     // Mark three identifiers scattered across the ring; the reported
     // `NonTerminating` node must be the smallest index among them.
     let marked: HashSet<u64> =
         [40, 170, 230].iter().map(|&v| graph.identifier(NodeId::new(v)).value()).collect();
     let algorithm = RefuseMarked { refuse: marked };
 
-    let want = BallExecutor::new()
+    let want = FrozenExecutor::new(&graph)
         .with_scheduling(Scheduling::Sequential)
-        .run_frozen(&csr, &algorithm, Knowledge::none())
+        .run(&algorithm, Knowledge::none())
         .expect_err("refusing nodes must error");
     assert_eq!(want, RuntimeError::NonTerminating { node: NodeId::new(40) });
 
     for scheduling in [Scheduling::WorkStealing, Scheduling::Sequential] {
-        let executor = BallExecutor::new().with_scheduling(scheduling);
+        let executor = FrozenExecutor::new(&graph).with_scheduling(scheduling);
         for round in 0..4 {
             arm(Plan::new().delay_every(3, 80));
-            let got = executor.run_frozen(&csr, &algorithm, Knowledge::none());
+            let got = executor.run(&algorithm, Knowledge::none());
             disarm();
             let got = got.expect_err("refusing nodes must error");
             assert_eq!(got, want, "{scheduling:?}, round {round}");
@@ -205,14 +202,15 @@ proptest! {
         every in 1u64..5,
         micros in 0u64..150,
     ) {
-        let graph = shuffled_ring(n, seed);
-        let csr = graph.freeze();
-        let want = BallExecutor::new()
-            .with_scheduling(Scheduling::Sequential).run_frozen(&csr, &NaiveLargestId, Knowledge::none())
+        let session = FrozenExecutor::new(&shuffled_ring(n, seed));
+        let want = session
+            .clone()
+            .with_scheduling(Scheduling::Sequential)
+            .run(&NaiveLargestId, Knowledge::none())
             .unwrap();
 
         arm(Plan::new().delay_every(every, micros));
-        let stealing = BallExecutor::new().run_frozen(&csr, &NaiveLargestId, Knowledge::none());
+        let stealing = session.run(&NaiveLargestId, Knowledge::none());
         disarm();
 
         let stealing = stealing.unwrap();

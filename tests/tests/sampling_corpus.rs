@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use avglocal::algorithms::{KnowTheLeader, LargestId};
 use avglocal::graph::CsrGraph;
 use avglocal::prelude::*;
-use avglocal::runtime::{BallAlgorithm, BallExecutor, Scheduling};
+use avglocal::runtime::{BallAlgorithm, FrozenExecutor, Scheduling};
 use avglocal::sampling::Estimate;
 use avglocal::{hub_adversarial_assignment, SamplePlan};
 
@@ -47,9 +47,9 @@ where
     A: BallAlgorithm + Sync,
     A::Output: Send,
 {
-    let run = BallExecutor::new()
+    let run = FrozenExecutor::from_csr(csr.clone())
         .with_scheduling(Scheduling::Sequential)
-        .run_frozen(csr, algo, Knowledge::none())
+        .run(algo, Knowledge::none())
         .expect("corpus algorithms terminate on corpus families");
     (0..csr.node_count()).map(|v| run.radius(NodeId::new(v))).collect()
 }

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use avglocal::algorithms::{KnowTheLeader, LargestId};
 use avglocal::prelude::*;
 use avglocal::runtime::examples::NaiveLargestId;
-use avglocal::runtime::{BallAlgorithm, BallExecutor, NodeBatchOptions, Scheduling};
+use avglocal::runtime::{BallAlgorithm, FrozenExecutor, NodeBatchOptions, Scheduling};
 use avglocal::sampling::SampleQueries;
 use avglocal::service::{QueryOptions, RadiusQueryService, ServiceConfig, TestClock};
 use avglocal::{hub_adversarial_assignment, SamplePlan};
@@ -35,9 +35,9 @@ where
     A: BallAlgorithm + Sync,
     A::Output: Send,
 {
-    let run = BallExecutor::new()
+    let run = FrozenExecutor::from_csr(csr.clone())
         .with_scheduling(Scheduling::Sequential)
-        .run_frozen(csr, algo, Knowledge::none())
+        .run(algo, Knowledge::none())
         .unwrap();
     (0..csr.node_count()).map(|v| run.radius(NodeId::new(v))).collect()
 }
@@ -263,15 +263,11 @@ fn estimates_are_bit_identical_across_schedulings() {
             SamplePlan::StratifiedByDegree { budget: n / 4 },
         ] {
             let sample = plan.draw(&csr, plan.seed_for(3, 0));
-            let session = FrozenExecutor::from_csr(csr.clone());
             let mut estimates = Vec::new();
             for scheduling in [Scheduling::WorkStealing, Scheduling::Sequential] {
+                let session = FrozenExecutor::from_csr(csr.clone()).with_scheduling(scheduling);
                 let radii = Problem::LargestId
-                    .probe_radii(
-                        &session,
-                        sample.nodes(),
-                        &NodeBatchOptions::new().with_scheduling(scheduling),
-                    )
+                    .probe_radii(&session, sample.nodes(), &NodeBatchOptions::new())
                     .unwrap();
                 estimates.push(sample.estimate(&radii));
             }
@@ -307,17 +303,14 @@ proptest! {
         let second = plan.draw(&csr, stream);
         prop_assert_eq!(&first, &second);
 
-        let session = FrozenExecutor::from_csr(csr.clone());
-        let stealing = Problem::LargestId.probe_radii(
-            &session,
-            first.nodes(),
-            &NodeBatchOptions::new().with_scheduling(Scheduling::WorkStealing),
-        ).unwrap();
-        let sequential = Problem::LargestId.probe_radii(
-            &session,
-            first.nodes(),
-            &NodeBatchOptions::new().with_scheduling(Scheduling::Sequential),
-        ).unwrap();
+        let session = FrozenExecutor::from_csr(csr);
+        let stealing = Problem::LargestId
+            .probe_radii(&session, first.nodes(), &NodeBatchOptions::new())
+            .unwrap();
+        let session = session.with_scheduling(Scheduling::Sequential);
+        let sequential = Problem::LargestId
+            .probe_radii(&session, first.nodes(), &NodeBatchOptions::new())
+            .unwrap();
         prop_assert_eq!(&stealing, &sequential);
         prop_assert_eq!(first.estimate(&stealing), second.estimate(&sequential));
     }

@@ -3,14 +3,14 @@
 //! The persistent pool claims chunks dynamically, so which participant runs
 //! which node — and in which order — varies from run to run. These tests pin
 //! down the property the whole experiment harness relies on: outputs, radii
-//! and error selection of `run_frozen` are **bit-identical** to a sequential
-//! left-to-right run, on every topology family, under maximally skewed
+//! and error selection of `FrozenExecutor::run` are **bit-identical** to a
+//! sequential left-to-right run, on every topology family, under maximally skewed
 //! (adversarial) identifier assignments, and across repeated runs.
 
 use avglocal::algorithms::LargestId;
 use avglocal::analysis::recurrence::clustered_adversarial_arrangement;
 use avglocal::prelude::*;
-use avglocal::runtime::{BallExecutor, Knowledge, Scheduling};
+use avglocal::runtime::{FrozenExecutor, Knowledge, Scheduling};
 use proptest::prelude::*;
 
 /// The scheduler-adversarial assignment: the paper's
@@ -51,12 +51,12 @@ fn stealing_matches_sequential_on_all_families_under_skew() {
         for assignment in skewed_assignments(&topology, n) {
             let mut graph = topology.build(n).unwrap();
             assignment.apply(&mut graph).unwrap();
-            let csr = graph.freeze();
-            let reference = BallExecutor::new()
+            let session = FrozenExecutor::new(&graph);
+            let run = session.run(&LargestId, Knowledge::none()).unwrap();
+            let reference = session
                 .with_scheduling(Scheduling::Sequential)
-                .run_frozen(&csr, &LargestId, Knowledge::none())
+                .run(&LargestId, Knowledge::none())
                 .unwrap();
-            let run = BallExecutor::new().run_frozen(&csr, &LargestId, Knowledge::none()).unwrap();
             assert_eq!(run.outputs(), reference.outputs(), "{topology}, {assignment:?}");
             assert_eq!(run.radii(), reference.radii(), "{topology}, {assignment:?}");
         }
@@ -113,12 +113,11 @@ proptest! {
         };
         let mut graph = topology.build(n).unwrap();
         IdAssignment::Shuffled { seed }.apply(&mut graph).unwrap();
-        let csr = graph.freeze();
-        let reference = BallExecutor::new()
-            .with_scheduling(Scheduling::Sequential).run_frozen(&csr, &LargestId, Knowledge::none())
-            .unwrap();
-        let stolen = BallExecutor::new()
-            .run_frozen(&csr, &LargestId, Knowledge::none())
+        let session = FrozenExecutor::new(&graph);
+        let stolen = session.run(&LargestId, Knowledge::none()).unwrap();
+        let reference = session
+            .with_scheduling(Scheduling::Sequential)
+            .run(&LargestId, Knowledge::none())
             .unwrap();
         prop_assert_eq!(stolen.outputs(), reference.outputs());
         prop_assert_eq!(stolen.radii(), reference.radii());

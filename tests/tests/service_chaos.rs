@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use avglocal::graph::{generators, CsrGraph, GraphError, IdAssignment, NodeId};
 use avglocal::runtime::examples::NaiveLargestId;
-use avglocal::runtime::{BallAlgorithm, BallExecutor, Knowledge, LocalView, Scheduling};
+use avglocal::runtime::{BallAlgorithm, FrozenExecutor, Knowledge, LocalView, Scheduling};
 use avglocal_service::chaos::{run_chaos, ChaosPlan};
 use avglocal_service::{
     QueryOptions, RadiusQueryService, ServiceConfig, ServiceError, SnapshotStore, TestClock,
@@ -180,9 +180,9 @@ fn restart_after_torn_write_recovers_the_last_durable_generation() {
 
     // The restarted service serves bit-identical answers on the recovered
     // generation.
-    let reference = BallExecutor::new()
+    let reference = FrozenExecutor::from_csr(durable.clone())
         .with_scheduling(Scheduling::Sequential)
-        .run_frozen(&durable, &NaiveLargestId, Knowledge::none())
+        .run(&NaiveLargestId, Knowledge::none())
         .expect("largest-ID terminates");
     let service = RadiusQueryService::new(
         NaiveLargestId,

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use avglocal::graph::{generators, CsrGraph, IdAssignment, NodeId};
 use avglocal::runtime::examples::NaiveLargestId;
-use avglocal::runtime::{BallExecution, BallExecutor, Knowledge, ProbeOptions, Scheduling};
+use avglocal::runtime::{BallExecution, FrozenExecutor, Knowledge, ProbeOptions, Scheduling};
 use avglocal_service::{Consistency, QueryOptions, RadiusQueryService, ServiceConfig, TestClock};
 use proptest::prelude::*;
 
@@ -50,8 +50,9 @@ proptest! {
         let references: Vec<BallExecution<bool>> = generations
             .iter()
             .map(|csr| {
-                BallExecutor::new()
-                    .with_scheduling(Scheduling::Sequential).run_frozen(csr, &NaiveLargestId, Knowledge::none())
+                FrozenExecutor::from_csr(csr.clone())
+                    .with_scheduling(Scheduling::Sequential)
+                    .run(&NaiveLargestId, Knowledge::none())
                     .expect("largest-ID terminates on cycles")
             })
             .collect();
@@ -126,8 +127,9 @@ proptest! {
         swaps in 1usize..5,
     ) {
         let first = shuffled_cycle(n, base_seed);
-        let reference = BallExecutor::new()
-            .with_scheduling(Scheduling::Sequential).run_frozen(&first, &NaiveLargestId, Knowledge::none())
+        let reference = FrozenExecutor::from_csr(first.clone())
+            .with_scheduling(Scheduling::Sequential)
+            .run(&NaiveLargestId, Knowledge::none())
             .expect("largest-ID terminates on cycles");
         let service = RadiusQueryService::new(
             NaiveLargestId,

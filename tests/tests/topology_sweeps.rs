@@ -1,6 +1,5 @@
 //! The topology-parameterised sweep harness against its cycle-only
-//! ancestors, and the [`FrozenExecutor`] session against the per-call
-//! executor.
+//! ancestors, and a reused [`FrozenExecutor`] session against fresh ones.
 //!
 //! Three guarantees are pinned down here:
 //!
@@ -8,7 +7,7 @@
 //!    of single `run_on_topology` runs — rows, summaries, and determinism
 //!    under parallel trials;
 //! 2. a reused [`FrozenExecutor`] session matches a fresh one per probe and
-//!    the full [`BallExecutor`] run on every supported topology;
+//!    a full [`FrozenExecutor::run`] on every supported topology;
 //! 3. a `G(n, p)` family that cannot produce a connected instance is a loud
 //!    error, never a silently component-local measurement.
 
@@ -109,8 +108,8 @@ proptest! {
         prop_assert_eq!(build(true), build(false));
     }
 
-    /// The frozen session and the per-call executor agree on every node of
-    /// every supported topology, probe for probe.
+    /// A reused session, a fresh session per probe and the session's full
+    /// run agree on every node of every supported topology, probe for probe.
     #[test]
     fn frozen_session_matches_per_call_run_node(
         size_idx in 0usize..UNIVERSAL_SIZES.len(),
@@ -124,7 +123,7 @@ proptest! {
                 &IdAssignment::Shuffled { seed },
             ).unwrap();
             let session = FrozenExecutor::new(&graph);
-            let full = BallExecutor::new().run(&graph, &NaiveLargestId, Knowledge::none()).unwrap();
+            let full = session.run(&NaiveLargestId, Knowledge::none()).unwrap();
             let probe = |session: &FrozenExecutor, v| {
                 session
                     .run_node_with(v, &NaiveLargestId, Knowledge::none(), ProbeOptions::new())
