@@ -246,22 +246,24 @@ mod tests {
             generators::grid(3, 4).unwrap(),
             generators::complete(6).unwrap(),
             generators::petersen(),
-            generators::star(7).unwrap(),
-            Graph::new(),
         ];
-        // Node and edge counts, every neighbour list in port order, degrees
-        // and identifiers of the snapshot equal those of its source.
         for g in &graphs {
             let csr = g.freeze();
-            assert_eq!(csr.node_count(), g.node_count());
-            assert_eq!(csr.edge_count(), g.edge_count());
-            for v in g.nodes() {
-                let expected: Vec<u32> = g.neighbors(v).iter().map(|u| u.index() as u32).collect();
-                assert_eq!(csr.neighbors(v.index() as u32), expected.as_slice());
-                assert_eq!(csr.degree(v.index() as u32), g.degree(v));
-                assert_eq!(csr.identifier(v.index() as u32), g.identifier(v));
-            }
+            assert_mirrors(g, &csr);
             assert!(csr.is_connected());
+        }
+    }
+
+    /// Node and edge counts, every neighbour list in port order, degrees and
+    /// identifiers of `csr` equal those of `g`.
+    fn assert_mirrors(g: &Graph, csr: &CsrGraph) {
+        assert_eq!(csr.node_count(), g.node_count());
+        assert_eq!(csr.edge_count(), g.edge_count());
+        for v in g.nodes() {
+            let expected: Vec<u32> = g.neighbors(v).iter().map(|u| u.index() as u32).collect();
+            assert_eq!(csr.neighbors(v.index() as u32), expected.as_slice());
+            assert_eq!(csr.degree(v.index() as u32), g.degree(v));
+            assert_eq!(csr.identifier(v.index() as u32), g.identifier(v));
         }
     }
 
@@ -273,6 +275,29 @@ mod tests {
         assert!(csr.identifiers().is_empty());
         assert!(csr.is_connected());
         assert_eq!(csr.components().count(), 0);
+    }
+
+    #[test]
+    fn parallel_build_matches_serial_on_every_small_family() {
+        let graphs = [
+            generators::cycle(9).unwrap(),
+            generators::path(5).unwrap(),
+            generators::grid(3, 4).unwrap(),
+            generators::complete(6).unwrap(),
+            generators::star(7).unwrap(),
+            Graph::new(),
+        ];
+        for g in &graphs {
+            assert_mirrors(g, &g.freeze());
+        }
+    }
+
+    #[test]
+    fn parallel_build_matches_serial_above_the_cutoff() {
+        // 2^13 nodes: the size from which `Graph::freeze` used to switch to
+        // a separate parallel build.
+        let g = generators::cycle(1 << 13).unwrap();
+        assert_mirrors(&g, &g.freeze());
     }
 
     #[test]

@@ -70,9 +70,9 @@ fn freeze_agrees_on_disconnected_instances() {
 }
 
 #[test]
-fn freeze_agrees_on_large_instances() {
-    // 2^13 nodes: large enough that a bug in chunked or multi-pass
-    // construction would show.
+fn freeze_agrees_on_large_instances_past_the_parallel_cutoff() {
+    // 2^13 nodes: the size from which `Graph::freeze` used to switch to a
+    // separate parallel build.
     let n = 1 << 13;
     for topology in [Topology::Cycle, Topology::Grid] {
         assert_freeze_agreement(&topology.build(n).unwrap());
