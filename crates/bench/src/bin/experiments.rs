@@ -1,4 +1,4 @@
-//! Prints the result tables of experiments E1–E8 (see `EXPERIMENTS.md`).
+//! Prints the result tables of experiments E1–E9 and figures F1–F5 (see `EXPERIMENTS.md`).
 //!
 //! Usage:
 //!

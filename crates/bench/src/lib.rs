@@ -18,7 +18,7 @@
 //! | E7 | node-averaged complexity beyond the ring (BGKO line) | `bin/experiments.rs --e7` |
 //! | E8 | node- vs edge-averaged vs worst-case measures | `bin/experiments.rs --e8` |
 //! | E9 | hub-weighted families: edge/node detachment while connected | `bin/experiments.rs --e9` |
-//! | — | radius-query service under sustained load (qps, p99, overhead) | `bin/service_load.rs` |
+//! | — | radius-query service under sustained load (qps, p99, overhead) | `service` block of `bin/bench_e1.rs` |
 //!
 //! The `experiments` binary prints the result tables (who wins, by how
 //! much); `bin/bench_e1.rs` (run through `bench.sh`) records the
@@ -27,7 +27,7 @@
 //! ```text
 //! cargo run --release -p avglocal-bench --bin experiments            # all tables
 //! cargo run --release -p avglocal-bench --bin experiments -- --e1    # one table
-//! ./bench.sh --quick --check                                         # perf gates
+//! ./bench.sh --quick                                                 # perf gates
 //! ```
 
 pub mod load;

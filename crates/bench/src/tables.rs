@@ -1,4 +1,4 @@
-//! The result tables of experiments E1–E6.
+//! The result tables of experiments E1–E9 and figures F1–F5.
 //!
 //! Each function builds one table; the `experiments` binary prints them. The
 //! `quick` flag shrinks the instance sizes so the same code can run inside
