@@ -7,10 +7,12 @@
 //! the edges of the newest ring, so probing a node up to its decision radius
 //! costs `Θ(ball(v))` in total.
 //!
-//! The grower works on a [`CsrGraph`] snapshot and owns dense, epoch-stamped
-//! scratch buffers. [`BallGrower::reset`] re-centres it in `O(1)` (one epoch
-//! bump, no clearing), so one grower can serve every node of an execution
-//! without allocating in the steady state.
+//! The grower works on a [`CsrGraph`] snapshot and owns two dense scratch
+//! arrays: epoch-stamped visited marks and the members in BFS order, split
+//! into rings by their ends. Discovering a node costs one stamp write and one
+//! append. [`BallGrower::reset`] re-centres it in `O(1)` (one epoch bump, no
+//! clearing), so one grower can serve every node of an execution without
+//! allocating in the steady state.
 //!
 //! The grower always *discovers* one ring beyond the published radius: ring
 //! `r + 1` is exactly what the saturation test at radius `r` needs ("does any
@@ -24,8 +26,8 @@ use crate::ball::Ball;
 use crate::csr::CsrGraph;
 use crate::{Identifier, NodeId};
 
-/// The owned scratch buffers of a [`BallGrower`], detached from any CSR
-/// borrow.
+/// The owned scratch buffers of a [`BallGrower`] (visited stamps, members
+/// and ring ends), detached from any CSR borrow.
 ///
 /// A grower borrows its [`CsrGraph`], so a long-lived session that owns its
 /// snapshot cannot also store a grower (that would be self-referential).
@@ -36,11 +38,8 @@ use crate::{Identifier, NodeId};
 #[derive(Debug, Clone, Default)]
 pub struct GrowerScratch {
     members: Vec<u32>,
-    dists: Vec<u32>,
-    ids: Vec<Identifier>,
     ring_ends: Vec<u32>,
     stamp: Vec<u32>,
-    pos: Vec<u32>,
     epoch: u32,
 }
 
@@ -48,7 +47,10 @@ pub struct GrowerScratch {
 ///
 /// Equivalent, radius for radius, to [`crate::extract_ball`] — the property
 /// tests compare the two ball for ball — but incremental: `grow` only expands
-/// the frontier, and `reset` recycles all scratch buffers.
+/// the frontier, and `reset` recycles all scratch buffers. It stores no
+/// distances or identifiers: [`BallGrower::distance_of_index`] searches the
+/// ring ends in `O(log r)`, [`BallGrower::contains_host`] scans the members
+/// in `O(ball)`, and the identifier accessors iterate the snapshot's table.
 ///
 /// # Examples
 ///
@@ -76,17 +78,11 @@ pub struct BallGrower<'g> {
     /// Ball members in BFS (distance, discovery) order, as CSR node indices.
     /// Includes one ring of lookahead past the published radius.
     members: Vec<u32>,
-    /// Distance from the centre, parallel to `members`.
-    dists: Vec<u32>,
-    /// Identifier of each member, parallel to `members`.
-    ids: Vec<Identifier>,
     /// `ring_ends[d]` = exclusive end of ring `d` in `members`. Covers every
     /// ring up to and including the lookahead ring `radius + 1`.
     ring_ends: Vec<u32>,
     /// `stamp[v] == epoch` marks `v` as discovered in the current ball.
     stamp: Vec<u32>,
-    /// Position of `v` in `members`, valid only when `stamp[v] == epoch`.
-    pos: Vec<u32>,
     epoch: u32,
     /// Members `0..published` are inside the published (radius-`r`) ball; the
     /// rest are lookahead.
@@ -116,22 +112,17 @@ impl<'g> BallGrower<'g> {
     /// Panics if `center` is not a node of the snapshot.
     #[must_use]
     pub fn with_scratch(csr: &'g CsrGraph, center: NodeId, scratch: GrowerScratch) -> Self {
-        let n = csr.node_count();
-        let GrowerScratch { members, dists, ids, ring_ends, mut stamp, mut pos, epoch } = scratch;
+        let GrowerScratch { members, ring_ends, mut stamp, epoch } = scratch;
         // Stale entries hold past epochs, which are strictly smaller than the
         // epoch `reset` bumps to, so resizing preserves correctness.
-        stamp.resize(n, 0);
-        pos.resize(n, 0);
+        stamp.resize(csr.node_count(), 0);
         let mut grower = BallGrower {
             csr,
             center: 0,
             radius: 0,
             members,
-            dists,
-            ids,
             ring_ends,
             stamp,
-            pos,
             epoch,
             published: 0,
             max_id: Identifier::new(0),
@@ -145,15 +136,8 @@ impl<'g> BallGrower<'g> {
     /// keep them across probes; reattach with [`BallGrower::with_scratch`].
     #[must_use]
     pub fn into_scratch(self) -> GrowerScratch {
-        GrowerScratch {
-            members: self.members,
-            dists: self.dists,
-            ids: self.ids,
-            ring_ends: self.ring_ends,
-            stamp: self.stamp,
-            pos: self.pos,
-            epoch: self.epoch,
-        }
+        let BallGrower { members, ring_ends, stamp, epoch, .. } = self;
+        GrowerScratch { members, ring_ends, stamp, epoch }
     }
 
     /// Re-centres the grower on `center` at radius 0, reusing every scratch
@@ -175,15 +159,10 @@ impl<'g> BallGrower<'g> {
         self.center = center.index() as u32;
         self.radius = 0;
         self.members.clear();
-        self.dists.clear();
-        self.ids.clear();
         self.ring_ends.clear();
 
         self.stamp[self.center as usize] = self.epoch;
-        self.pos[self.center as usize] = 0;
         self.members.push(self.center);
-        self.dists.push(0);
-        self.ids.push(self.csr.identifier(self.center));
         self.ring_ends.push(1);
         self.published = 1;
         self.max_id = self.csr.identifier(self.center);
@@ -204,8 +183,8 @@ impl<'g> BallGrower<'g> {
             return;
         }
         let newly_published = self.ring_ends[self.radius] as usize;
-        for i in self.published..newly_published {
-            self.max_id = self.max_id.max(self.ids[i]);
+        for &v in &self.members[self.published..newly_published] {
+            self.max_id = self.max_id.max(self.csr.identifier(v));
         }
         self.published = newly_published;
         self.discover_next_ring();
@@ -218,18 +197,11 @@ impl<'g> BallGrower<'g> {
         let ring_count = self.ring_ends.len();
         let scan_start = if ring_count >= 2 { self.ring_ends[ring_count - 2] as usize } else { 0 };
         let scan_end = self.ring_ends[ring_count - 1] as usize;
-        // The scanned ring is never empty: `reset` scans the centre and `grow`
-        // only discovers while unsaturated (lookahead ring non-empty).
-        let next_dist = self.dists[scan_start] + 1;
         for i in scan_start..scan_end {
-            let u = self.members[i];
-            for &v in self.csr.neighbors(u) {
+            for &v in self.csr.neighbors(self.members[i]) {
                 if self.stamp[v as usize] != self.epoch {
                     self.stamp[v as usize] = self.epoch;
-                    self.pos[v as usize] = self.members.len() as u32;
                     self.members.push(v);
-                    self.dists.push(next_dist);
-                    self.ids.push(self.csr.identifier(v));
                 }
             }
         }
@@ -264,7 +236,7 @@ impl<'g> BallGrower<'g> {
     /// Identifier of the centre.
     #[must_use]
     pub fn center_identifier(&self) -> Identifier {
-        self.ids[0]
+        self.csr.identifier(self.center)
     }
 
     /// The centre's degree in the host graph (which equals its degree inside
@@ -280,11 +252,10 @@ impl<'g> BallGrower<'g> {
         self.max_id
     }
 
-    /// Identifiers of the published members, in BFS (distance, discovery)
-    /// order; the centre comes first.
-    #[must_use]
-    pub fn identifiers(&self) -> &[Identifier] {
-        &self.ids[..self.published]
+    /// Identifiers of the published members in BFS (distance, discovery)
+    /// order, centre first, read from the snapshot's table as iterated.
+    pub fn identifiers(&self) -> impl ExactSizeIterator<Item = Identifier> + '_ {
+        self.members().iter().map(|&v| self.csr.identifier(v))
     }
 
     /// Host node ids of the published members, in BFS order.
@@ -293,7 +264,7 @@ impl<'g> BallGrower<'g> {
         &self.members[..self.published]
     }
 
-    /// Distance from the centre of the member at BFS position `index`.
+    /// Distance from the centre of the member at BFS position `index`, in `O(log r)`.
     ///
     /// # Panics
     ///
@@ -301,28 +272,26 @@ impl<'g> BallGrower<'g> {
     #[must_use]
     pub fn distance_of_index(&self, index: usize) -> usize {
         assert!(index < self.published, "index outside the published ball");
-        self.dists[index] as usize
+        self.ring_ends.partition_point(|&end| end as usize <= index)
     }
 
     /// Identifiers of the members at exactly distance `d`, in discovery
     /// order. Empty for distances beyond the published radius.
-    #[must_use]
-    pub fn ring_identifiers(&self, d: usize) -> &[Identifier] {
-        if d > self.radius {
-            return &[];
-        }
-        let start = if d == 0 { 0 } else { self.ring_ends[d - 1] as usize };
-        let end = self.ring_ends[d] as usize;
-        &self.ids[start..end.min(self.published)]
+    pub fn ring_identifiers(&self, d: usize) -> impl ExactSizeIterator<Item = Identifier> + '_ {
+        let ring = match d {
+            0 => &self.members[..1],
+            _ if d <= self.radius => {
+                &self.members[self.ring_ends[d - 1] as usize..self.ring_ends[d] as usize]
+            }
+            _ => &[],
+        };
+        ring.iter().map(|&v| self.csr.identifier(v))
     }
 
-    /// Returns `true` when host node `v` lies inside the published ball.
+    /// Returns `true` when host node `v` lies inside the published ball, in `O(ball)`.
     #[must_use]
     pub fn contains_host(&self, v: NodeId) -> bool {
-        let v = v.index();
-        v < self.stamp.len()
-            && self.stamp[v] == self.epoch
-            && (self.pos[v] as usize) < self.published
+        self.members().iter().any(|&m| m as usize == v.index())
     }
 
     /// Materialises the published ball as a standalone [`Ball`], identical
@@ -336,18 +305,14 @@ impl<'g> BallGrower<'g> {
         let members: Vec<NodeId> =
             self.members().iter().map(|&v| NodeId::new(v as usize)).collect();
         let distances: Vec<usize> =
-            self.dists[..self.published].iter().map(|&d| d as usize).collect();
+            (0..self.published).map(|i| self.distance_of_index(i)).collect();
         let index_of: HashMap<NodeId, usize> =
             members.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        let identifiers = self.identifiers().to_vec();
         let mut edges = Vec::new();
         for (i, &u) in self.members().iter().enumerate() {
             for &v in self.csr.neighbors(u) {
-                if self.stamp[v as usize] == self.epoch {
-                    let j = self.pos[v as usize] as usize;
-                    if j < self.published && i < j {
-                        edges.push((i, j));
-                    }
+                if let Some(&j) = index_of.get(&NodeId::new(v as usize)).filter(|&&j| i < j) {
+                    edges.push((i, j));
                 }
             }
         }
@@ -357,7 +322,7 @@ impl<'g> BallGrower<'g> {
             members,
             distances,
             index_of,
-            identifiers,
+            self.identifiers().collect(),
             edges,
             self.saturated,
         )
@@ -450,8 +415,33 @@ mod tests {
         grower.grow();
         let total: usize = (0..=2).map(|d| grower.ring_identifiers(d).len()).sum();
         assert_eq!(total, grower.node_count());
-        assert_eq!(grower.ring_identifiers(0), &[g.identifier(NodeId::new(5))]);
-        assert!(grower.ring_identifiers(7).is_empty());
+        assert!(grower.ring_identifiers(0).eq([g.identifier(NodeId::new(5))]));
+        assert_eq!(grower.ring_identifiers(7).len(), 0);
+    }
+
+    #[test]
+    fn distance_of_index_stops_at_the_lookahead_ring() {
+        // From the middle of a 5x7 grid every radius up to 4 leaves a
+        // lookahead ring, so index `node_count()` is a discovered member
+        // whose ring lookup would read `radius + 1`; it must panic instead.
+        let g = generators::grid(5, 7).unwrap();
+        let csr = g.freeze();
+        let center = NodeId::new(17);
+        let mut grower = BallGrower::new(&csr, center);
+        for r in 0..=4 {
+            assert!(!grower.is_saturated());
+            let expected = extract_ball(&g, center, r);
+            assert_eq!(grower.node_count(), expected.node_count());
+            for (i, &v) in grower.members().iter().enumerate() {
+                let host = NodeId::new(v as usize);
+                assert_eq!(Some(grower.distance_of_index(i)), expected.distance_to(host));
+            }
+            let lookahead = grower.node_count();
+            let panic = std::panic::catch_unwind(|| grower.distance_of_index(lookahead));
+            let payload = panic.expect_err("the first lookahead index must panic");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"index outside the published ball"));
+            grower.grow();
+        }
     }
 
     #[test]

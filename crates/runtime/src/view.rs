@@ -258,7 +258,7 @@ impl<'a> LocalView<'a> {
     pub fn sorted_identifiers(&self) -> Vec<Identifier> {
         let mut ids: Vec<Identifier> = match &self.backing {
             Backing::Owned(owned) => owned.graph.identifiers().collect(),
-            Backing::Grower { grower, .. } => grower.identifiers().to_vec(),
+            Backing::Grower { grower, .. } => grower.identifiers().collect(),
         };
         ids.sort_unstable();
         ids
@@ -290,7 +290,7 @@ impl<'a> LocalView<'a> {
     pub fn contains_identifier(&self, id: Identifier) -> bool {
         match &self.backing {
             Backing::Owned(owned) => owned.graph.node_by_identifier(id).is_some(),
-            Backing::Grower { grower, .. } => grower.identifiers().contains(&id),
+            Backing::Grower { grower, .. } => grower.identifiers().any(|x| x == id),
         }
     }
 
@@ -304,7 +304,7 @@ impl<'a> LocalView<'a> {
                 .filter(|v| owned.distances[v.index()] == d)
                 .map(|v| owned.graph.identifier(v))
                 .collect(),
-            Backing::Grower { grower, .. } => grower.ring_identifiers(d).to_vec(),
+            Backing::Grower { grower, .. } => grower.ring_identifiers(d).collect(),
         };
         ids.sort_unstable();
         ids
@@ -348,10 +348,8 @@ impl<'a> LocalView<'a> {
             Backing::Owned(owned) => {
                 owned.distances.iter().copied().filter(|&d| d != usize::MAX).max().unwrap_or(0)
             }
-            Backing::Grower { grower, .. } => (0..=self.radius)
-                .rev()
-                .find(|&d| !grower.ring_identifiers(d).is_empty())
-                .unwrap_or(0),
+            // The last published member lies in the outermost non-empty ring.
+            Backing::Grower { grower, .. } => grower.distance_of_index(grower.node_count() - 1),
         };
         let by_distance = (0..=max_d).map(|d| self.identifiers_at_distance(d)).collect();
         (self.center_identifier(), self.radius, self.saturated, by_distance)

@@ -6,7 +6,7 @@
 //! The whole binary holds exactly this one test so the counting allocator
 //! observes nothing but the measured window.
 
-use avglocal::algorithms::LargestId;
+use avglocal::algorithms::{KnowTheLeader, LargestId};
 use avglocal::graph::BallGrower;
 use avglocal::prelude::*;
 use avglocal::runtime::{BallAlgorithm, Knowledge, LocalView};
@@ -15,34 +15,31 @@ use avglocal_integration_tests::alloc_count::{allocations, CountingAllocator};
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-#[test]
-fn grower_steady_state_does_not_allocate() {
-    let n = 512usize;
-    let graph = topology_with_assignment(&Topology::Cycle, n, &IdAssignment::Identity)
-        .expect("a 512-cycle is a valid instance");
+/// Warms a grower on `graph` with one full growth from node 0, which sizes
+/// every scratch buffer to its maximum (node 0 has the largest eccentricity
+/// on both instances), then asserts that the exact probe loop the executor
+/// drives per node — reset, consult the algorithm on the lazy view at each
+/// radius, grow — allocates nothing over every centre.
+fn assert_probe_loop_does_not_allocate(graph: &Graph, algorithm: &impl BallAlgorithm) {
     let csr = graph.freeze();
+    let n = csr.node_count();
     let knowledge = Knowledge::none();
-
-    // Warm-up: one full growth sizes every scratch buffer to its maximum
-    // (the component has the same size from every centre).
     let mut grower = BallGrower::new(&csr, NodeId::new(0));
     while !grower.is_saturated() {
         grower.grow();
     }
 
-    // Steady state: the exact probe loop the executor drives per node —
-    // reset, consult the algorithm on the lazy view at each radius, grow.
     let before = allocations();
     let mut decisions = 0usize;
     for center in 0..n {
         grower.reset(NodeId::new(center));
         loop {
             let view = LocalView::from_grower(&grower);
-            if let Some(_decision) = LargestId.decide(&view, &knowledge) {
+            if algorithm.decide(&view, &knowledge).is_some() {
                 decisions += 1;
                 break;
             }
-            assert!(!view.is_saturated(), "largest-ID always decides on a saturated view");
+            assert!(!view.is_saturated(), "both algorithms decide on a saturated view");
             grower.grow();
         }
     }
@@ -50,8 +47,23 @@ fn grower_steady_state_does_not_allocate() {
 
     assert_eq!(decisions, n);
     assert_eq!(
-        allocations, 0,
-        "the incremental probe loop must not allocate in the steady state \
-         ({allocations} allocations over {n} nodes)"
+        allocations,
+        0,
+        "the incremental probe loop of {} must not allocate in the steady state \
+         ({allocations} allocations over {n} nodes)",
+        algorithm.name()
     );
+}
+
+#[test]
+fn grower_steady_state_does_not_allocate() {
+    // Largest-ID on a 512-cycle: most probes stop long before saturation.
+    let cycle = topology_with_assignment(&Topology::Cycle, 512, &IdAssignment::Identity)
+        .expect("a 512-cycle is a valid instance");
+    assert_probe_loop_does_not_allocate(&cycle, &LargestId);
+    // Know-the-leader on a 16x16 grid: every probe saturates, so `members`
+    // reaches n and the identifier fold covers the whole ball.
+    let grid = topology_with_assignment(&Topology::Grid, 256, &IdAssignment::Identity)
+        .expect("a 16x16 grid is a valid instance");
+    assert_probe_loop_does_not_allocate(&grid, &KnowTheLeader);
 }
