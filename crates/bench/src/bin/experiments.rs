@@ -11,17 +11,35 @@
 //! cargo run --release -p avglocal-bench --bin experiments -- --quick # reduced sizes
 //! cargo run --release -p avglocal-bench --bin experiments -- --csv   # CSV output
 //! ```
+//!
+//! Any other argument prints a usage line and exits with status 2.
 
 use std::env;
+use std::process::ExitCode;
 
 use avglocal_bench::tables;
 
-fn main() {
+/// Parses the arguments into `(quick, csv, selected experiments)`, where no
+/// selection means all of them. Returns `None` when an argument is not
+/// `--quick`, `--csv` or `--e1` to `--e9`.
+fn parse_args<S: AsRef<str>>(args: &[S]) -> Option<(bool, bool, Vec<usize>)> {
+    let (mut quick, mut csv, mut selected) = (false, false, Vec::new());
+    for arg in args {
+        match arg.as_ref() {
+            "--quick" => quick = true,
+            "--csv" => csv = true,
+            other => selected.push((1..=9).find(|i| other == format!("--e{i}"))?),
+        }
+    }
+    Some((quick, csv, selected))
+}
+
+fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let csv = args.iter().any(|a| a == "--csv");
-    let selected: Vec<usize> =
-        (1..=9).filter(|i| args.iter().any(|a| a == &format!("--e{i}"))).collect();
+    let Some((quick, csv, selected)) = parse_args(&args) else {
+        eprintln!("usage: experiments [--quick] [--csv] [--e1 ... --e9]");
+        return ExitCode::from(2);
+    };
     let run_all = selected.is_empty();
 
     type TableBuilder = fn(bool) -> avglocal::report::Table;
@@ -66,6 +84,24 @@ fn main() {
         }
         if run_all || selected.contains(&9) {
             println!("{}", avglocal_bench::figure_f5(quick));
+        }
+    }
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_args_accepts_only_the_documented_flags() {
+        assert_eq!(parse_args::<&str>(&[]), Some((false, false, vec![])));
+        assert_eq!(
+            parse_args(&["--e9", "--quick", "--csv", "--e3"]),
+            Some((true, true, vec![9, 3]))
+        );
+        for bad in ["--quik", "--e10", "--e0", "--e01", "--e+1", "--help", "e1", ""] {
+            assert_eq!(parse_args(&["--quick", bad]), None, "{bad:?} must be rejected");
         }
     }
 }

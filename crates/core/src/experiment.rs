@@ -255,8 +255,7 @@ pub struct Sweep {
 
 impl Sweep {
     /// Creates a sweep of `problem` over the given ring sizes (the paper's
-    /// setting; use [`Sweep::on`] or [`Sweep::with_topology`] for other
-    /// families).
+    /// setting; use [`Sweep::on`] for other families).
     #[must_use]
     pub fn new(problem: Problem, sizes: Vec<usize>) -> Self {
         Sweep::on(problem, Topology::Cycle, sizes)
@@ -275,13 +274,6 @@ impl Sweep {
             sample: None,
             sample_seed: 0,
         }
-    }
-
-    /// Sets the topology family (default: the cycle).
-    #[must_use]
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
     }
 
     /// Sets the identifier-assignment policy (default: random with seed 0).

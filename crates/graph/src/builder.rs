@@ -84,44 +84,38 @@ impl GraphBuilder {
 
     /// Validates the description and produces the [`Graph`].
     ///
+    /// One sorted `(identifier, node)` table does all identifier work: equal
+    /// neighbours are the duplicate check and a binary search resolves each
+    /// edge endpoint, so building costs `O((n + m) log n)`.
+    ///
     /// # Errors
     ///
-    /// Returns [`GraphError::DuplicateIdentifier`] when two nodes share an
-    /// identifier, [`GraphError::InvalidGeneratorParameter`] when an edge
-    /// references an undeclared identifier, and propagates edge errors
-    /// ([`GraphError::SelfLoop`], [`GraphError::DuplicateEdge`]).
+    /// Returns [`GraphError::DuplicateIdentifier`] naming the smallest
+    /// identifier two nodes share, [`GraphError::InvalidGeneratorParameter`]
+    /// when an edge references an undeclared identifier, and propagates edge
+    /// errors ([`GraphError::SelfLoop`], [`GraphError::DuplicateEdge`]).
     pub fn build(self) -> Result<Graph> {
+        let mut table: Vec<(u64, NodeId)> =
+            self.identifiers.iter().enumerate().map(|(i, &raw)| (raw, NodeId::new(i))).collect();
+        table.sort_unstable();
+        if let Some(w) = table.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(GraphError::DuplicateIdentifier { identifier: w[0].0 });
+        }
+        let node_of = |raw: u64| match table.binary_search_by_key(&raw, |&(id, _)| id) {
+            Ok(slot) => Ok(table[slot].1),
+            Err(_) => Err(GraphError::InvalidGeneratorParameter {
+                reason: format!("edge references unknown identifier {raw}"),
+            }),
+        };
         let mut graph = Graph::with_capacity(self.identifiers.len());
-        let mut ids: Vec<NodeId> = Vec::with_capacity(self.identifiers.len());
-        for raw in &self.identifiers {
-            ids.push(graph.add_node(Identifier::new(*raw)));
+        for &raw in &self.identifiers {
+            graph.add_node(Identifier::new(raw));
         }
-        if !graph.has_unique_identifiers() {
-            let dup = duplicate(&self.identifiers)
-                .expect("uniqueness check failed, so a duplicate exists");
-            return Err(GraphError::DuplicateIdentifier { identifier: dup });
-        }
-        for (a, b) in &self.edges {
-            let u = graph.node_by_identifier(Identifier::new(*a)).ok_or_else(|| {
-                GraphError::InvalidGeneratorParameter {
-                    reason: format!("edge references unknown identifier {a}"),
-                }
-            })?;
-            let v = graph.node_by_identifier(Identifier::new(*b)).ok_or_else(|| {
-                GraphError::InvalidGeneratorParameter {
-                    reason: format!("edge references unknown identifier {b}"),
-                }
-            })?;
-            graph.add_edge(u, v)?;
+        for &(a, b) in &self.edges {
+            graph.add_edge(node_of(a)?, node_of(b)?)?;
         }
         Ok(graph)
     }
-}
-
-fn duplicate(values: &[u64]) -> Option<u64> {
-    let mut sorted = values.to_vec();
-    sorted.sort_unstable();
-    sorted.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
 //! Undirected simple graphs with per-node identifiers.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::csr::CsrGraph;
@@ -13,6 +12,11 @@ use crate::{Identifier, NodeId};
 /// densely and addressed by [`NodeId`]; each node holds the identifier it
 /// exposes to the distributed algorithm. Neighbour lists are kept in insertion
 /// order, which doubles as the port numbering used by the runtime.
+///
+/// Nothing derived from the adjacency or the identifier table is stored:
+/// [`Graph::contains_edge`] (and so [`Graph::add_edge`]) scans the shorter
+/// neighbour list in `O(min degree)`, and [`Graph::node_by_identifier`]
+/// scans the table in `O(n)`.
 ///
 /// # Examples
 ///
@@ -34,21 +38,14 @@ use crate::{Identifier, NodeId};
 pub struct Graph {
     adjacency: Vec<Vec<NodeId>>,
     identifiers: Vec<Identifier>,
-    by_identifier: HashMap<Identifier, NodeId>,
-    /// Normalised `(min, max)` endpoint pairs, mirroring `adjacency`. Makes
-    /// [`Graph::contains_edge`] (and thus the duplicate check of
-    /// [`Graph::add_edge`]) `O(1)`, so bulk generators are not `O(n·Δ²)`.
-    edge_set: HashSet<(NodeId, NodeId)>,
     edge_count: usize,
 }
 
-/// Normalises an undirected edge to its `(min, max)` key.
-fn edge_key(u: NodeId, v: NodeId) -> (NodeId, NodeId) {
-    if u <= v {
-        (u, v)
-    } else {
-        (v, u)
-    }
+/// The smallest identifier that occurs more than once in `identifiers`.
+fn smallest_duplicate(identifiers: &[Identifier]) -> Option<Identifier> {
+    let mut sorted = identifiers.to_vec();
+    sorted.sort_unstable();
+    sorted.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
 }
 
 impl Graph {
@@ -64,8 +61,6 @@ impl Graph {
         Graph {
             adjacency: Vec::with_capacity(nodes),
             identifiers: Vec::with_capacity(nodes),
-            by_identifier: HashMap::with_capacity(nodes),
-            edge_set: HashSet::new(),
             edge_count: 0,
         }
     }
@@ -73,13 +68,11 @@ impl Graph {
     /// Adds a node carrying `identifier` and returns its [`NodeId`].
     ///
     /// Identifiers are not required to be unique at insertion time (the
-    /// builder validates uniqueness when it matters); the reverse lookup map
-    /// keeps the *first* node that used a given identifier.
+    /// builder validates uniqueness when it matters).
     pub fn add_node(&mut self, identifier: Identifier) -> NodeId {
         let id = NodeId::new(self.adjacency.len());
         self.adjacency.push(Vec::new());
         self.identifiers.push(identifier);
-        self.by_identifier.entry(identifier).or_insert(id);
         id
     }
 
@@ -88,7 +81,7 @@ impl Graph {
         (0..count).map(|i| self.add_node(Identifier::new(i as u64))).collect()
     }
 
-    /// Adds the undirected edge `(u, v)`.
+    /// Adds the undirected edge `(u, v)` in `O(min degree)`.
     ///
     /// # Errors
     ///
@@ -101,7 +94,7 @@ impl Graph {
         if u == v {
             return Err(GraphError::SelfLoop { node: u });
         }
-        if !self.edge_set.insert(edge_key(u, v)) {
+        if self.contains_edge(u, v) {
             return Err(GraphError::DuplicateEdge { u, v });
         }
         self.adjacency[u.index()].push(v);
@@ -134,10 +127,15 @@ impl Graph {
         node.index() < self.adjacency.len()
     }
 
-    /// Returns `true` if the undirected edge `(u, v)` exists. `O(1)`.
+    /// Returns `true` if the undirected edge `(u, v)` exists; `false` when
+    /// either node is not in the graph. `O(min degree)`.
     #[must_use]
     pub fn contains_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.edge_set.contains(&edge_key(u, v))
+        match (self.adjacency.get(u.index()), self.adjacency.get(v.index())) {
+            (Some(of_u), Some(of_v)) if of_u.len() <= of_v.len() => of_u.contains(&v),
+            (Some(_), Some(of_v)) => of_v.contains(&u),
+            _ => false,
+        }
     }
 
     /// Freezes the adjacency into a flat [`CsrGraph`] snapshot for
@@ -183,29 +181,21 @@ impl Graph {
         self.identifiers[node.index()]
     }
 
-    /// Replaces the identifier of `node`, keeping the reverse index coherent.
+    /// Replaces the identifier of `node`.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::NodeOutOfBounds`] if `node` does not exist.
     pub fn set_identifier(&mut self, node: NodeId, identifier: Identifier) -> Result<()> {
         self.check_node(node)?;
-        let old = self.identifiers[node.index()];
-        if old == identifier {
-            return Ok(());
-        }
-        if self.by_identifier.get(&old) == Some(&node) {
-            self.by_identifier.remove(&old);
-        }
         self.identifiers[node.index()] = identifier;
-        self.by_identifier.entry(identifier).or_insert(node);
         Ok(())
     }
 
-    /// Looks up the node carrying `identifier`, if any.
+    /// Looks up the first node carrying `identifier`, if any. `O(n)`.
     #[must_use]
     pub fn node_by_identifier(&self, identifier: Identifier) -> Option<NodeId> {
-        self.by_identifier.get(&identifier).copied()
+        self.identifiers.iter().position(|&id| id == identifier).map(NodeId::new)
     }
 
     /// Returns the node with the largest identifier, if the graph is non-empty.
@@ -254,16 +244,15 @@ impl Graph {
     /// Replaces the identifiers of every node at once.
     ///
     /// `identifiers[i]` becomes the identifier of the node with index `i`.
-    /// The new reverse index is built in one hash pass that also detects
-    /// duplicates; the graph is modified only once the whole table is
-    /// accepted.
+    /// One sort of a copy of the table finds duplicates; the graph is
+    /// modified only once the whole table is accepted.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::AssignmentLengthMismatch`] if the slice length
-    /// differs from the node count, and [`GraphError::DuplicateIdentifier`] if
-    /// two nodes would share an identifier. Either way the graph is left
-    /// unchanged.
+    /// differs from the node count, and [`GraphError::DuplicateIdentifier`]
+    /// with the smallest identifier two nodes would share. Either way the
+    /// graph is left unchanged.
     pub fn set_all_identifiers(&mut self, identifiers: &[Identifier]) -> Result<()> {
         if identifiers.len() != self.node_count() {
             return Err(GraphError::AssignmentLengthMismatch {
@@ -271,23 +260,18 @@ impl Graph {
                 expected: self.node_count(),
             });
         }
-        let mut index = HashMap::with_capacity(identifiers.len());
-        for (i, id) in identifiers.iter().enumerate() {
-            if index.insert(*id, NodeId::new(i)).is_some() {
-                return Err(GraphError::DuplicateIdentifier { identifier: id.value() });
-            }
+        if let Some(duplicate) = smallest_duplicate(identifiers) {
+            return Err(GraphError::DuplicateIdentifier { identifier: duplicate.value() });
         }
         self.identifiers.clear();
         self.identifiers.extend_from_slice(identifiers);
-        self.by_identifier = index;
         Ok(())
     }
 
     /// Checks that every node carries a distinct identifier.
     #[must_use]
     pub fn has_unique_identifiers(&self) -> bool {
-        let mut seen = HashMap::with_capacity(self.identifiers.len());
-        self.identifiers.iter().all(|id| seen.insert(*id, ()).is_none())
+        smallest_duplicate(&self.identifiers).is_none()
     }
 
     fn check_node(&self, node: NodeId) -> Result<()> {
@@ -346,6 +330,14 @@ mod tests {
         assert!(g.contains_edge(b, a));
         assert!(g.contains_edge(c, a));
         assert!(!g.is_empty());
+
+        // On a star the hub's list is the longer one: both scan branches run.
+        let mut star = Graph::new();
+        let [hub, leaf, other_leaf] = [0, 1, 2].map(|id| star.add_node(Identifier::new(id)));
+        star.add_edge(hub, leaf).unwrap();
+        star.add_edge(hub, other_leaf).unwrap();
+        assert!(star.contains_edge(hub, leaf) && star.contains_edge(leaf, hub));
+        assert!(!star.contains_edge(leaf, other_leaf));
     }
 
     #[test]
@@ -362,6 +354,8 @@ mod tests {
         let a = g.add_node(Identifier::new(1));
         let ghost = NodeId::new(10);
         assert!(matches!(g.add_edge(a, ghost), Err(GraphError::NodeOutOfBounds { .. })));
+        assert!(!g.contains_edge(a, ghost));
+        assert!(!g.contains_edge(ghost, a));
     }
 
     #[test]
@@ -382,6 +376,16 @@ mod tests {
         assert_eq!(g.node_by_identifier(Identifier::new(50)), Some(a));
         assert_eq!(g.node_by_identifier(Identifier::new(1)), None);
         assert_eq!(g.max_identifier_node(), Some(a));
+    }
+
+    #[test]
+    fn node_by_identifier_finds_the_remaining_holder_after_set_identifier() {
+        let mut g = Graph::new();
+        let first = g.add_node(Identifier::new(5));
+        let second = g.add_node(Identifier::new(5));
+        assert_eq!(g.node_by_identifier(Identifier::new(5)), Some(first));
+        g.set_identifier(first, Identifier::new(7)).unwrap();
+        assert_eq!(g.node_by_identifier(Identifier::new(5)), Some(second));
     }
 
     #[test]
