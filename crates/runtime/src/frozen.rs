@@ -2,12 +2,14 @@
 //! everything.
 //!
 //! [`FrozenExecutor`] owns the [`CsrGraph`] and a pool of detached
-//! [`GrowerScratch`] buffers, so after the first probe each
-//! [`FrozenExecutor::run_node_with`] costs only `Θ(ball(v))`, and repeated
-//! [`FrozenExecutor::run`] / [`FrozenExecutor::run_nodes_with`] calls hand
-//! the same warmed buffers to the worker pool's participants. Probing a node
-//! at radii `0, 1, …, r(v)` costs `Θ(ball(v))` edges in total (one
-//! incremental [`BallGrower`]) instead of the `Θ(r(v)²)` a from-scratch
+//! [`GrowerScratch`](avglocal_graph::GrowerScratch) buffers, so after the
+//! first probe each [`FrozenExecutor::run_node_with`] costs only
+//! `Θ(ball(v))`, and repeated [`FrozenExecutor::run`] /
+//! [`FrozenExecutor::run_nodes_with`] calls hand the same warmed buffers to
+//! the worker pool's participants. Each participant builds one
+//! [`BallGrower`] on its buffer and re-centres it for every node it claims.
+//! Probing a node at radii `0, 1, …, r(v)` costs `Θ(ball(v))` edges in total
+//! (one incremental grower) instead of the `Θ(r(v)²)` a from-scratch
 //! extraction per probe would cost.
 //!
 //! Experiment trials vary only the identifier assignment, never the
@@ -28,7 +30,7 @@
 
 use std::fmt;
 
-use avglocal_graph::{BallGrower, CsrGraph, Graph, GraphError, GrowerScratch, Identifier, NodeId};
+use avglocal_graph::{BallGrower, CsrGraph, Graph, GraphError, Identifier, NodeId};
 use rayon::prelude::*;
 
 use crate::algorithm::BallAlgorithm;
@@ -258,7 +260,8 @@ impl FrozenExecutor {
     ) -> Result<(A::Output, usize)> {
         let mut never = |_: usize| false;
         let cancel = options.cancel.unwrap_or(&mut never);
-        self.probe(algorithm, knowledge).node(&mut self.scratch_pool.checkout(), node, cancel)
+        let mut grower = LiveGrower::new(&self.scratch_pool);
+        self.probe(algorithm, knowledge).node(&mut grower, node, cancel)
     }
 
     /// Probes an arbitrary **set** of nodes on the shared session, under the
@@ -314,6 +317,31 @@ impl FrozenExecutor {
     }
 }
 
+/// A node-loop participant's grower: the first in-bounds slot it claims
+/// builds the grower on the participant's pooled scratch, and every later
+/// slot re-centres the same grower with [`BallGrower::reset`]. Dropping it
+/// hands the grower's buffers back to the pooled scratch, which parks them
+/// in the session's pool.
+struct LiveGrower<'a> {
+    scratch: PooledScratch<'a>,
+    grower: Option<BallGrower<'a>>,
+}
+
+impl<'a> LiveGrower<'a> {
+    /// Checks a scratch out of `pool`; the grower is built on first use.
+    fn new(pool: &'a ScratchPool) -> Self {
+        LiveGrower { scratch: pool.checkout(), grower: None }
+    }
+}
+
+impl Drop for LiveGrower<'_> {
+    fn drop(&mut self) {
+        if let Some(grower) = self.grower.take() {
+            *self.scratch = grower.into_scratch();
+        }
+    }
+}
+
 /// One algorithm on one session's snapshot, radius limit, scheduling and
 /// scratch pool: the probe loop and the node loop every entry point of the
 /// runtime ends in.
@@ -326,16 +354,18 @@ struct Probe<'a, A> {
     scratch_pool: &'a ScratchPool,
 }
 
-impl<A: BallAlgorithm> Probe<'_, A> {
-    /// Probes `node` with a borrowed scratch until the algorithm decides,
-    /// polling `cancel(radius)` once per ball-growth step — before the
-    /// radius-`r` view is inspected. When the hook returns `true` the probe
-    /// stops with [`RuntimeError::Cancelled`] without growing further, so an
-    /// expired deadline costs at most one additional decide call; a hook
-    /// that never fires leaves the probe bit-identical to an uncancelled one.
+impl<'a, A: BallAlgorithm> Probe<'a, A> {
+    /// Probes `node` on the participant's live grower until the algorithm
+    /// decides, polling `cancel(radius)` once per ball-growth step — before
+    /// the radius-`r` view is inspected. When the hook returns `true` the
+    /// probe stops with [`RuntimeError::Cancelled`] without growing further,
+    /// so an expired deadline costs at most one additional decide call; a
+    /// hook that never fires leaves the probe bit-identical to an
+    /// uncancelled one. An out-of-bounds node is rejected before the grower
+    /// is touched.
     fn node(
         &self,
-        scratch: &mut GrowerScratch,
+        live: &mut LiveGrower<'a>,
         node: NodeId,
         cancel: &mut dyn FnMut(usize) -> bool,
     ) -> Result<(A::Output, usize)> {
@@ -343,36 +373,45 @@ impl<A: BallAlgorithm> Probe<'_, A> {
         if node.index() >= node_count {
             return Err(RuntimeError::Graph(GraphError::NodeOutOfBounds { node, node_count }));
         }
-        let mut grower = BallGrower::with_scratch(self.csr, node, std::mem::take(scratch));
-        let result = loop {
-            if cancel(grower.radius()) {
-                break Err(RuntimeError::Cancelled { node, radius: grower.radius() });
+        let grower = match &mut live.grower {
+            Some(grower) => {
+                grower.reset(node);
+                grower
             }
-            let view = LocalView::from_grower(&grower);
+            None => live.grower.insert(BallGrower::with_scratch(
+                self.csr,
+                node,
+                std::mem::take(&mut *live.scratch),
+            )),
+        };
+        loop {
+            if cancel(grower.radius()) {
+                return Err(RuntimeError::Cancelled { node, radius: grower.radius() });
+            }
+            let view = LocalView::from_grower(grower);
             let saturated = view.is_saturated();
             if let Some(out) = self.algorithm.decide(&view, &self.knowledge) {
-                break Ok((out, view.radius()));
+                return Ok((out, view.radius()));
             }
             if saturated {
-                break Err(RuntimeError::NonTerminating { node });
+                return Err(RuntimeError::NonTerminating { node });
             }
             if grower.radius() >= self.hard_limit {
-                break Err(RuntimeError::RoundLimitExceeded {
+                return Err(RuntimeError::RoundLimitExceeded {
                     limit: self.hard_limit,
                     undecided: 1,
                 });
             }
             grower.grow();
-        };
-        *scratch = grower.into_scratch();
-        result
+        }
     }
 
     /// The node loop: slot `i` answers `node_at(i)` for `i in 0..count`.
-    /// Under [`Scheduling::WorkStealing`] each pool participant checks one
-    /// scratch out of the session's pool on its first chunk and reuses it
-    /// for every chunk it claims; results land in index-addressed slots, so
-    /// they are deterministic by position no matter who stole which chunk.
+    /// Each participant (every pool participant under
+    /// [`Scheduling::WorkStealing`], the calling thread under
+    /// [`Scheduling::Sequential`]) keeps one [`LiveGrower`] for every slot it
+    /// claims; results land in index-addressed slots, so they are
+    /// deterministic by position no matter who stole which chunk.
     fn nodes(
         &self,
         count: usize,
@@ -383,18 +422,18 @@ impl<A: BallAlgorithm> Probe<'_, A> {
         A: Sync,
         A::Output: Send,
     {
-        let probe = |pooled: &mut PooledScratch<'_>, i: usize| {
+        let probe = |live: &mut LiveGrower<'a>, i: usize| {
             let mut hook = |radius: usize| options.cancel.is_some_and(|cancel| cancel(radius));
-            self.node(pooled, node_at(i), &mut hook)
+            self.node(live, node_at(i), &mut hook)
         };
         match self.scheduling {
             Scheduling::WorkStealing => (0..count)
                 .into_par_iter()
-                .map_init(|| self.scratch_pool.checkout(), probe)
+                .map_init(|| LiveGrower::new(self.scratch_pool), probe)
                 .collect(),
             Scheduling::Sequential => {
-                let mut pooled = self.scratch_pool.checkout();
-                (0..count).map(|i| probe(&mut pooled, i)).collect()
+                let mut live = LiveGrower::new(self.scratch_pool);
+                (0..count).map(|i| probe(&mut live, i)).collect()
             }
         }
     }
@@ -606,20 +645,54 @@ mod tests {
 
     #[test]
     fn run_nodes_with_reports_out_of_bounds_per_slot() {
-        let g = generators::cycle(6).unwrap();
-        let session = FrozenExecutor::new(&g);
-        let nodes = [NodeId::new(2), NodeId::new(6), NodeId::new(5)];
-        let batch =
-            session.run_nodes_with(&nodes, &NaiveLargestId, Knowledge::none(), &Default::default());
-        assert!(batch[0].is_ok());
-        assert!(matches!(
-            batch[1],
-            Err(RuntimeError::Graph(avglocal_graph::GraphError::NodeOutOfBounds {
-                node_count: 6,
-                ..
-            }))
-        ));
-        assert!(batch[2].is_ok(), "a bad slot must not disturb its neighbours");
+        let mut g = generators::cycle(6).unwrap();
+        IdAssignment::Shuffled { seed: 4 }.apply(&mut g).unwrap();
+        for scheduling in [Scheduling::WorkStealing, Scheduling::Sequential] {
+            let session = FrozenExecutor::new(&g).with_scheduling(scheduling);
+            let nodes = [NodeId::new(2), NodeId::new(6), NodeId::new(5)];
+            let batch = session.run_nodes_with(
+                &nodes,
+                &NaiveLargestId,
+                Knowledge::none(),
+                &Default::default(),
+            );
+            assert!(batch[0].is_ok());
+            assert!(matches!(
+                batch[1],
+                Err(RuntimeError::Graph(avglocal_graph::GraphError::NodeOutOfBounds {
+                    node_count: 6,
+                    ..
+                }))
+            ));
+            assert!(batch[2].is_ok(), "a bad slot must not disturb its neighbours");
+
+            // Slot 0 is out of bounds before its participant has built a
+            // grower, slot 3 mid-list.
+            let nodes = [6, 1, 3, 9, 4, 0, 3].map(NodeId::new);
+            let batch = session.run_nodes_with(
+                &nodes,
+                &NaiveLargestId,
+                Knowledge::none(),
+                &Default::default(),
+            );
+            for (slot, &node) in batch.iter().zip(&nodes) {
+                if node.index() < 6 {
+                    let got = slot.as_ref().unwrap();
+                    assert_eq!(got, &probe(&session, node), "{scheduling:?} node {node:?}");
+                } else {
+                    assert!(
+                        matches!(
+                            slot,
+                            Err(RuntimeError::Graph(GraphError::NodeOutOfBounds {
+                                node_count: 6,
+                                ..
+                            }))
+                        ),
+                        "{scheduling:?} node {node:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

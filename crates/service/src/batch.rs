@@ -3,13 +3,16 @@
 //! A batch pins **one** generation, holds **one** admission slot for its
 //! whole lifetime, and spreads its node set over the persistent pool
 //! through the session's node loop
-//! ([`avglocal_runtime::FrozenExecutor::run_nodes_with`]), reusing one
-//! `GrowerScratch` per pool participant. One cooperative deadline budget
-//! covers the entire batch: every probe polls the same shared cancel hook
-//! once per ball-growth step, so when the budget expires mid-batch the
-//! reply comes back *partial* — completed entries keep their bit-identical
-//! answers, the rest are typed [`BatchOutcome::Expired`] — instead of the
-//! whole batch failing.
+//! ([`avglocal_runtime::FrozenExecutor::run_nodes_with`]), where each pool
+//! participant keeps one live ball grower and re-centres it for every slot
+//! it claims. One cooperative deadline budget covers the entire batch: the
+//! batch reads the clock once when it starts, and every probe polls the
+//! same shared cancel hook (one clock read) once per ball-growth step, so
+//! when the budget expires mid-batch the reply comes back *partial* —
+//! completed entries keep their bit-identical answers, the rest are typed
+//! [`BatchOutcome::Expired`] — instead of the whole batch failing. The
+//! unbounded budget [`u64::MAX`] is no deadline: the batch installs no hook
+//! and reads no clock.
 //!
 //! Single queries and batches take the same [`QueryOptions`]: a deadline
 //! budget plus a [`Consistency`] mode (serve from the pinned generation, or
@@ -50,7 +53,9 @@ pub enum Consistency {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueryOptions {
     /// Deadline budget in clock ticks; `None` uses the service's
-    /// `default_deadline`.
+    /// `default_deadline`. [`u64::MAX`] is no deadline and reads no clock;
+    /// a finite budget reads the clock once when the request's probe starts
+    /// and once per ball-growth step.
     pub deadline: Option<u64>,
     /// Consistency demanded of the answer.
     pub consistency: Consistency,
@@ -319,10 +324,11 @@ where
             NodeSelection::All => (0..generation.node_count()).map(NodeId::new).collect(),
             NodeSelection::Nodes(nodes) => nodes.clone(),
         };
-        let clock = self.clock();
-        let start = clock.now();
-        let cancel = move |_radius: usize| clock.now().saturating_sub(start) >= budget;
-        let options = NodeBatchOptions::new().with_cancel(&cancel);
+        let deadline = self.deadline(budget);
+        let options = match &deadline {
+            Some(expired) => NodeBatchOptions::new().with_cancel(expired),
+            None => NodeBatchOptions::new(),
+        };
         let results = generation.session().run_nodes_with(
             &nodes,
             self.algorithm(),

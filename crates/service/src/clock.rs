@@ -69,10 +69,12 @@ impl Clock for WallClock {
 /// per-`now` auto-tick.
 ///
 /// The auto-tick makes deadline expiry scriptable without any cooperating
-/// thread: a probe polling its cancellation hook calls [`Clock::now`] once
-/// per ball-growth step, so `TestClock::with_autotick(1)` ages a query by
-/// exactly one tick per step — "this query times out after three growth
-/// steps" becomes a deterministic assertion.
+/// thread: a probe under a finite budget calls [`Clock::now`] once when it
+/// starts and once per ball-growth step as it polls its cancellation hook,
+/// so `TestClock::with_autotick(1)` ages a query by exactly one tick per
+/// step — "this query times out after three growth steps" becomes a
+/// deterministic assertion. A request with the unbounded budget
+/// [`u64::MAX`] has no deadline and reads no clock, so it never ages it.
 #[derive(Debug)]
 pub struct TestClock {
     ticks: AtomicU64,

@@ -15,13 +15,15 @@ pub struct ServiceConfig {
     /// Admission bound: requests beyond this many in flight are shed.
     pub max_in_flight: usize,
     /// Deadline budget, in clock ticks, of queries that do not bring their
-    /// own ([`u64::MAX`] = effectively unlimited).
+    /// own. [`u64::MAX`], the default, is no deadline: such a probe reads no
+    /// clock. A finite budget reads the clock once when the probe starts
+    /// and once per ball-growth step.
     pub default_deadline: u64,
     /// How many times a latest-consistency query retries after losing its
     /// pinned generation to a swap.
     pub retry_limit: u32,
-    /// Backoff before retry `k` (1-based) is `backoff_base << (k - 1)`
-    /// ticks — bounded exponential.
+    /// Backoff before retry `k` (1-based) is `backoff_base · 2^(k − 1)`
+    /// ticks, saturating at [`u64::MAX`].
     pub backoff_base: u64,
     /// Optional ball-radius hard limit applied to every generation's
     /// session (see [`avglocal_runtime::FrozenExecutor::with_max_radius`]).

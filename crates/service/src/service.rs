@@ -31,7 +31,9 @@
 //! **one** admission slot regardless of how many nodes it shards across the
 //! pool. Admitted requests carry a deadline budget in [`Clock`] ticks,
 //! enforced by cooperative cancellation polled once per ball-growth step
-//! ([`ServiceError::DeadlineExceeded`]).
+//! ([`ServiceError::DeadlineExceeded`]): a finite budget reads the clock
+//! once when the probe starts and once per step. The unbounded budget
+//! [`u64::MAX`] (the default) is no deadline, and its probes read no clock.
 //!
 //! Single queries ([`RadiusQueryService::query_with`]) and batches share one
 //! path driven by [`QueryOptions`]: the deadline budget plus a
@@ -263,9 +265,16 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
         }
     }
 
-    /// The service's clock, for probe paths measuring deadline budgets.
-    pub(crate) fn clock(&self) -> &dyn Clock {
-        self.clock.as_ref()
+    /// The cancellation hook that enforces `budget` from now, or `None` for
+    /// [`u64::MAX`], which means no deadline and reads no clock. A finite
+    /// budget reads the start tick here and one tick per poll of the hook.
+    pub(crate) fn deadline(&self, budget: u64) -> Option<impl Fn(usize) -> bool + Sync + '_> {
+        if budget == u64::MAX {
+            return None;
+        }
+        let clock = self.clock.as_ref();
+        let start = clock.now();
+        Some(move |_radius: usize| clock.now().saturating_sub(start) >= budget)
     }
 
     /// The service's configuration.
@@ -342,7 +351,7 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
             }
             tries += 1;
             self.counters.retries.fetch_add(1, Ordering::Relaxed);
-            self.clock.sleep(self.config.backoff_base << (tries - 1));
+            self.clock.sleep(backoff(self.config.backoff_base, tries));
         }
     }
 
@@ -368,15 +377,13 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
         node: NodeId,
         budget: u64,
     ) -> Result<QueryReply<A::Output>> {
-        let start = self.clock.now();
-        let clock = self.clock.as_ref();
-        let mut expired = |_radius| clock.now().saturating_sub(start) >= budget;
-        let result = generation.session.run_node_with(
-            node,
-            &self.algorithm,
-            self.knowledge,
-            ProbeOptions::new().with_cancel(&mut expired),
-        );
+        let mut deadline = self.deadline(budget);
+        let options = match &mut deadline {
+            Some(expired) => ProbeOptions::new().with_cancel(expired),
+            None => ProbeOptions::new(),
+        };
+        let result =
+            generation.session.run_node_with(node, &self.algorithm, self.knowledge, options);
         match result {
             Ok((output, radius)) => Ok(QueryReply { output, radius, epoch: generation.epoch }),
             Err(RuntimeError::Cancelled { radius, .. }) => {
@@ -453,6 +460,13 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
     }
 }
 
+/// The backoff before retry `retry` (1-based): `base · 2^(retry − 1)` ticks,
+/// saturating at [`u64::MAX`] instead of dropping bits, so a positive base
+/// never backs off for 0 ticks however many retries a request allows.
+fn backoff(base: u64, retry: u32) -> u64 {
+    2u64.checked_pow(retry - 1).and_then(|factor| base.checked_mul(factor)).unwrap_or(u64::MAX)
+}
+
 /// Best-effort extraction of a panic payload's message.
 fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -467,8 +481,9 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::QueryRequest;
     use crate::clock::TestClock;
-    use avglocal_graph::generators;
+    use avglocal_graph::{generators, IdAssignment};
     use avglocal_runtime::examples::NaiveLargestId;
     use avglocal_runtime::{FrozenExecutor, Scheduling};
 
@@ -589,6 +604,59 @@ mod tests {
             .query_with(NodeId::new(0), QueryOptions::new().with_deadline(u64::MAX))
             .unwrap();
         assert_eq!(reply.epoch, 1);
+    }
+
+    /// The clock reads `request` makes, counted on a clock that ages one
+    /// tick per read: the ticks between the caller's own reads before and
+    /// after, minus the read after.
+    fn reads_during<T>(clock: &TestClock, request: impl FnOnce() -> T) -> (u64, T) {
+        let before = clock.now();
+        let out = request();
+        (clock.now() - before - 1, out)
+    }
+
+    #[test]
+    fn only_a_finite_budget_reads_the_clock() {
+        let mut g = generators::cycle(32).unwrap();
+        IdAssignment::Shuffled { seed: 6 }.apply(&mut g).unwrap();
+        let clock = Arc::new(TestClock::with_autotick(1));
+        let service = RadiusQueryService::new(
+            NaiveLargestId,
+            Knowledge::none(),
+            g.freeze(),
+            clock.clone(),
+            ServiceConfig::default(),
+        );
+        let nodes: Vec<NodeId> = [3, 17, 0, 29, 11].map(NodeId::new).to_vec();
+        for options in [QueryOptions::new(), QueryOptions::new().with_deadline(1_000_000_000)] {
+            let finite = options.deadline.is_some();
+            for &node in &nodes {
+                let (reads, reply) = reads_during(&clock, || service.query_with(node, options));
+                // One start read, then one per growth step at radii 0..=r.
+                let expected = if finite { reply.unwrap().radius as u64 + 2 } else { 0 };
+                assert_eq!(reads, expected, "{options:?}, node {node:?}");
+            }
+            let request = QueryRequest::nodes(nodes.clone(), options);
+            let (reads, reply) = reads_during(&clock, || service.query_batch(&request));
+            let radii = reply.unwrap().radii().unwrap();
+            let expected =
+                if finite { 1 + radii.iter().map(|&r| r as u64 + 1).sum::<u64>() } else { 0 };
+            assert_eq!(reads, expected, "{options:?}, batch of {radii:?}");
+        }
+    }
+
+    #[test]
+    fn backoff_doubles_per_retry_and_saturates() {
+        assert_eq!(backoff(1, 1), 1);
+        assert_eq!(backoff(1, 3), 4);
+        assert_eq!(backoff(1, 64), 1 << 63);
+        assert_eq!(backoff(1, 65), u64::MAX);
+        assert_eq!(backoff(1 << 32, 33), u64::MAX);
+        for base in [1, 3, 1 << 32, u64::MAX] {
+            for retry in 1..=255 {
+                assert_ne!(backoff(base, retry), 0, "base {base}, retry {retry}");
+            }
+        }
     }
 
     #[test]
