@@ -16,14 +16,6 @@
 //! in the same process (cargo's default) are untouched, even though the
 //! injected panics and delays fire on shared pool workers.
 //!
-//! A process-wide default can be supplied through the `AVG_LOCAL_FAILPOINTS`
-//! environment variable (read once, at first capture), using
-//! comma-separated `key=value` pairs: `panic_every=N`, `delay_every=N`,
-//! `delay_micros=M`. Example: `AVG_LOCAL_FAILPOINTS=delay_every=3,delay_micros=50`
-//! makes every third claimed chunk (of every job in the process) sleep 50µs
-//! before running — a cheap way to shake out interleaving assumptions under
-//! a whole test binary.
-//!
 //! # Example
 //!
 //! ```
@@ -37,11 +29,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::Duration;
-
-/// Environment variable supplying a process-wide default [`Plan`].
-pub const FAILPOINTS_ENV: &str = "AVG_LOCAL_FAILPOINTS";
 
 /// An injection plan: which claimed chunks panic and/or stall.
 ///
@@ -100,28 +88,6 @@ pub fn arm(plan: Plan) {
 /// Removes this thread's armed plan.
 pub fn disarm() {
     ARMED.with(|cell| cell.set(Plan::default()));
-}
-
-/// The process-wide default plan from [`FAILPOINTS_ENV`], parsed once.
-fn env_default() -> Plan {
-    static DEFAULT: OnceLock<Plan> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        let Ok(spec) = std::env::var(FAILPOINTS_ENV) else {
-            return Plan::default();
-        };
-        let mut plan = Plan::default();
-        for pair in spec.split(',') {
-            let Some((key, value)) = pair.split_once('=') else { continue };
-            let Ok(value) = value.trim().parse::<u64>() else { continue };
-            match key.trim() {
-                "panic_every" => plan.panic_every = value,
-                "delay_every" => plan.delay_every = value,
-                "delay_micros" => plan.delay_micros = value,
-                _ => {}
-            }
-        }
-        plan
-    })
 }
 
 /// Pending worker-kill tokens (see [`kill_workers`]): each is consumed by
@@ -186,12 +152,10 @@ pub(crate) struct JobFailpoints {
 }
 
 impl JobFailpoints {
-    /// Captures the publishing thread's armed plan (falling back to the
-    /// environment default) into a fresh per-job state.
+    /// Captures the publishing thread's armed plan into a fresh per-job
+    /// state.
     pub(crate) fn capture() -> Self {
-        let armed = ARMED.with(Cell::get);
-        let plan = if armed.is_active() { armed } else { env_default() };
-        JobFailpoints { plan, chunks: AtomicU64::new(0) }
+        JobFailpoints { plan: ARMED.with(Cell::get), chunks: AtomicU64::new(0) }
     }
 
     /// Called by a participant at every chunk claim; sleeps and/or panics
@@ -233,13 +197,9 @@ mod tests {
         let job = JobFailpoints::capture();
         disarm();
         assert_eq!(job.plan.panic_every, 5);
-        // Disarming after capture does not defuse the captured job…
-        let later = JobFailpoints::capture();
-        // …while new captures see the disarmed state (or the env default,
-        // absent in the test environment unless set by the harness).
-        if std::env::var(FAILPOINTS_ENV).is_err() {
-            assert!(!later.plan.is_active());
-        }
+        // Disarming after capture does not defuse the captured job, while
+        // new captures see the disarmed state.
+        assert!(!JobFailpoints::capture().plan.is_active());
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! pre-allocated index-addressed slots. Outputs are therefore always in
 //! input order — parallelism never changes an answer — while a single
 //! expensive item no longer serialises the whole static chunk behind it (see
-//! [`pool`] for the architecture).
+//! [`pool`] for the architecture). Every call, [`join`] included, runs as
+//! the same kind of job: a chunk job over an index space.
 //!
 //! The pool size is, in order of precedence: the
 //! [`ThreadPoolBuilder::build_global`] request, the `AVG_LOCAL_THREADS`
@@ -32,8 +33,8 @@ pub mod failpoints;
 pub mod pool;
 mod sync;
 
-use std::mem::ManuallyDrop;
 use std::ops::Range;
+use std::sync::Mutex;
 
 /// The traits to import to use parallel iterators.
 pub mod prelude {
@@ -102,8 +103,15 @@ impl ThreadPoolBuilder {
     }
 }
 
-/// Runs the two closures, in parallel when a pool worker is free to take the
-/// second one, and returns both results.
+/// Runs the two closures, in parallel when a pool worker is free to take
+/// one of them, and returns both results.
+///
+/// This is a two-item chunk job: item 0 runs `a` and item 1 runs `b`. With
+/// two or more participants both closures run to completion, either
+/// participant may run either one, and a panic in `a` is re-thrown only
+/// after `b` has finished (it wins over a panic in `b`, by the chunk job's
+/// smallest-index rule). With one participant `join` runs `(a(), b())`
+/// inline.
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -111,7 +119,7 @@ where
     RA: Send,
     RB: Send,
 {
-    pool::join(a, b)
+    pool::join_on(pool::shared(), a, b)
 }
 
 /// Conversion into a parallel iterator.
@@ -181,38 +189,6 @@ pub trait ParallelIterator: Sized {
     }
 }
 
-/// Shareable raw base pointer of a vector whose items are claimed by index.
-struct ItemsPtr<T>(*const T);
-
-impl<T> ItemsPtr<T> {
-    /// The base pointer; a method (rather than field access) so closures
-    /// capture the `Sync` wrapper, not the raw pointer.
-    fn base(&self) -> *const T {
-        self.0
-    }
-}
-
-// SAFETY: the pointer is only dereferenced through the claim-by-index
-// protocol (each index exactly once) on `T: Send` items.
-unsafe impl<T: Send> Send for ItemsPtr<T> {}
-unsafe impl<T: Send> Sync for ItemsPtr<T> {}
-
-/// Frees a vector's buffer on drop without dropping any elements; used so a
-/// panicking pipeline cannot double-drop items that were moved out by index.
-struct RawBuffer<T> {
-    ptr: *mut T,
-    capacity: usize,
-}
-
-impl<T> Drop for RawBuffer<T> {
-    fn drop(&mut self) {
-        // SAFETY: constructed from a live Vec's parts; length 0 means no
-        // element destructor runs (consumed items were moved out; on a
-        // panic, unconsumed ones are deliberately leaked).
-        drop(unsafe { Vec::from_raw_parts(self.ptr, 0, self.capacity) });
-    }
-}
-
 /// Parallel iterator over an already-materialised list of items.
 #[derive(Debug)]
 pub struct VecIter<T> {
@@ -229,18 +205,13 @@ impl<T: Send> ParallelIterator for VecIter<T> {
         G: Fn() -> S + Sync,
         F: Fn(&mut S, T) -> R + Sync,
     {
-        let len = self.items.len();
-        let mut items = ManuallyDrop::new(self.items);
-        let buffer = RawBuffer { ptr: items.as_mut_ptr(), capacity: items.capacity() };
-        let base = ItemsPtr(buffer.ptr.cast_const());
-        let results = pool::run_chunked(len, init, |state, index| {
-            // SAFETY: the chunk cursor hands out every index exactly once,
-            // so each item is moved out exactly once.
-            let item = unsafe { std::ptr::read(base.base().add(index)) };
-            f(state, item)
-        });
-        drop(buffer);
-        results
+        // The cursor claims each index once, so each item is taken once;
+        // on a panic, the items no participant took drop with their slots.
+        let slots: Vec<Mutex<Option<T>>> =
+            self.items.into_iter().map(|item| Mutex::new(Some(item))).collect();
+        pool::run_chunked(slots.len(), init, |state, index| {
+            f(state, pool::take_slot(&slots[index]))
+        })
     }
 }
 
@@ -351,6 +322,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use crate::pool::Shared;
+    use std::panic::AssertUnwindSafe;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -383,6 +356,27 @@ mod tests {
         let consumed: Vec<usize> = items.into_par_iter().map(drop).map(|()| 1).collect();
         assert_eq!(consumed.len(), 500);
         assert_eq!(drops.load(Ordering::Relaxed), 500);
+    }
+
+    #[test]
+    fn vec_source_drops_every_item_once_when_an_item_panics() {
+        // Item 7 panics. Whether the other items still run or (with one
+        // participant) are abandoned, each is dropped exactly once.
+        struct Tracked<'a>(usize, &'a [AtomicUsize]);
+        impl Drop for Tracked<'_> {
+            fn drop(&mut self) {
+                self.1[self.0].fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let drops: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+        let items: Vec<Tracked> = (0..64).map(|i| Tracked(i, &drops)).collect();
+        let attempt = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let pipeline =
+                items.into_par_iter().map(|t| if t.0 == 7 { panic!("boom") } else { t.0 });
+            let _: Vec<usize> = pipeline.collect();
+        }));
+        assert!(attempt.is_err(), "the panic must propagate to the caller");
+        assert_eq!(drops.iter().map(|d| d.load(Ordering::Relaxed)).collect::<Vec<_>>(), [1; 64]);
     }
 
     #[test]
@@ -450,6 +444,32 @@ mod tests {
         // The pool still works afterwards.
         let (a, b) = super::join(|| 5, || 6);
         assert_eq!((a, b), (5, 6));
+    }
+
+    #[test]
+    fn join_runs_both_sides_when_the_left_panics() {
+        // Joins a panicking `a` with a counting `b` on `shared` (else the
+        // global pool) and returns how often `b` ran.
+        let b_runs = AtomicUsize::new(0);
+        let left_panics = |shared: Option<&Shared>| {
+            let a = || -> usize { panic!("left side boom") };
+            let b = || b_runs.fetch_add(1, Ordering::Relaxed);
+            let payload = std::panic::catch_unwind(AssertUnwindSafe(|| match shared {
+                Some(shared) => crate::pool::join_on(shared, a, b),
+                None => super::join(a, b),
+            }))
+            .unwrap_err();
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"left side boom"));
+            b_runs.swap(0, Ordering::Relaxed)
+        };
+        // Two or more participants run `b`; one runs `(a(), b())` inline.
+        assert_eq!(left_panics(Some(&Shared::with_threads(2))), 1);
+        assert_eq!(left_panics(Some(&Shared::with_threads(1))), 0);
+        assert_eq!(left_panics(None), usize::from(super::current_num_threads() > 1));
+        // The pool answers afterwards.
+        assert_eq!(super::join(|| 5, || 6), (5, 6));
+        let v: Vec<usize> = (0..256).into_par_iter().map(|i| i + 1).collect();
+        assert_eq!(v[255], 256);
     }
 
     #[test]

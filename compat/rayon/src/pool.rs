@@ -24,6 +24,9 @@
 //! outputs are deterministic by **position** no matter which participant
 //! processed which chunk and in which order.
 //!
+//! The chunk job is the pool's **only** kind of job: [`join_on`] is a
+//! two-item chunk job, and a vector source is an index range over slots.
+//!
 //! # Nested calls
 //!
 //! A participant may itself issue a parallel call (the nested-call budget
@@ -55,9 +58,9 @@
 //! or how many participants it has — at the price of finishing the job on
 //! the (rare) panic path instead of aborting it early. Job panics therefore
 //! never unwind a pool thread, and the pool survives arbitrarily many
-//! panicking jobs. On the panic path the already produced outputs (and, for
-//! vector sources, unconsumed items) are leaked rather than dropped — a
-//! deliberate simplification over upstream rayon.
+//! panicking jobs. On the panic path the already produced outputs are
+//! leaked rather than dropped — a deliberate simplification over upstream
+//! rayon — while a vector source's untaken items drop with their slots.
 //!
 //! Should a panic nevertheless escape every job scope — only possible
 //! between jobs, e.g. an injected worker kill — the worker thread itself
@@ -78,7 +81,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
 use crate::failpoints::JobFailpoints;
-use crate::sync::{AtomicBool, AtomicUsize, Condvar, Mutex, Ordering, UnsafeCell};
+use crate::sync::{AtomicUsize, Condvar, Mutex, Ordering, UnsafeCell};
 
 /// Environment variable pinning the pool size (total participants, counting
 /// the calling thread). Read once, at first use of the pool; values that do
@@ -192,7 +195,8 @@ pub fn worker_respawn_count() -> usize {
     WORKER_RESPAWNS.load(std::sync::atomic::Ordering::Relaxed)
 }
 
-fn shared() -> &'static Shared {
+/// The global pool, started on first use.
+pub(crate) fn shared() -> &'static Shared {
     let shared = POOL.get_or_init(|| Shared::with_threads(resolve_thread_count()));
     static WORKERS_STARTED: OnceLock<()> = OnceLock::new();
     WORKERS_STARTED.get_or_init(|| {
@@ -624,108 +628,15 @@ fn collect_outputs<R>(outputs: Vec<UnsafeCell<MaybeUninit<R>>>, len: usize) -> V
         .collect()
 }
 
-/// A one-shot job carrying the right-hand closure of a `join` call.
-struct JoinJob<B, RB> {
-    claimed: AtomicBool,
-    op: UnsafeCell<Option<B>>,
-    sync: Mutex<JoinStatus<RB>>,
-    done: Condvar,
+/// Takes the value out of a per-index slot. The chunk cursor hands out
+/// every index exactly once, so each slot is emptied exactly once.
+pub(crate) fn take_slot<T>(slot: &std::sync::Mutex<Option<T>>) -> T {
+    slot.lock().expect("pool slot poisoned").take().expect("pool slot taken twice")
 }
 
-struct JoinStatus<RB> {
-    finished: bool,
-    inside: usize,
-    result: Option<RB>,
-    panic: Option<Box<dyn Any + Send + 'static>>,
-}
-
-impl<B, RB> JoinJob<B, RB>
-where
-    B: FnOnce() -> RB + Send,
-    RB: Send,
-{
-    /// Tries to claim and run the closure; returns `false` when another
-    /// participant claimed it first.
-    fn try_execute(&self) -> bool {
-        // ordering: `AcqRel` as defence in depth. Exactly-once rests only on
-        // RMW atomicity: `op` reaches workers through the injector mutex and
-        // the result travels back through `sync`, so the loom model
-        // (`loom_pool.rs`) accepts even `Relaxed` here. The stronger ordering
-        // documents the claim->take edge directly, decoupling this handshake
-        // from the surrounding mutexes, and costs nothing on this path.
-        if self.claimed.swap(true, Ordering::AcqRel) {
-            return false;
-        }
-        // SAFETY: the swap above makes this the only access to `op`.
-        let op =
-            self.op.with_mut(|op| unsafe { (*op).take() }).expect("join closure claimed twice");
-        let outcome = catch_unwind(AssertUnwindSafe(op));
-        let mut status = self.sync.lock().expect("join status poisoned");
-        match outcome {
-            Ok(value) => status.result = Some(value),
-            Err(payload) => status.panic = Some(payload),
-        }
-        status.finished = true;
-        self.done.notify_all();
-        true
-    }
-}
-
-/// `JobRef::enter` for a [`JoinJob`].
-///
-/// # Safety
-///
-/// `data` must point at the live [`JoinJob`] this `JobRef` was built from,
-/// and the caller must hold the injector lock.
-unsafe fn join_enter<B, RB>(data: *const ()) -> bool
-where
-    B: FnOnce() -> RB + Send,
-    RB: Send,
-{
-    // SAFETY: called under the injector lock on a listed job.
-    let job = unsafe { &*data.cast::<JoinJob<B, RB>>() };
-    if job.claimed.load(Ordering::Acquire) {
-        return false;
-    }
-    job.sync.lock().expect("join status poisoned").inside += 1;
-    true
-}
-
-/// `JobRef::run` for a [`JoinJob`]: race for the claim, then deregister.
-///
-/// # Safety
-///
-/// `data` must point at the live [`JoinJob`] this worker entered via
-/// [`join_enter`].
-unsafe fn join_run<B, RB>(data: *const (), _index: usize)
-where
-    B: FnOnce() -> RB + Send,
-    RB: Send,
-{
-    // SAFETY: registered via `join_enter`; the caller waits for us.
-    let job = unsafe { &*data.cast::<JoinJob<B, RB>>() };
-    job.try_execute();
-    let mut status = job.sync.lock().expect("join status poisoned");
-    status.inside -= 1;
-    if status.inside == 0 {
-        job.done.notify_all();
-    }
-}
-
-/// Runs the two closures, in parallel when a pool worker picks the second
-/// one up, and returns both results. See [`crate::join`].
-pub(crate) fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    join_on(shared(), a, b)
-}
-
-/// `join` against an explicit pool state instead of the global one. The
-/// loom suite uses this to model-check the claim handshake.
+/// [`crate::join`] against an explicit pool state: a two-item chunk job
+/// whose item 0 runs `a` and item 1 runs `b`. The loom suite uses this to
+/// model-check it.
 pub fn join_on<A, B, RA, RB>(shared: &Shared, a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -736,38 +647,19 @@ where
     if shared.threads == 1 {
         return (a(), b());
     }
-    let job: JoinJob<B, RB> = JoinJob {
-        claimed: AtomicBool::new(false),
-        op: UnsafeCell::new(Some(b)),
-        sync: Mutex::new(JoinStatus { finished: false, inside: 0, result: None, panic: None }),
-        done: Condvar::new(),
+    let a = std::sync::Mutex::new(Some(a));
+    let b = std::sync::Mutex::new(Some(b));
+    let results = run_chunked_on(
+        shared,
+        2,
+        || (),
+        |(), i| match i {
+            0 => (Some(take_slot(&a)()), None),
+            _ => (None, Some(take_slot(&b)())),
+        },
+    );
+    let Ok([(Some(ra), _), (_, Some(rb))]) = <[_; 2]>::try_from(results) else {
+        unreachable!("item 0 returns `a`'s result and item 1 `b`'s");
     };
-    let job_ref = JobRef {
-        data: std::ptr::from_ref(&job).cast(),
-        enter: join_enter::<B, RB>,
-        run: join_run::<B, RB>,
-    };
-    shared.injector.lock().expect("pool injector poisoned").push(job_ref);
-    shared.work_available.notify_one();
-
-    let ra = a();
-
-    // Run `b` ourselves unless a worker already claimed it.
-    job.try_execute();
-    shared
-        .injector
-        .lock()
-        .expect("pool injector poisoned")
-        .retain(|j| !std::ptr::eq(j.data, job_ref.data));
-    let mut status = job.sync.lock().expect("join status poisoned");
-    while !status.finished || status.inside > 0 {
-        status = job.done.wait(status).expect("join status poisoned");
-    }
-    let panic = status.panic.take();
-    let result = status.result.take();
-    drop(status);
-    if let Some(payload) = panic {
-        resume_unwind(payload);
-    }
-    (ra, result.expect("join closure finished without a result"))
+    (ra, rb)
 }

@@ -41,7 +41,8 @@ pub enum Consistency {
     /// swap invalidates the pinned generation mid-probe.
     Latest {
         /// How many re-probes to attempt before giving up with
-        /// [`ServiceError::StaleGeneration`].
+        /// [`ServiceError::StaleGeneration`], capped at the service's
+        /// [`ServiceConfig::retry_limit`](crate::ServiceConfig::retry_limit).
         retry_limit: u32,
     },
 }

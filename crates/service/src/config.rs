@@ -20,7 +20,9 @@ pub struct ServiceConfig {
     /// and once per ball-growth step.
     pub default_deadline: u64,
     /// How many times a latest-consistency query retries after losing its
-    /// pinned generation to a swap.
+    /// pinned generation to a swap, at most: a request's own
+    /// [`Consistency::Latest`](crate::Consistency::Latest) `retry_limit` is
+    /// capped at this value.
     pub retry_limit: u32,
     /// Backoff before retry `k` (1-based) is `backoff_base · 2^(k − 1)`
     /// ticks, saturating at [`u64::MAX`].

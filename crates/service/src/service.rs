@@ -325,7 +325,8 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
 
     /// The one consistency loop shared by single and batched queries: pin,
     /// attempt, and — under latest consistency — re-attempt with bounded
-    /// exponential backoff while swaps invalidate the pinned generation.
+    /// exponential backoff while swaps invalidate the pinned generation, at
+    /// most `min(request's retry_limit, config.retry_limit)` times.
     ///
     /// Admission is the caller's job (a batch holds one slot across every
     /// attempt).
@@ -336,7 +337,7 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
     ) -> Result<T> {
         let retry_limit = match consistency {
             Consistency::Pinned => return attempt(&self.pin()),
-            Consistency::Latest { retry_limit } => retry_limit,
+            Consistency::Latest { retry_limit } => retry_limit.min(self.config.retry_limit),
         };
         let mut tries: u32 = 0;
         loop {
@@ -486,6 +487,7 @@ mod tests {
     use avglocal_graph::{generators, IdAssignment};
     use avglocal_runtime::examples::NaiveLargestId;
     use avglocal_runtime::{FrozenExecutor, Scheduling};
+    use std::sync::Weak;
 
     fn service_on_cycle(n: usize, config: ServiceConfig) -> RadiusQueryService<NaiveLargestId> {
         RadiusQueryService::new(
@@ -655,6 +657,52 @@ mod tests {
         for base in [1, 3, 1 << 32, u64::MAX] {
             for retry in 1..=255 {
                 assert_ne!(backoff(base, retry), 0, "base {base}, retry {retry}");
+            }
+        }
+    }
+
+    /// A clock on which every attempt goes stale: each read publishes a new
+    /// generation. `sleep` only sums the ticks the backoff asks for.
+    #[derive(Debug)]
+    struct SwappingClock(Weak<RadiusQueryService<NaiveLargestId>>, Arc<Mutex<u64>>);
+
+    impl Clock for SwappingClock {
+        fn now(&self) -> u64 {
+            let service = self.0.upgrade().unwrap();
+            service.publish_csr(generators::cycle(16).unwrap().freeze()).unwrap();
+            0
+        }
+
+        fn sleep(&self, ticks: u64) {
+            *self.1.lock().unwrap() += ticks;
+        }
+    }
+
+    #[test]
+    fn the_configured_retry_limit_caps_every_request() {
+        // The default config allows 3 retries, backing off 1 + 2 + 4 ticks:
+        // a request asking for more is capped, one asking for fewer is not.
+        for (asked, retries, ticks) in [(100, 3, 7), (1, 1, 1)] {
+            let latest = QueryOptions::new()
+                .with_deadline(1_000)
+                .with_consistency(Consistency::Latest { retry_limit: asked });
+            for batch in [false, true] {
+                let (slept, config) = (Arc::new(Mutex::new(0)), ServiceConfig::default());
+                let service = Arc::new_cyclic(|weak| {
+                    let clock = Arc::new(SwappingClock(weak.clone(), slept.clone()));
+                    let csr = generators::cycle(16).unwrap().freeze();
+                    RadiusQueryService::new(NaiveLargestId, Knowledge::none(), csr, clock, config)
+                });
+                let err = if batch {
+                    service.query_batch(&QueryRequest::nodes(vec![NodeId::new(3)], latest)).err()
+                } else {
+                    service.query_with(NodeId::new(3), latest).err()
+                };
+                let Some(ServiceError::StaleGeneration { retries: got }) = err else {
+                    panic!("asked for {asked}, batch {batch}: {err:?}");
+                };
+                let got = (got, *slept.lock().unwrap());
+                assert_eq!(got, (retries, ticks), "asked for {asked}, batch {batch}");
             }
         }
     }

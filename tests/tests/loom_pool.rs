@@ -17,9 +17,9 @@
 //!   written exactly once, and each write happens-before the caller's read
 //!   (the model-side `collect_outputs` reads every slot through the
 //!   instrumented cell);
-//! * the `join` claim handshake (`claimed.swap(AcqRel)`): the right-hand
-//!   closure runs exactly once, and its effects are visible to whichever
-//!   thread consumes the result;
+//! * `join` as a two-item chunk job: each closure runs exactly once, and a
+//!   panic in the left-hand closure is re-thrown only after the right-hand
+//!   one finished, leaving the pool state usable;
 //! * panic capture: a panicking work item is contained, the pool state
 //!   stays usable, and the propagated payload is the panicking item with
 //!   the smallest index, on every interleaving.
@@ -200,6 +200,26 @@ fn join_survives_a_panicking_right_hand_side() {
     });
 }
 
+#[test]
+fn join_survives_a_panicking_left_hand_side() {
+    quiet_panics(|| {
+        loom::model(|| {
+            let shared = Arc::new(Shared::with_threads(2));
+            let worker = spawn_worker(&shared, 1, 1);
+            let b_runs = AtomicUsize::new(0);
+            let (a, b) =
+                (|| -> usize { panic!("a failed") }, || b_runs.fetch_add(1, Ordering::Relaxed));
+            let payload = catch_unwind(AssertUnwindSafe(|| join_on(&shared, a, b))).unwrap_err();
+            assert_eq!(payload.downcast_ref::<&str>().copied(), Some("a failed"));
+            // `b` ran to completion before `a`'s panic reached the caller.
+            assert_eq!(b_runs.load(Ordering::Relaxed), 1);
+            worker.join().unwrap();
+            // The pool state survives the poisoned join.
+            assert_eq!(join_on(&shared, || 2, || 3), (2, 3));
+        });
+    });
+}
+
 /// Scheduler-regression canary (see the satellite list in ISSUE 7 and the
 /// sibling canaries in `compat/loom/tests/model.rs`): pins the size of the
 /// explored schedule space for the smallest real pool model. A change to
@@ -217,6 +237,6 @@ fn exploration_canary_join_handshake() {
     assert_eq!(stats.iterations, CANARY_JOIN_HANDSHAKE);
 }
 
-/// Pinned schedule-space size for the canary model above, at the default
-/// preemption bound of 2.
-const CANARY_JOIN_HANDSHAKE: usize = 76;
+/// Pinned schedule-space size for the canary model above (`join` as a
+/// two-item chunk job), at the default preemption bound of 2.
+const CANARY_JOIN_HANDSHAKE: usize = 187;

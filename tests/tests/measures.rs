@@ -245,6 +245,38 @@ proptest! {
         prop_assert!(edge <= 2.0 * node + 1e-12);
     }
 
+    /// An identity that needs no oracle. Under `LargestId` the smaller-id
+    /// endpoint of an edge decides at radius 1 and the other at radius >= 1,
+    /// so max(r_u, r_v) = r_u + r_v - 1 on every edge, and a row's max edge
+    /// average is exactly 2 * (mean edge average) - 1.
+    #[test]
+    fn largest_id_edge_max_is_twice_edge_mean_minus_one(size in 0usize..3, seed in 0u64..200) {
+        let n = UNIVERSAL_SIZES[size];
+        let mut topologies = supported_topologies(n, seed);
+        topologies.push(Topology::PreferentialAttachment { m: 2, seed });
+        for topology in &topologies {
+            for (assignment, policy) in [
+                (IdAssignment::Identity, AssignmentPolicy::Identity),
+                (IdAssignment::Reversed, AssignmentPolicy::Reversed),
+                (IdAssignment::Shuffled { seed }, AssignmentPolicy::Random { base_seed: seed }),
+            ] {
+                let graph = topology_with_assignment(topology, n, &assignment).unwrap();
+                let profile =
+                    run_on_topology(Problem::LargestId, topology, n, &assignment).unwrap();
+                for (u, v) in graph.edges() {
+                    let (ru, rv) = (profile.radii()[u.index()], profile.radii()[v.index()]);
+                    prop_assert_eq!(ru.max(rv) + 1, ru + rv, "{topology} {assignment:?} {u:?}");
+                }
+                let sweep = Sweep::on(Problem::LargestId, topology.clone(), vec![n]);
+                let row = &sweep.with_policy(policy).with_trials(2).run().unwrap().rows[0];
+                if graph.edge_count() > 0 {
+                    let gap = row.edge_averaged - (2.0 * row.edge_averaged_mean - 1.0);
+                    prop_assert!(gap.abs() <= 1e-12, "{topology} n={n} {assignment:?}: {row:?}");
+                }
+            }
+        }
+    }
+
     /// Per-component sweeps are deterministic: same configuration, same
     /// rows, bit for bit — the labelling, the trial seeds and the aggregate
     /// order are all canonical.
