@@ -168,9 +168,9 @@ fn main() -> ExitCode {
     blocks.push(Block {
         key: "snapshot",
         description: "versioned binary CsrGraph snapshots: to_bytes vs the validating \
-                      from_bytes (checksum, offsets, endpoint bounds, symmetry, canonical \
-                      component relabelling re-established from untrusted bytes); round trips \
-                      bit-identical by assertion",
+                      from_bytes (checksum, offsets, endpoint bounds and symmetry re-established \
+                      from untrusted bytes, then the components labelled from the validated \
+                      adjacency); round trips bit-identical by assertion",
         lists: vec![("rows", rows)],
     });
 
@@ -356,8 +356,8 @@ fn main() -> ExitCode {
     fs::write("BENCH_e1.json", json).expect("BENCH_e1.json must be writable");
     println!("wrote BENCH_e1.json");
 
-    // (name, value, full threshold, sanity threshold). A version-1 cycle
-    // costs ~24 bytes/edge; the 50x decode budget still catches a quadratic
+    // (name, value, full threshold, sanity threshold). A version-2 cycle
+    // costs 20 bytes/edge; the 50x decode budget still catches a quadratic
     // validator. On one core a batch runs inline and only the amortised
     // admission remains, hence its 0.5x sanity bound.
     let gates = [

@@ -9,11 +9,11 @@
 //! lets callers choose between the historical "reject disconnected
 //! instances" behaviour and the explicit per-component semantics.
 //!
-//! Labels are computed at freeze time by [`crate::Graph::freeze`] with a BFS
-//! sweep over the CSR arrays. The labelling is canonical — components
-//! numbered by smallest member, sizes in label order — so it does not depend
-//! on discovery order or on the adjacency representation it was computed
-//! from.
+//! Labels are computed from the CSR arrays by a BFS sweep whenever a
+//! [`crate::CsrGraph`] is built, frozen or decoded; snapshots never store
+//! them. The labelling is canonical — components numbered by smallest
+//! member, sizes in label order — so it does not depend on discovery order
+//! or on the adjacency representation it was computed from.
 
 use crate::{Graph, NodeId};
 
@@ -40,7 +40,7 @@ pub enum ComponentMode {
 ///
 /// Component `c` is the `c`-th component in order of smallest node index, so
 /// two labellings of the same graph are equal no matter how they were
-/// computed (the snapshot decoder relies on this to check stored labels).
+/// computed (a decoded snapshot is labelled exactly as its frozen source was).
 ///
 /// # Examples
 ///
@@ -78,12 +78,6 @@ impl ComponentLabels {
                 queue_cb(u.index() as u32);
             }
         })
-    }
-
-    /// A labelling from raw arrays, unchecked; the snapshot decoder compares
-    /// it against [`ComponentLabels::of_csr`] before trusting it.
-    pub(crate) fn from_parts(labels: Vec<u32>, sizes: Vec<u32>) -> Self {
-        ComponentLabels { labels, sizes }
     }
 
     /// Labels the components of a CSR adjacency with a sequential BFS sweep.

@@ -51,7 +51,8 @@ pub struct CsrGraph {
     offsets: Arc<[u32]>,
     /// Concatenated neighbour lists, in port order.
     targets: Arc<[u32]>,
-    /// Canonical connected-component labelling, discovered at freeze time.
+    /// Canonical connected-component labelling, computed from the adjacency
+    /// when the snapshot is built.
     components: Arc<ComponentLabels>,
     /// Identifier of each node, indexed by node.
     identifiers: Vec<Identifier>,
@@ -88,32 +89,24 @@ impl CsrGraph {
             }
             offsets.push(targets.len() as u32);
         }
-        let components = ComponentLabels::of_csr(&offsets, &targets);
-        CsrGraph {
-            offsets: offsets.into(),
-            targets: targets.into(),
-            components: Arc::new(components),
-            identifiers: graph.identifiers().collect(),
-        }
+        CsrGraph::from_parts(offsets.into(), targets.into(), graph.identifiers().collect())
     }
 
-    /// Assembles a snapshot from raw arrays without checking them. The
-    /// snapshot decoder ([`crate::snapshot`]) calls this and then
-    /// [`CsrGraph::validate`] before handing the graph out; only
-    /// `offsets.len() == identifiers.len() + 1` is assumed.
+    /// Assembles a snapshot from raw arrays and labels its components — the
+    /// one constructor, so no snapshot's labelling can disagree with its
+    /// edges. The arrays are not validated, but labelling walks them: the
+    /// offsets must be monotone and end at `targets.len()`, and every
+    /// endpoint must be below `n`. [`CsrGraph::from_graph`] builds such
+    /// arrays, and the snapshot decoder ([`crate::snapshot`]) checks them
+    /// first.
     pub(crate) fn from_parts(
-        offsets: Vec<u32>,
-        targets: Vec<u32>,
-        components: ComponentLabels,
+        offsets: Arc<[u32]>,
+        targets: Arc<[u32]>,
         identifiers: Vec<Identifier>,
     ) -> Self {
         debug_assert_eq!(offsets.len(), identifiers.len() + 1);
-        CsrGraph {
-            offsets: offsets.into(),
-            targets: targets.into(),
-            components: Arc::new(components),
-            identifiers,
-        }
+        let components = Arc::new(ComponentLabels::of_csr(&offsets, &targets));
+        CsrGraph { offsets, targets, components, identifiers }
     }
 
     /// Number of nodes.
@@ -153,8 +146,8 @@ impl CsrGraph {
         &self.targets
     }
 
-    /// The connected-component labelling discovered when the snapshot was
-    /// frozen.
+    /// The connected-component labelling, computed from the adjacency when
+    /// the snapshot was frozen or decoded.
     #[must_use]
     pub fn components(&self) -> &ComponentLabels {
         &self.components

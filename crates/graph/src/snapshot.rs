@@ -9,47 +9,44 @@
 //! back, and every violation is a typed [`GraphError::CorruptSnapshot`] —
 //! never a panic, whatever the bytes.
 //!
-//! # Format (version 1)
+//! # Format (version 2)
 //!
-//! All integers are little-endian. The file is one header followed by five
+//! All integers are little-endian. The file is one header followed by three
 //! flat arrays:
 //!
 //! | offset | size | field |
 //! |-------:|-----:|-------|
 //! | 0  | 8 | magic `b"AVGLSNAP"` |
-//! | 8  | 4 | format version (`u32`, currently 1) |
+//! | 8  | 4 | format version (`u32`, currently 2) |
 //! | 12 | 8 | FNV-1a 64 checksum of every byte after this field |
 //! | 20 | 8 | node count `n` (`u64`) |
 //! | 28 | 8 | directed edge count `2m` (`u64`) |
-//! | 36 | 8 | component count `c` (`u64`) |
-//! | 44 | `4(n+1)` | offsets (`u32` each) |
+//! | 36 | `4(n+1)` | offsets (`u32` each) |
 //! | …  | `4·2m` | targets (`u32` each, port order) |
-//! | …  | `4n` | component label per node (`u32` each) |
-//! | …  | `4c` | component sizes (`u32` each) |
 //! | …  | `8n` | identifier per node (`u64` each) |
 //!
 //! The total length is implied exactly by the header; truncated input and
-//! trailing garbage are both rejected.
+//! trailing garbage are both rejected. The component labelling is not
+//! stored: it is a function of the adjacency, so the decoder computes it
+//! from the validated arrays and a decoded snapshot's components can never
+//! disagree with its edges. Version-1 bytes, which stored it, are rejected
+//! by the version check.
 //!
 //! # What the decoder checks
 //!
 //! 1. **Header**: magic, version, and the checksum of the entire payload
 //!    (so any bit flip after byte 20 is detected before parsing).
 //! 2. **Counts**: `n` and `2m` fit the crate's `u32` index limits, `2m` is
-//!    even, `c ≤ n`, and the byte length matches the implied layout exactly.
+//!    even, and the byte length matches the implied layout exactly.
 //! 3. **Offsets**: start at 0, are monotone non-decreasing, and end at `2m`.
 //! 4. **Targets**: every endpoint is `< n`, no self loops, no duplicate
 //!    neighbours, and the adjacency is **symmetric** (`u ∈ N(v)` ⇔
 //!    `v ∈ N(u)`), so the result is a simple undirected graph.
-//! 5. **Components**: the stored labelling must equal the canonical one
-//!    recomputed from the validated adjacency (labels *and* sizes), so a
-//!    decoded snapshot's component structure can never disagree with its
-//!    edges.
 //!
-//! Checks 3–5 are [`CsrGraph::validate`], which runs in place on any
-//! snapshot: the decoder calls it on every decoded graph, and a publisher
-//! can call it on an in-memory candidate without encoding it, so there is
-//! one validator for both.
+//! Checks 3–4 are [`CsrGraph::validate`], which runs in place on any
+//! snapshot: the decoder runs them on the raw arrays before it builds (and
+//! labels) the graph, and a publisher can call `validate` on an in-memory
+//! candidate without encoding it, so there is one validator for both.
 //!
 //! Encoding then decoding is bit-identical: `from_bytes(&to_bytes(csr))`
 //! reproduces `csr` exactly, including port order, identifiers, and the
@@ -58,8 +55,8 @@
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use crate::components::ComponentLabels;
 use crate::error::{GraphError, Result};
 use crate::{CsrGraph, Identifier};
 
@@ -67,10 +64,10 @@ use crate::{CsrGraph, Identifier};
 pub const MAGIC: [u8; 8] = *b"AVGLSNAP";
 
 /// The current (and only) snapshot format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
-/// Byte length of the fixed header (magic, version, checksum, three counts).
-pub const HEADER_LEN: usize = 44;
+/// Byte length of the fixed header (magic, version, checksum, two counts).
+pub const HEADER_LEN: usize = 36;
 
 /// Byte offset at which the checksummed region starts (everything after the
 /// checksum field itself).
@@ -91,38 +88,24 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 impl CsrGraph {
-    /// Serialises the snapshot into the version-1 binary format described in
+    /// Serialises the snapshot into the version-2 binary format described in
     /// [`crate::snapshot`].
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let n = self.node_count();
         let offsets = self.offsets();
         let targets = self.targets();
-        let labels = self.components().labels();
-        let sizes = self.components().sizes();
-        let total = HEADER_LEN
-            + 4 * offsets.len()
-            + 4 * targets.len()
-            + 4 * labels.len()
-            + 4 * sizes.len()
-            + 8 * n;
+        let total = HEADER_LEN + 4 * offsets.len() + 4 * targets.len() + 8 * n;
         let mut out = Vec::with_capacity(total);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&[0u8; 8]); // checksum placeholder
         out.extend_from_slice(&(n as u64).to_le_bytes());
         out.extend_from_slice(&(targets.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(sizes.len() as u64).to_le_bytes());
         for &x in offsets {
             out.extend_from_slice(&x.to_le_bytes());
         }
         for &x in targets {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        for &x in labels {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        for &x in sizes {
             out.extend_from_slice(&x.to_le_bytes());
         }
         for id in self.identifiers() {
@@ -144,7 +127,7 @@ impl CsrGraph {
     ///
     /// Returns [`GraphError::CorruptSnapshot`] — carrying a best-effort byte
     /// offset and a description of the violated invariant — for any input
-    /// that is not a valid version-1 snapshot. Never panics.
+    /// that is not a valid version-2 snapshot. Never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<CsrGraph> {
         let corrupt =
             |offset: usize, reason: String| GraphError::CorruptSnapshot { offset, reason };
@@ -174,7 +157,6 @@ impl CsrGraph {
         }
         let n_raw = read_u64(bytes, 20);
         let de_raw = read_u64(bytes, 28);
-        let cc_raw = read_u64(bytes, 36);
         // The crate indexes nodes and edge offsets with u32 (see
         // `CsrGraph`), so the counts must fit before any array is sized.
         let Some(n) = usize_u32_count(n_raw, u64::from(u32::MAX) - 1) else {
@@ -194,23 +176,9 @@ impl CsrGraph {
                 ),
             ));
         }
-        let Some(cc) = usize_u32_count(cc_raw, u64::from(u32::MAX)) else {
-            return Err(corrupt(
-                36,
-                format!("component count {cc_raw} exceeds the u32 index limit"),
-            ));
-        };
-        if cc > n {
-            return Err(corrupt(36, format!("{cc} components for {n} nodes")));
-        }
         // Exact length check before any slicing: u128 arithmetic cannot
         // overflow for counts already bounded by u32.
-        let expected = HEADER_LEN as u128
-            + 4 * (n as u128 + 1)
-            + 4 * de as u128
-            + 4 * n as u128
-            + 4 * cc as u128
-            + 8 * n as u128;
+        let expected = HEADER_LEN as u128 + 4 * (n as u128 + 1) + 4 * de as u128 + 8 * n as u128;
         if bytes.len() as u128 != expected {
             return Err(corrupt(
                 bytes.len().min(HEADER_LEN),
@@ -220,160 +188,38 @@ impl CsrGraph {
                 ),
             ));
         }
-        let offsets_at = HEADER_LEN;
-        let targets_at = offsets_at + 4 * (n + 1);
-        let labels_at = targets_at + 4 * de;
-        let sizes_at = labels_at + 4 * n;
-        let identifiers_at = sizes_at + 4 * cc;
-        let read_u32s = |at: usize, len: usize| -> Vec<u32> {
+        let targets_at = HEADER_LEN + 4 * (n + 1);
+        let identifiers_at = targets_at + 4 * de;
+        let read_u32s = |at: usize, len: usize| -> Arc<[u32]> {
             (0..len).map(|i| read_u32(bytes, at + 4 * i)).collect()
         };
-        let components =
-            ComponentLabels::from_parts(read_u32s(labels_at, n), read_u32s(sizes_at, cc));
-        let identifiers: Vec<Identifier> =
+        let (offsets, targets) = (read_u32s(HEADER_LEN, n + 1), read_u32s(targets_at, de));
+        // Checked before the graph is built: labelling its components walks
+        // these arrays, which must not index out of bounds.
+        check_adjacency(&offsets, &targets)?;
+        let identifiers =
             (0..n).map(|v| Identifier::new(read_u64(bytes, identifiers_at + 8 * v))).collect();
-        let csr = CsrGraph::from_parts(
-            read_u32s(offsets_at, n + 1),
-            read_u32s(targets_at, de),
-            components,
-            identifiers,
-        );
-        csr.validate()?;
-        Ok(csr)
+        Ok(CsrGraph::from_parts(offsets, targets, identifiers))
     }
 
     /// Checks the structural invariants the rest of the crate relies on, in
     /// place: offsets start at 0, never decrease and end at the arc count;
     /// every endpoint is in bounds, with no self loops and no duplicate
-    /// neighbours; the adjacency is symmetric; and the stored component
-    /// labelling is the canonical one recomputed from the adjacency.
+    /// neighbours; and the adjacency is symmetric.
     ///
-    /// [`CsrGraph::from_bytes`] runs exactly this check on every decoded
-    /// graph, so a snapshot passes it if and only if its encoding decodes.
-    /// Snapshots built by [`crate::Graph::freeze`] always pass; the check is
-    /// for candidates of unknown provenance. `O(n + m)` time and memory, no
-    /// copy of the snapshot.
+    /// [`CsrGraph::from_bytes`] runs exactly these checks on every decoded
+    /// adjacency, so a snapshot passes them if and only if its encoding
+    /// decodes. Snapshots built by [`crate::Graph::freeze`] always pass; the
+    /// check is for candidates of unknown provenance. The component labelling
+    /// needs no check: it is computed from the adjacency whenever a snapshot
+    /// is built. `O(n + m)` time and memory, no copy of the snapshot.
     ///
     /// # Errors
     ///
     /// [`GraphError::CorruptSnapshot`] naming the first violation and its
     /// byte offset in the snapshot's encoded form ([`CsrGraph::to_bytes`]).
     pub fn validate(&self) -> Result<()> {
-        let corrupt =
-            |offset: usize, reason: String| GraphError::CorruptSnapshot { offset, reason };
-        let (offsets, targets) = (self.offsets(), self.targets());
-        let n = self.node_count();
-        let offsets_at = HEADER_LEN;
-        let targets_at = offsets_at + 4 * (n + 1);
-        let labels_at = targets_at + 4 * targets.len();
-        let sizes_at = labels_at + 4 * n;
-        if offsets[0] != 0 {
-            return Err(corrupt(
-                offsets_at,
-                format!("offsets must start at 0, found {}", offsets[0]),
-            ));
-        }
-        if let Some(v) = (0..n).find(|&v| offsets[v] > offsets[v + 1]) {
-            return Err(corrupt(
-                offsets_at + 4 * v,
-                format!("offsets not monotone at node {v}: {} > {}", offsets[v], offsets[v + 1]),
-            ));
-        }
-        if offsets[n] as usize != targets.len() {
-            return Err(corrupt(
-                offsets_at + 4 * n,
-                format!(
-                    "final offset {} disagrees with directed edge count {}",
-                    offsets[n],
-                    targets.len()
-                ),
-            ));
-        }
-        let arcs = |v: usize| offsets[v] as usize..offsets[v + 1] as usize;
-        // Endpoint bounds, self loops and duplicates, one list at a time:
-        // `seen[u] == v` marks `u` as already listed by `v`. The same pass
-        // files every arc `v -> u` under `u`, in increasing `v`, so
-        // `reverse[arcs(u)]` ends up holding the nodes that list `u`.
-        let mut seen = vec![u32::MAX; n];
-        let mut filed: Vec<usize> = (0..n).map(|u| offsets[u] as usize).collect();
-        let mut reverse = vec![0u32; targets.len()];
-        for v in 0..n {
-            for i in arcs(v) {
-                let (u, at) = (targets[i], targets_at + 4 * i);
-                let ui = u as usize;
-                if ui >= n {
-                    return Err(corrupt(
-                        at,
-                        format!("edge endpoint {u} out of bounds for {n} nodes"),
-                    ));
-                }
-                if ui == v {
-                    return Err(corrupt(at, format!("self loop on node {v}")));
-                }
-                if seen[ui] == v as u32 {
-                    return Err(corrupt(at, format!("duplicate neighbour {u} in node {v}'s list")));
-                }
-                seen[ui] = v as u32;
-                if filed[ui] == offsets[ui + 1] as usize {
-                    return Err(corrupt(
-                        targets_at + 4 * offsets[ui] as usize,
-                        format!("asymmetric adjacency: more nodes list {u} than {u} lists"),
-                    ));
-                }
-                reverse[filed[ui]] = v as u32;
-                filed[ui] += 1;
-            }
-        }
-        // Symmetry: every node that lists `u` must be listed by `u`. Both
-        // lists are duplicate-free, and each of the `2m` arcs was filed, so
-        // equal lengths follow and membership one way settles equality.
-        seen.fill(u32::MAX);
-        for u in 0..n {
-            for i in arcs(u) {
-                seen[targets[i] as usize] = u as u32;
-            }
-            if let Some(&w) = reverse[arcs(u)].iter().find(|&&w| seen[w as usize] != u as u32) {
-                return Err(corrupt(
-                    targets_at + 4 * offsets[u] as usize,
-                    format!("asymmetric adjacency: {w} lists {u} but {u} does not list {w}"),
-                ));
-            }
-        }
-        // Component labelling: recompute the canonical labelling from the
-        // now-validated adjacency and demand the stored one matches exactly.
-        let (stored, canonical) = (self.components(), ComponentLabels::of_csr(offsets, targets));
-        if stored.count() != canonical.count() {
-            return Err(corrupt(
-                36,
-                format!(
-                    "header claims {} components, adjacency has {}",
-                    stored.count(),
-                    canonical.count()
-                ),
-            ));
-        }
-        if let Some(v) = (0..n).find(|&v| stored.labels().get(v) != Some(&canonical.labels()[v])) {
-            return Err(corrupt(
-                labels_at + 4 * v,
-                format!(
-                    "component label of node {v} is {:?}, canonical labelling says {}",
-                    stored.labels().get(v),
-                    canonical.labels()[v]
-                ),
-            ));
-        }
-        if let Some(c) = (0..canonical.count()).find(|&c| stored.sizes()[c] != canonical.sizes()[c])
-        {
-            return Err(corrupt(
-                sizes_at + 4 * c,
-                format!(
-                    "component {c} size is {}, adjacency says {}",
-                    stored.sizes()[c],
-                    canonical.sizes()[c]
-                ),
-            ));
-        }
-        Ok(())
+        check_adjacency(self.offsets(), self.targets())
     }
 
     /// Durably persists the snapshot to `path`.
@@ -446,6 +292,84 @@ fn snapshot_io(path: &Path, err: &std::io::Error) -> GraphError {
     GraphError::SnapshotIo { path: path.display().to_string(), reason: err.to_string() }
 }
 
+/// The checks of [`CsrGraph::validate`] on raw arrays (checks 3–4 of the
+/// module docs), so the decoder can run them before it builds a graph.
+/// Error offsets locate the violation in the encoded form; `offsets` holds
+/// at least one entry.
+fn check_adjacency(offsets: &[u32], targets: &[u32]) -> Result<()> {
+    let corrupt = |offset: usize, reason: String| GraphError::CorruptSnapshot { offset, reason };
+    let n = offsets.len() - 1;
+    let offsets_at = HEADER_LEN;
+    let targets_at = offsets_at + 4 * (n + 1);
+    if offsets[0] != 0 {
+        return Err(corrupt(offsets_at, format!("offsets must start at 0, found {}", offsets[0])));
+    }
+    if let Some(v) = (0..n).find(|&v| offsets[v] > offsets[v + 1]) {
+        return Err(corrupt(
+            offsets_at + 4 * v,
+            format!("offsets not monotone at node {v}: {} > {}", offsets[v], offsets[v + 1]),
+        ));
+    }
+    if offsets[n] as usize != targets.len() {
+        return Err(corrupt(
+            offsets_at + 4 * n,
+            format!(
+                "final offset {} disagrees with directed edge count {}",
+                offsets[n],
+                targets.len()
+            ),
+        ));
+    }
+    let arcs = |v: usize| offsets[v] as usize..offsets[v + 1] as usize;
+    // Endpoint bounds, self loops and duplicates, one list at a time:
+    // `seen[u] == v` marks `u` as already listed by `v`. The same pass
+    // files every arc `v -> u` under `u`, in increasing `v`, so
+    // `reverse[arcs(u)]` ends up holding the nodes that list `u`.
+    let mut seen = vec![u32::MAX; n];
+    let mut filed: Vec<usize> = (0..n).map(|u| offsets[u] as usize).collect();
+    let mut reverse = vec![0u32; targets.len()];
+    for v in 0..n {
+        for i in arcs(v) {
+            let (u, at) = (targets[i], targets_at + 4 * i);
+            let ui = u as usize;
+            if ui >= n {
+                return Err(corrupt(at, format!("edge endpoint {u} out of bounds for {n} nodes")));
+            }
+            if ui == v {
+                return Err(corrupt(at, format!("self loop on node {v}")));
+            }
+            if seen[ui] == v as u32 {
+                return Err(corrupt(at, format!("duplicate neighbour {u} in node {v}'s list")));
+            }
+            seen[ui] = v as u32;
+            if filed[ui] == offsets[ui + 1] as usize {
+                return Err(corrupt(
+                    targets_at + 4 * offsets[ui] as usize,
+                    format!("asymmetric adjacency: more nodes list {u} than {u} lists"),
+                ));
+            }
+            reverse[filed[ui]] = v as u32;
+            filed[ui] += 1;
+        }
+    }
+    // Symmetry: every node that lists `u` must be listed by `u`. Both
+    // lists are duplicate-free, and each of the `2m` arcs was filed, so
+    // equal lengths follow and membership one way settles equality.
+    seen.fill(u32::MAX);
+    for u in 0..n {
+        for i in arcs(u) {
+            seen[targets[i] as usize] = u as u32;
+        }
+        if let Some(&w) = reverse[arcs(u)].iter().find(|&&w| seen[w as usize] != u as u32) {
+            return Err(corrupt(
+                targets_at + 4 * offsets[u] as usize,
+                format!("asymmetric adjacency: {w} lists {u} but {u} does not list {w}"),
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Converts a header count to `usize`, rejecting values above `limit`.
 fn usize_u32_count(raw: u64, limit: u64) -> Option<usize> {
     (raw <= limit).then_some(raw as usize)
@@ -493,6 +417,8 @@ mod tests {
         for g in sample_graphs() {
             let csr = g.freeze();
             let bytes = csr.to_bytes();
+            let (n, arcs) = (csr.node_count(), csr.targets().len());
+            assert_eq!(bytes.len(), HEADER_LEN + 4 * (n + 1) + 4 * arcs + 8 * n);
             let decoded = CsrGraph::from_bytes(&bytes).unwrap();
             assert_eq!(decoded, csr);
             assert_eq!(decoded.components(), csr.components());
@@ -542,13 +468,14 @@ mod tests {
         bad_magic[0] = b'X';
         let err = CsrGraph::from_bytes(&bad_magic).unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
+        // Version 1, the format that also stored the component labelling.
         let mut bad_version = bytes.clone();
-        bad_version[8] = 2;
+        bad_version[8] = 1;
         // Patch the checksum so the version check itself is exercised.
         let checksum = fnv1a(&bad_version[CHECKSUMMED_FROM..]).to_le_bytes();
         bad_version[12..20].copy_from_slice(&checksum);
         let err = CsrGraph::from_bytes(&bad_version).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
+        assert!(err.to_string().contains("unsupported format version 1"), "{err}");
     }
 
     /// Re-checksums `bytes` in place, so structural corruption deeper than
@@ -595,14 +522,6 @@ mod tests {
         fix_checksum(&mut bytes);
         let err = CsrGraph::from_bytes(&bytes).unwrap_err();
         assert!(err.to_string().contains("asymmetric"), "{err}");
-
-        // Corrupt component label.
-        let labels_at = targets_at + 4 * 2 * csr.edge_count();
-        let mut bytes = base.clone();
-        bytes[labels_at] ^= 1;
-        fix_checksum(&mut bytes);
-        let err = CsrGraph::from_bytes(&bytes).unwrap_err();
-        assert!(err.to_string().contains("component"), "{err}");
     }
 
     #[test]
@@ -618,36 +537,23 @@ mod tests {
         let mut targets = csr.targets().to_vec();
         targets[0] = 3;
         let candidate = CsrGraph::from_parts(
-            offsets.clone(),
-            targets.clone(),
-            csr.components().clone(),
+            offsets.clone().into(),
+            targets.clone().into(),
             csr.identifiers().to_vec(),
         );
         let err = candidate.validate().unwrap_err();
         assert!(err.to_string().contains("asymmetric"), "{err}");
         assert_eq!(CsrGraph::from_bytes(&candidate.to_bytes()), Err(err));
-        // Duplicate neighbour: node 0 lists node 1 twice.
+        // Duplicate neighbour: node 0 lists node 1 twice. This case and the
+        // next call the raw-array check that `validate` and the decoder run.
         targets[0] = 1;
         targets[1] = 1;
-        let err = CsrGraph::from_parts(
-            offsets.clone(),
-            targets,
-            csr.components().clone(),
-            csr.identifiers().to_vec(),
-        )
-        .validate()
-        .unwrap_err();
+        let err = check_adjacency(&offsets, &targets).unwrap_err();
         assert!(err.to_string().contains("duplicate neighbour 1 in node 0"), "{err}");
-        // Non-monotone offsets are caught before any list is read.
+        // Non-monotone offsets are caught before any list is read (no graph
+        // can be built from them: labelling would slice out of bounds).
         offsets[1] = 9;
-        let err = CsrGraph::from_parts(
-            offsets,
-            csr.targets().to_vec(),
-            csr.components().clone(),
-            csr.identifiers().to_vec(),
-        )
-        .validate()
-        .unwrap_err();
+        let err = check_adjacency(&offsets, csr.targets()).unwrap_err();
         assert!(err.to_string().contains("monotone"), "{err}");
     }
 

@@ -78,26 +78,26 @@ impl SnapshotStore {
 
     /// Recovers the newest durable generation, deterministically.
     ///
-    /// Scans the store for `gen-*.snap` files, sorts by epoch descending
-    /// (directory enumeration order never matters), and decodes until one
-    /// snapshot passes full validation. Files that fail — torn writes,
-    /// truncations, bit flips — are recorded in [`Recovery::skipped`] with
-    /// their typed error and skipped; nothing in the scan panics. An
-    /// unreadable or empty directory recovers to `None`.
+    /// Scans the store for `gen-*.snap` files, sorts them by epoch descending
+    /// and then by path (directory enumeration order never matters), and
+    /// decodes each file it found, once, until one snapshot passes full
+    /// validation. Files that fail — torn writes, truncations, bit flips —
+    /// are recorded in [`Recovery::skipped`] with their typed error and
+    /// skipped; nothing in the scan panics. An unreadable or empty directory
+    /// recovers to `None`.
     #[must_use]
     pub fn recover(&self) -> Recovery {
-        let mut epochs: Vec<u64> = Vec::new();
+        let mut found: Vec<(u64, PathBuf)> = Vec::new();
         if let Ok(entries) = fs::read_dir(&self.dir) {
             for entry in entries.flatten() {
                 if let Some(epoch) = parse_epoch(&entry.file_name()) {
-                    epochs.push(epoch);
+                    found.push((epoch, entry.path()));
                 }
             }
         }
-        epochs.sort_unstable_by(|a, b| b.cmp(a));
+        found.sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
         let mut skipped = Vec::new();
-        for epoch in epochs {
-            let path = self.path_for(epoch);
+        for (epoch, path) in found {
             match CsrGraph::read_from_path(&path) {
                 Ok(csr) => return Recovery { durable: Some((epoch, csr)), skipped },
                 Err(e) => skipped.push((path, e)),
@@ -200,6 +200,26 @@ mod tests {
         let recovery = store.recover();
         assert!(recovery.durable.is_none());
         assert!(recovery.skipped.is_empty());
+        teardown(&store);
+    }
+
+    #[test]
+    fn recovery_reads_the_file_it_found() {
+        // `gen-7.snap` names epoch 7 without `path_for`'s zero padding.
+        let store = scratch_store("unpadded");
+        let csr = generators::cycle(6).unwrap().freeze();
+        csr.write_to_path(store.dir().join("gen-7.snap")).unwrap();
+        let recovery = store.recover();
+        assert_eq!(recovery.durable, Some((7, csr.clone())));
+        assert!(recovery.skipped.is_empty());
+        // A torn file under the padded name is one more file for epoch 7:
+        // it is read once, skipped, and the unpadded file still recovers.
+        let bytes = csr.to_bytes();
+        std::fs::write(store.path_for(7), &bytes[..bytes.len() / 2]).unwrap();
+        let recovery = store.recover();
+        assert_eq!(recovery.durable, Some((7, csr)));
+        let skipped: Vec<&PathBuf> = recovery.skipped.iter().map(|(path, _)| path).collect();
+        assert_eq!(skipped, vec![&store.path_for(7)]);
         teardown(&store);
     }
 

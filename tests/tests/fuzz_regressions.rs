@@ -11,7 +11,9 @@
 //!   them on disk (torn writes, zeroed pages, trailing garbage); read back
 //!   through `CsrGraph::read_from_path`, `*_valid.snap` must round-trip
 //!   bit-identically and everything else must be rejected with the typed
-//!   `CorruptSnapshot` — never a panic, never an untyped error;
+//!   `CorruptSnapshot` — never a panic, never an untyped error. The frozen
+//!   `*_version1.snap` is a valid file of the retired format, which must be
+//!   rejected by the version check;
 //! * `corpus/edge_list/*_valid.txt` must parse; `*_malformed_l<N>.txt` must
 //!   fail with `MalformedLine` on line `N`; `*_invalid.txt` must fail with a
 //!   builder-level error (the text itself is well-formed);
@@ -21,7 +23,7 @@
 //!
 //! The binary snapshot cases are derived from the real codec; run the
 //! `#[ignore]`d `regenerate_derived_corpus` test to rewrite them after a
-//! deliberate format change.
+//! deliberate format change. It never writes `*_version1.snap`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -91,6 +93,9 @@ fn snapshot_file_corpus_replays_clean() {
                     "{name}: valid file rejected at byte {offset}: {reason}"
                 );
                 assert!(offset <= bytes.len(), "{name}: error offset outside the file");
+                if name.ends_with("_version1") {
+                    assert!(reason.contains("unsupported format version 1"), "{name}: {reason}");
+                }
             }
             Err(other) => panic!("{name}: expected CorruptSnapshot, got: {other}"),
         }
@@ -205,17 +210,11 @@ fn regenerate_derived_corpus() {
 
     // Node 0's first neighbour (node 1) rewritten to 3: 0 lists 3 but 3
     // does not list 0 — asymmetry behind a valid checksum.
-    let targets_at = 44 + 4 * (ring.node_count() + 1);
+    let targets_at = 36 + 4 * (ring.node_count() + 1);
     let mut asymmetric = base.clone();
     asymmetric[targets_at..targets_at + 4].copy_from_slice(&3u32.to_le_bytes());
     fix_checksum(&mut asymmetric);
     fs::write(dir.join("asymmetric_adjacency.bin"), &asymmetric).unwrap();
-
-    let mut bad_labels = base.clone();
-    let labels_at = targets_at + 4 * 2 * ring.edge_count();
-    bad_labels[labels_at] ^= 1;
-    fix_checksum(&mut bad_labels);
-    fs::write(dir.join("wrong_component_label.bin"), &bad_labels).unwrap();
 
     // The on-disk torn-write corpus: whole files shaped like what a crash
     // can leave behind for `CsrGraph::read_from_path` (the atomic-rename

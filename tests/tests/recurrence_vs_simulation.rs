@@ -46,9 +46,9 @@ fn simulated_totals_never_exceed_theory() {
 fn worst_case_segment_assignment_realises_large_totals_on_the_cycle() {
     // Lay the recurrence's worst-case segment assignment around the cycle
     // (winner gets the largest identifier, the segment follows). The realised
-    // total must reach at least the recurrence value — the constructive side
-    // of the Θ(n log n) bound.
-    for n in [16usize, 32, 64, 128] {
+    // total equals the recurrence value exactly — the constructive side of
+    // the Θ(n log n) bound.
+    for n in [3usize, 4, 5, 8, 9, 16, 33, 64, 100, 128, 1024, 4096] {
         let segment = recurrence::worst_case_segment_assignment(n - 1);
         // Position 0 is the winner (identifier n-1), positions 1..n hold the
         // segment's identifiers (values 0..n-1 from the recurrence).
@@ -59,13 +59,7 @@ fn worst_case_segment_assignment_realises_large_totals_on_the_cycle() {
         let profile =
             run_on_topology(Problem::LargestId, &Topology::Cycle, n, &assignment).unwrap();
         let recurrence_total = a000788::total_bit_count(n as u64 - 1) + (n as u64) / 2;
-        assert!(
-            profile.total() as u64 >= recurrence_total.saturating_sub(n as u64),
-            "n={n}: measured {} far below recurrence {}",
-            profile.total(),
-            recurrence_total
-        );
-        assert!(profile.total() as u64 <= recurrence_total);
+        assert_eq!(profile.total() as u64, recurrence_total, "n={n}");
     }
 }
 

@@ -69,6 +69,8 @@ impl Config {
             hardened: vec![
                 PathBuf::from("crates/graph/src/snapshot.rs"),
                 PathBuf::from("crates/graph/src/io.rs"),
+                PathBuf::from("crates/service/src/store.rs"),
+                PathBuf::from("crates/service/src/batch.rs"),
             ],
             library_roots: vec![PathBuf::from("crates")],
         }
