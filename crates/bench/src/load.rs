@@ -132,8 +132,7 @@ fn drive(
 /// `config.nodes`-cycle, with admission room for every reader.
 fn load_service(config: &LoadConfig) -> RadiusQueryService<LargestId> {
     let csr = generators::cycle(config.nodes).expect("load cycles are valid").freeze();
-    let service_config =
-        ServiceConfig { max_in_flight: config.readers.max(1) * 2, ..ServiceConfig::default() };
+    let service_config = ServiceConfig { max_in_flight: config.readers.max(1) * 2 };
     RadiusQueryService::new(
         LargestId,
         Knowledge::none(),

@@ -122,8 +122,11 @@ pub(crate) fn collect_execution<O>(per_node: Vec<Result<(O, usize)>>) -> Result<
 mod tests {
     use super::*;
     use crate::examples::NaiveLargestId;
-    use crate::{BallAlgorithm, FrozenExecutor, Knowledge, LocalView, ProbeOptions, RuntimeError};
-    use avglocal_graph::{extract_ball, generators, Graph, IdAssignment, Identifier};
+    use crate::{
+        BallAlgorithm, FrozenExecutor, Knowledge, LocalView, NodeBatchOptions, ProbeOptions,
+        RuntimeError,
+    };
+    use avglocal_graph::{extract_ball, generators, traversal, Graph, IdAssignment, Identifier};
 
     struct NeverDecides;
     impl BallAlgorithm for NeverDecides {
@@ -162,19 +165,55 @@ mod tests {
 
     #[test]
     fn non_terminating_algorithm_is_detected() {
-        let g = generators::cycle(5).unwrap();
-        let err = FrozenExecutor::new(&g).run(&NeverDecides, Knowledge::none()).unwrap_err();
-        assert!(matches!(err, RuntimeError::NonTerminating { .. }));
-    }
-
-    #[test]
-    fn radius_limit_is_enforced() {
-        let g = generators::cycle(30).unwrap();
-        let err = FrozenExecutor::new(&g)
-            .with_max_radius(3)
-            .run(&DecideAtRadius(10), Knowledge::none())
-            .unwrap_err();
-        assert!(matches!(err, RuntimeError::RoundLimitExceeded { limit: 3, .. }));
+        // A node that never decides fails on its saturated view, which it
+        // reaches at its own eccentricity, on every family and component.
+        // The mixed graph is a 5-cycle, a 3-node path and an isolated node.
+        let mut mixed = Graph::new();
+        let vs = mixed.add_nodes_with_default_ids(9);
+        for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (6, 7)] {
+            mixed.add_edge(vs[a], vs[b]).unwrap();
+        }
+        let graphs = [
+            generators::cycle(5).unwrap(),
+            generators::path(6).unwrap(),
+            generators::star(5).unwrap(),
+            generators::grid(3, 4).unwrap(),
+            mixed,
+        ];
+        for g in &graphs {
+            let nodes: Vec<NodeId> = g.nodes().collect();
+            for scheduling in [Scheduling::WorkStealing, Scheduling::Sequential] {
+                let session = FrozenExecutor::new(g).with_scheduling(scheduling);
+                let err = session.run(&NeverDecides, Knowledge::none()).unwrap_err();
+                assert!(
+                    matches!(err, RuntimeError::NonTerminating { node } if node.index() == 0),
+                    "{scheduling:?}: {err}"
+                );
+                let options = NodeBatchOptions::new();
+                let slots =
+                    session.run_nodes_with(&nodes, &NeverDecides, Knowledge::none(), &options);
+                for (slot, &v) in slots.iter().zip(&nodes) {
+                    assert!(
+                        matches!(slot, Err(RuntimeError::NonTerminating { node }) if *node == v),
+                        "{scheduling:?} node {v:?}: {slot:?}"
+                    );
+                }
+                for &v in &nodes {
+                    let mut polled = Vec::new();
+                    let mut hook = |radius: usize| {
+                        polled.push(radius);
+                        false
+                    };
+                    let options = ProbeOptions::new().with_cancel(&mut hook);
+                    let err = session
+                        .run_node_with(v, &NeverDecides, Knowledge::none(), options)
+                        .unwrap_err();
+                    assert!(matches!(err, RuntimeError::NonTerminating { node } if node == v));
+                    let eccentricity = traversal::eccentricity(g, v);
+                    assert_eq!(polled, (0..=eccentricity).collect::<Vec<_>>(), "node {v:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -230,12 +269,8 @@ mod tests {
     fn schedulings_are_selectable() {
         let g = generators::cycle(30).unwrap();
         assert_eq!(FrozenExecutor::new(&g).scheduling(), Scheduling::WorkStealing);
-        let exec =
-            FrozenExecutor::new(&g).with_max_radius(4).with_scheduling(Scheduling::Sequential);
+        let exec = FrozenExecutor::new(&g).with_scheduling(Scheduling::Sequential);
         assert_eq!(exec.scheduling(), Scheduling::Sequential);
-        // Choosing a scheduling keeps the radius limit.
-        let err = exec.run(&DecideAtRadius(10), Knowledge::none()).unwrap_err();
-        assert!(matches!(err, RuntimeError::RoundLimitExceeded { limit: 4, .. }));
     }
 
     #[test]

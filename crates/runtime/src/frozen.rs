@@ -137,7 +137,6 @@ impl fmt::Debug for NodeBatchOptions<'_> {
 #[derive(Debug, Clone)]
 pub struct FrozenExecutor {
     csr: CsrGraph,
-    max_radius: Option<usize>,
     scheduling: Scheduling,
     /// Warmed grower scratch buffers, shared by the single-node probes and
     /// (one per pool participant) the parallel runs.
@@ -151,25 +150,11 @@ impl FrozenExecutor {
         Self::from_csr(graph.freeze())
     }
 
-    /// Creates a session over an already-frozen snapshot, with the default
-    /// radius limit (the node count, which is always enough because views
-    /// saturate at the component) and [`Scheduling::WorkStealing`].
+    /// Creates a session over an already-frozen snapshot, with
+    /// [`Scheduling::WorkStealing`].
     #[must_use]
     pub fn from_csr(csr: CsrGraph) -> Self {
-        FrozenExecutor {
-            csr,
-            max_radius: None,
-            scheduling: Scheduling::default(),
-            scratch_pool: ScratchPool::new(),
-        }
-    }
-
-    /// Refuses to grow balls beyond `max_radius`, keeping the other
-    /// settings.
-    #[must_use]
-    pub fn with_max_radius(mut self, max_radius: usize) -> Self {
-        self.max_radius = Some(max_radius);
-        self
+        FrozenExecutor { csr, scheduling: Scheduling::default(), scratch_pool: ScratchPool::new() }
     }
 
     /// Sets how [`FrozenExecutor::run`] and
@@ -233,7 +218,6 @@ impl FrozenExecutor {
             csr: &self.csr,
             algorithm,
             knowledge,
-            hard_limit: self.max_radius.unwrap_or(self.csr.node_count()),
             scheduling: self.scheduling,
             scratch_pool: &self.scratch_pool,
         }
@@ -304,9 +288,8 @@ impl FrozenExecutor {
     ///
     /// Returns [`RuntimeError::NonTerminating`] if a node still refuses to
     /// decide on a saturated view (it has seen its whole component, so no
-    /// larger radius can help), and [`RuntimeError::RoundLimitExceeded`] if
-    /// a custom radius limit is hit first; the error reported is the first
-    /// in node order.
+    /// larger radius can help); the error reported is the first in node
+    /// order.
     pub fn run<A>(&self, algorithm: &A, knowledge: Knowledge) -> Result<BallExecution<A::Output>>
     where
         A: BallAlgorithm + Sync,
@@ -342,14 +325,13 @@ impl Drop for LiveGrower<'_> {
     }
 }
 
-/// One algorithm on one session's snapshot, radius limit, scheduling and
-/// scratch pool: the probe loop and the node loop every entry point of the
-/// runtime ends in.
+/// One algorithm on one session's snapshot, scheduling and scratch pool:
+/// the probe loop and the node loop every entry point of the runtime ends
+/// in.
 struct Probe<'a, A> {
     csr: &'a CsrGraph,
     algorithm: &'a A,
     knowledge: Knowledge,
-    hard_limit: usize,
     scheduling: Scheduling,
     scratch_pool: &'a ScratchPool,
 }
@@ -395,12 +377,6 @@ impl<'a, A: BallAlgorithm> Probe<'a, A> {
             }
             if saturated {
                 return Err(RuntimeError::NonTerminating { node });
-            }
-            if grower.radius() >= self.hard_limit {
-                return Err(RuntimeError::RoundLimitExceeded {
-                    limit: self.hard_limit,
-                    undecided: 1,
-                });
             }
             grower.grow();
         }
@@ -771,29 +747,5 @@ mod tests {
             err,
             RuntimeError::Graph(GraphError::NodeOutOfBounds { node_count: 6, .. })
         ));
-    }
-
-    #[test]
-    fn max_radius_is_enforced_in_the_session() {
-        struct DecideAtRadius(usize);
-        impl BallAlgorithm for DecideAtRadius {
-            type Output = usize;
-            fn decide(&self, view: &crate::LocalView, _knowledge: &Knowledge) -> Option<usize> {
-                (view.radius() >= self.0).then_some(view.radius())
-            }
-        }
-        let g = generators::cycle(30).unwrap();
-        let session = FrozenExecutor::new(&g).with_max_radius(3);
-        let err = session
-            .run_node_with(
-                NodeId::new(0),
-                &DecideAtRadius(10),
-                Knowledge::none(),
-                ProbeOptions::new(),
-            )
-            .unwrap_err();
-        assert!(matches!(err, RuntimeError::RoundLimitExceeded { limit: 3, .. }));
-        let err = session.run(&DecideAtRadius(10), Knowledge::none()).unwrap_err();
-        assert!(matches!(err, RuntimeError::RoundLimitExceeded { limit: 3, .. }));
     }
 }

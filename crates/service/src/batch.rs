@@ -41,29 +41,27 @@ pub enum Consistency {
     /// swap invalidates the pinned generation mid-probe.
     Latest {
         /// How many re-probes to attempt before giving up with
-        /// [`ServiceError::StaleGeneration`], capped at the service's
-        /// [`ServiceConfig::retry_limit`](crate::ServiceConfig::retry_limit).
+        /// [`ServiceError::StaleGeneration`], capped at 3.
         retry_limit: u32,
     },
 }
 
 /// Options shared by single and batched queries.
 ///
-/// The default asks for the configured default deadline on the pinned
-/// generation.
+/// The default asks for no deadline on the pinned generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueryOptions {
-    /// Deadline budget in clock ticks; `None` uses the service's
-    /// `default_deadline`. [`u64::MAX`] is no deadline and reads no clock;
-    /// a finite budget reads the clock once when the request's probe starts
-    /// and once per ball-growth step.
+    /// Deadline budget in clock ticks. `None`, the default, and
+    /// [`u64::MAX`] both mean no deadline, and such a request reads no
+    /// clock. A finite budget reads the clock once when the request's probe
+    /// starts and once per ball-growth step.
     pub deadline: Option<u64>,
     /// Consistency demanded of the answer.
     pub consistency: Consistency,
 }
 
 impl QueryOptions {
-    /// The default options: configured deadline, pinned consistency.
+    /// The default options: no deadline, pinned consistency.
     #[must_use]
     pub fn new() -> Self {
         QueryOptions::default()
@@ -81,6 +79,12 @@ impl QueryOptions {
     pub fn with_consistency(mut self, consistency: Consistency) -> Self {
         self.consistency = consistency;
         self
+    }
+
+    /// The deadline budget in clock ticks: [`u64::MAX`], no deadline, when
+    /// the request sets none.
+    pub(crate) fn budget(&self) -> u64 {
+        self.deadline.unwrap_or(u64::MAX)
     }
 }
 
@@ -136,7 +140,7 @@ pub enum BatchOutcome<O> {
         radius: usize,
     },
     /// The probe failed for a non-deadline reason (out-of-bounds node,
-    /// radius hard limit, ...).
+    /// non-terminating algorithm, ...).
     Failed(RuntimeError),
 }
 
@@ -276,7 +280,7 @@ where
         let _slot = self.admit()?;
         // ordering: monotone statistics counter; no ordering dependency.
         self.counters().batches.fetch_add(1, Ordering::Relaxed);
-        let budget = self.budget_of(&request.options);
+        let budget = request.options.budget();
         self.with_consistency(request.options.consistency, |generation| {
             Ok(self.probe_batch(generation, &request.nodes, budget))
         })
@@ -310,7 +314,7 @@ where
         let _slot = self.admit()?;
         // ordering: monotone statistics counter; no ordering dependency.
         self.counters().batches.fetch_add(1, Ordering::Relaxed);
-        let budget = self.budget_of(&request.options);
+        let budget = request.options.budget();
         Ok(self.probe_batch(generation, &request.nodes, budget))
     }
 

@@ -228,7 +228,7 @@ pub fn run_chaos(plan: &ChaosPlan) -> ChaosReport {
         Knowledge::none(),
         graphs[0].clone(),
         Arc::new(TestClock::new()),
-        ServiceConfig { max_in_flight: plan.max_in_flight, ..ServiceConfig::default() },
+        ServiceConfig { max_in_flight: plan.max_in_flight },
     );
 
     let mut report = ChaosReport::default();
@@ -262,9 +262,8 @@ pub fn run_chaos(plan: &ChaosPlan) -> ChaosReport {
                             // fault, cancelled deterministically at radius 0.
                             QueryOptions::new().with_deadline(0)
                         } else if plan.latest_every > 0 && q % plan.latest_every == 0 {
-                            let retry_limit = service.config().retry_limit;
                             QueryOptions::new()
-                                .with_consistency(Consistency::Latest { retry_limit })
+                                .with_consistency(Consistency::Latest { retry_limit: 3 })
                         } else {
                             QueryOptions::new()
                         };

@@ -38,7 +38,8 @@ pub enum ServiceError {
     /// A latest-generation request kept losing its pinned generation to
     /// concurrent swaps and exhausted its retry budget.
     StaleGeneration {
-        /// Completed probe attempts, each invalidated by a swap.
+        /// Re-probes made after the first attempt; all `retries + 1`
+        /// attempts were invalidated by a swap.
         retries: u32,
     },
     /// A candidate generation failed snapshot validation and was rolled
@@ -53,8 +54,8 @@ pub enum ServiceError {
         /// The panic payload, when it carried a message.
         reason: String,
     },
-    /// The probe itself failed (non-terminating algorithm, round limit,
-    /// out-of-bounds node, ...); the underlying runtime error, verbatim.
+    /// The probe itself failed (non-terminating algorithm, out-of-bounds
+    /// node, ...); the underlying runtime error, verbatim.
     Probe(RuntimeError),
 }
 
@@ -68,7 +69,7 @@ impl fmt::Display for ServiceError {
                 write!(f, "deadline of {budget} ticks expired at ball radius {radius}")
             }
             ServiceError::StaleGeneration { retries } => {
-                write!(f, "generation swapped out from under the request {retries} times")
+                write!(f, "every attempt lost its generation to a swap ({retries} retries)")
             }
             ServiceError::PublishRejected { source } => {
                 write!(f, "candidate generation rejected: {source}")

@@ -16,9 +16,6 @@
 //!   and one cooperative deadline per batch, the node set sharded across
 //!   the persistent pool, and a typed partial [`BatchReply`] when the
 //!   deadline expires mid-batch;
-//! * [`ServiceConfig::builder`] — validated construction rejecting the
-//!   degenerate tunables a struct literal silently accepts
-//!   ([`InvalidConfig`]);
 //! * [`SnapshotStore`] — crash-safe on-disk persistence of generations
 //!   (write-temp + fsync + atomic rename) with deterministic recovery to
 //!   the last durable generation after a torn write;
@@ -46,7 +43,7 @@ mod store;
 
 pub use batch::{BatchOutcome, BatchReply, Consistency, NodeSelection, QueryOptions, QueryRequest};
 pub use clock::{Clock, TestClock, WallClock};
-pub use config::{InvalidConfig, ServiceConfig, ServiceConfigBuilder};
+pub use config::ServiceConfig;
 pub use error::{Result, ServiceError};
 pub use service::{Generation, QueryReply, RadiusQueryService, StatsSnapshot};
 pub use store::{Recovery, SnapshotStore};

@@ -45,7 +45,7 @@
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use avglocal_graph::{CsrGraph, GraphError, NodeId};
 use avglocal_runtime::{BallAlgorithm, FrozenExecutor, Knowledge, ProbeOptions, RuntimeError};
@@ -170,7 +170,14 @@ pub struct RadiusQueryService<A: BallAlgorithm> {
     clock: Arc<dyn Clock>,
     config: ServiceConfig,
     /// The published generation; swapped atomically under the lock, pinned
-    /// by readers via `Arc` clone.
+    /// by readers via `Arc` clone. Nothing run under the lock can panic:
+    /// `pin` only clones the `Arc`, and `install` adds one to a `u64` epoch
+    /// and stores an already built `Arc<Generation>` (allocation failure
+    /// aborts, and dropping the old generation runs no panicking `Drop`). So
+    /// the mutex is never poisoned; and since the one update is a single
+    /// store of a whole generation, the guarded value is valid at every
+    /// step. Both lockers take the guard out of a poison error without
+    /// changing behaviour.
     current: Mutex<Arc<Generation>>,
     /// Requests currently holding admission.
     in_flight: AtomicUsize,
@@ -213,7 +220,7 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
         clock: Arc<dyn Clock>,
         config: ServiceConfig,
     ) -> Self {
-        let session = Self::session_for(csr, &config);
+        let session = FrozenExecutor::from_csr(csr);
         let service = RadiusQueryService {
             algorithm,
             knowledge,
@@ -227,14 +234,6 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
         service
     }
 
-    fn session_for(csr: CsrGraph, config: &ServiceConfig) -> FrozenExecutor {
-        let session = FrozenExecutor::from_csr(csr);
-        match config.max_radius {
-            Some(limit) => session.with_max_radius(limit),
-            None => session,
-        }
-    }
-
     /// The currently published generation's epoch.
     #[must_use]
     pub fn current_epoch(&self) -> u64 {
@@ -245,7 +244,7 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
     /// alive (and answerable-against) across any number of later swaps.
     #[must_use]
     pub fn pin(&self) -> Arc<Generation> {
-        Arc::clone(&self.current.lock().expect("generation lock poisoned"))
+        Arc::clone(&self.current.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// A snapshot of the service's lifetime counters.
@@ -277,11 +276,6 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
         Some(move |_radius: usize| clock.now().saturating_sub(start) >= budget)
     }
 
-    /// The service's configuration.
-    pub(crate) fn config(&self) -> &ServiceConfig {
-        &self.config
-    }
-
     /// The algorithm every probe runs.
     pub(crate) fn algorithm(&self) -> &A {
         &self.algorithm
@@ -297,15 +291,9 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
         &self.counters
     }
 
-    /// The effective deadline budget of a request: its own, or the
-    /// configured default.
-    pub(crate) fn budget_of(&self, options: &QueryOptions) -> u64 {
-        options.deadline.unwrap_or(self.config.default_deadline)
-    }
-
     /// Queries `node`: one admission slot, then one probe per consistency
-    /// attempt, each under the deadline budget of `options` (the configured
-    /// default when unset).
+    /// attempt, each under the deadline budget of `options` (none when
+    /// unset).
     ///
     /// # Errors
     ///
@@ -317,7 +305,7 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
     /// invalidated by a swap. Each attempt gets the full budget.
     pub fn query_with(&self, node: NodeId, options: QueryOptions) -> Result<QueryReply<A::Output>> {
         let _slot = self.admit()?;
-        let budget = self.budget_of(&options);
+        let budget = options.budget();
         self.with_consistency(options.consistency, |generation| {
             self.probe(generation, node, budget)
         })
@@ -326,7 +314,7 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
     /// The one consistency loop shared by single and batched queries: pin,
     /// attempt, and — under latest consistency — re-attempt with bounded
     /// exponential backoff while swaps invalidate the pinned generation, at
-    /// most `min(request's retry_limit, config.retry_limit)` times.
+    /// most `min(request's retry_limit, MAX_RETRIES)` times.
     ///
     /// Admission is the caller's job (a batch holds one slot across every
     /// attempt).
@@ -337,7 +325,7 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
     ) -> Result<T> {
         let retry_limit = match consistency {
             Consistency::Pinned => return attempt(&self.pin()),
-            Consistency::Latest { retry_limit } => retry_limit.min(self.config.retry_limit),
+            Consistency::Latest { retry_limit } => retry_limit.min(MAX_RETRIES),
         };
         let mut tries: u32 = 0;
         loop {
@@ -352,7 +340,7 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
             }
             tries += 1;
             self.counters.retries.fetch_add(1, Ordering::Relaxed);
-            self.clock.sleep(backoff(self.config.backoff_base, tries));
+            self.clock.sleep(backoff(1, tries));
         }
     }
 
@@ -452,14 +440,18 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
 
     /// Swaps a validated snapshot in as the next generation.
     fn install(&self, csr: CsrGraph) -> u64 {
-        let session = Self::session_for(csr, &self.config);
-        let mut current = self.current.lock().expect("generation lock poisoned");
+        let session = FrozenExecutor::from_csr(csr);
+        let mut current = self.current.lock().unwrap_or_else(PoisonError::into_inner);
         let epoch = current.epoch + 1;
         *current = Arc::new(Generation { epoch, session });
         self.counters.publishes.fetch_add(1, Ordering::Relaxed);
         epoch
     }
 }
+
+/// How many times a latest-consistency request re-probes after losing its
+/// pinned generation to a swap, at most, whatever its `retry_limit` asks.
+const MAX_RETRIES: u32 = 3;
 
 /// The backoff before retry `retry` (1-based): `base · 2^(retry − 1)` ticks,
 /// saturating at [`u64::MAX`] instead of dropping bits, so a positive base
@@ -567,8 +559,7 @@ mod tests {
 
     #[test]
     fn admission_bound_sheds_typed() {
-        let service =
-            service_on_cycle(8, ServiceConfig { max_in_flight: 0, ..ServiceConfig::default() });
+        let service = service_on_cycle(8, ServiceConfig { max_in_flight: 0 });
         let err = service.query_with(NodeId::new(0), QueryOptions::new()).unwrap_err();
         assert!(matches!(err, ServiceError::Overloaded { limit: 0, .. }), "{err}");
         assert_eq!(service.stats().shed, 1);
@@ -579,8 +570,7 @@ mod tests {
     fn shedding_releases_no_capacity_it_never_held() {
         // A shed request must leave in_flight at zero, so later requests
         // are admitted again once load drops.
-        let service =
-            service_on_cycle(8, ServiceConfig { max_in_flight: 1, ..ServiceConfig::default() });
+        let service = service_on_cycle(8, ServiceConfig { max_in_flight: 1 });
         assert!(service.query_with(NodeId::new(0), QueryOptions::new()).is_ok());
         assert!(service.query_with(NodeId::new(1), QueryOptions::new()).is_ok());
         assert_eq!(service.stats().shed, 0);
@@ -680,9 +670,11 @@ mod tests {
 
     #[test]
     fn the_configured_retry_limit_caps_every_request() {
-        // The default config allows 3 retries, backing off 1 + 2 + 4 ticks:
-        // a request asking for more is capped, one asking for fewer is not.
-        for (asked, retries, ticks) in [(100, 3, 7), (1, 1, 1)] {
+        // The service allows at most 3 retries, backing off 1 + 2 + 4 ticks:
+        // a request asking for more is capped, one asking for fewer is not,
+        // and one asking for none makes a single attempt and sleeps not at
+        // all.
+        for (asked, retries, ticks) in [(100, 3, 7), (1, 1, 1), (0, 0, 0)] {
             let latest = QueryOptions::new()
                 .with_deadline(1_000)
                 .with_consistency(Consistency::Latest { retry_limit: asked });
@@ -732,32 +724,5 @@ mod tests {
         service.publish_csr(generators::cycle(16).unwrap().freeze()).unwrap();
         let reply = service.query_with(NodeId::new(3), latest).unwrap();
         assert_eq!(reply.epoch, 2);
-    }
-
-    #[test]
-    fn max_radius_applies_to_every_generation() {
-        struct DecideAtRadius(usize);
-        impl BallAlgorithm for DecideAtRadius {
-            type Output = usize;
-            fn decide(
-                &self,
-                view: &avglocal_runtime::LocalView,
-                _knowledge: &Knowledge,
-            ) -> Option<usize> {
-                (view.radius() >= self.0).then_some(view.radius())
-            }
-        }
-        let service = RadiusQueryService::new(
-            DecideAtRadius(10),
-            Knowledge::none(),
-            generators::cycle(64).unwrap().freeze(),
-            Arc::new(TestClock::new()),
-            ServiceConfig { max_radius: Some(2), ..ServiceConfig::default() },
-        );
-        let err = service.query_with(NodeId::new(0), QueryOptions::new()).unwrap_err();
-        assert!(
-            matches!(err, ServiceError::Probe(RuntimeError::RoundLimitExceeded { limit: 2, .. })),
-            "{err}"
-        );
     }
 }

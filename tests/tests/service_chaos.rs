@@ -95,7 +95,7 @@ fn admission_pressure_sheds_with_the_typed_overload_error() {
     let release = Arc::new(AtomicBool::new(false));
     let algorithm =
         HoldAtNode { hold_id, entered: Arc::clone(&entered), release: Arc::clone(&release) };
-    let config = ServiceConfig { max_in_flight: 1, ..ServiceConfig::default() };
+    let config = ServiceConfig { max_in_flight: 1 };
     let service = RadiusQueryService::new(
         algorithm,
         Knowledge::none(),

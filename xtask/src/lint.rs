@@ -71,6 +71,7 @@ impl Config {
                 PathBuf::from("crates/graph/src/io.rs"),
                 PathBuf::from("crates/service/src/store.rs"),
                 PathBuf::from("crates/service/src/batch.rs"),
+                PathBuf::from("crates/service/src/service.rs"),
             ],
             library_roots: vec![PathBuf::from("crates")],
         }
