@@ -256,10 +256,9 @@ mod tests {
 
     #[test]
     fn csr_verifiers_reject_wrong_outputs() {
-        let (g, _) = two_components();
+        let (g, labels) = two_components();
         let csr = g.freeze();
         let edges = || csr.edges().map(|(u, v)| (u as usize, v as usize));
-        let labels = csr.components();
         let ids = csr.identifiers();
         assert!(proper_coloring_ok(5, edges(), &[0, 1, 2, 0, 1], 3));
         // Nodes 3 and 4 share the CSR edge (3, 4).
@@ -267,13 +266,13 @@ mod tests {
         assert!(!proper_coloring_ok(5, edges(), &[0, 1, 2, 0, 1], 2));
         assert!(!proper_coloring_ok(5, edges(), &[0, 1, 2, 0], 3)); // wrong length
 
-        assert!(largest_id_per_component_ok(ids, labels, &[false, true, false, true, false]));
+        assert!(largest_id_per_component_ok(ids, &labels, &[false, true, false, true, false]));
         // Two winners in the triangle.
-        assert!(!largest_id_per_component_ok(ids, labels, &[true, true, false, true, false]));
+        assert!(!largest_id_per_component_ok(ids, &labels, &[true, true, false, true, false]));
         let id = Identifier::new;
-        assert!(component_leader_ok(ids, labels, &[id(30), id(30), id(30), id(50), id(50)]));
+        assert!(component_leader_ok(ids, &labels, &[id(30), id(30), id(30), id(50), id(50)]));
         // The edge component names the triangle's leader.
-        assert!(!component_leader_ok(ids, labels, &[id(30), id(30), id(30), id(30), id(50)]));
+        assert!(!component_leader_ok(ids, &labels, &[id(30), id(30), id(30), id(30), id(50)]));
     }
 
     /// Two components: a triangle on nodes {0, 1, 2} (ids 10, 30, 20) and an

@@ -388,24 +388,20 @@ impl Sweep {
             // ball-view problems the adjacency is also frozen once and a
             // trial is an identifier-table swap on a session over that
             // snapshot (see `run_trials`). In per-component mode the instance
-            // is the first draw (no connectivity redraws) and the component
-            // labelling — discovered at freeze time, or by a BFS sweep for
-            // round-based problems — scopes verification to the components.
+            // is the first draw (no connectivity redraws) and one BFS sweep
+            // of it labels the components that scope verification.
             let base = self.topology.build_for(n, self.mode)?;
             let frozen_base = self.problem.uses_ball_view().then(|| base.freeze());
-            let label_storage = (self.mode == ComponentMode::PerComponent && frozen_base.is_none())
+            let labels = (self.mode == ComponentMode::PerComponent)
                 .then(|| ComponentLabels::of_graph(&base));
-            let labels: Option<&ComponentLabels> = match self.mode {
-                ComponentMode::RequireConnected => None,
-                ComponentMode::PerComponent => Some(match &frozen_base {
-                    Some(csr) => csr.components(),
-                    None => label_storage.as_ref().expect("computed above"),
-                }),
-            };
-            let sets =
-                run_trials(self.problem, &base, frozen_base.as_ref(), labels, self.trials, |t| {
-                    self.policy.assignment_for_trial(t)
-                })?;
+            let sets = run_trials(
+                self.problem,
+                &base,
+                frozen_base.as_ref(),
+                labels.as_ref(),
+                self.trials,
+                |t| self.policy.assignment_for_trial(t),
+            )?;
             let averages: Vec<f64> = sets.iter().map(|s| s.node_averaged).collect();
             let average_summary = Summary::from_values(&averages);
             // Scalar measures average over the trials; the distribution
@@ -419,7 +415,7 @@ impl Sweep {
                 topology: self.topology.clone(),
                 n,
                 trials: self.trials,
-                components: labels.map_or(1, ComponentLabels::count),
+                components: labels.as_ref().map_or(1, ComponentLabels::count),
                 worst_case: mean_of(&sets, |s| s.worst_case),
                 average: average_summary.mean,
                 average_summary,
@@ -557,18 +553,8 @@ pub fn run_on_topology_per_component(
     check_problem_supports_topology(problem, topology)?;
     let mut graph = topology.build_for(n, ComponentMode::PerComponent)?;
     assignment.apply(&mut graph)?;
-    // Ball-view problems freeze the graph anyway, and freezing discovers the
-    // component labelling — freeze once here and reuse both, instead of
-    // labelling separately and re-freezing inside the run. Round-based
-    // problems never freeze, so they label with the BFS sweep.
-    let (profile, labels) = if problem.uses_ball_view() {
-        let session = FrozenExecutor::new(&graph);
-        let labels = session.csr().components().clone();
-        (problem.run_on_session(&session, Some(&labels))?, labels)
-    } else {
-        let labels = ComponentLabels::of_graph(&graph);
-        (problem.run_per_component(&graph, &labels)?, labels)
-    };
+    let labels = ComponentLabels::of_graph(&graph);
+    let profile = problem.run_per_component(&graph, &labels)?;
     let measures = ComponentMeasures::of(&profile, &graph, &labels);
     Ok((profile, measures))
 }

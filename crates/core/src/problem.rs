@@ -124,10 +124,8 @@ impl Problem {
     /// boundary, and outputs are verified **per component** (e.g. largest-ID
     /// elects one winner per component, not one global winner).
     ///
-    /// `labels` must be the component labelling of `graph` (usually taken
-    /// from the frozen snapshot's
-    /// [`avglocal_graph::CsrGraph::components`] or computed with
-    /// [`ComponentLabels::of_graph`]). On a connected graph this is
+    /// `labels` must be the component labelling of `graph`, as computed by
+    /// [`ComponentLabels::of_graph`]. On a connected graph this is
     /// equivalent to [`Problem::run`].
     ///
     /// # Errors

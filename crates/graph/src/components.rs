@@ -9,11 +9,10 @@
 //! lets callers choose between the historical "reject disconnected
 //! instances" behaviour and the explicit per-component semantics.
 //!
-//! Labels are computed from the CSR arrays by a BFS sweep whenever a
-//! [`crate::CsrGraph`] is built, frozen or decoded; snapshots never store
-//! them. The labelling is canonical — components numbered by smallest
-//! member, sizes in label order — so it does not depend on discovery order
-//! or on the adjacency representation it was computed from.
+//! Labels are computed from a [`Graph`] by one BFS sweep, and only by runs
+//! that work per component; a [`crate::CsrGraph`] snapshot carries none. The
+//! labelling is canonical — components numbered by smallest member, sizes in
+//! label order — so it does not depend on discovery order.
 
 use crate::{Graph, NodeId};
 
@@ -39,8 +38,8 @@ pub enum ComponentMode {
 /// A canonical connected-component labelling of a graph.
 ///
 /// Component `c` is the `c`-th component in order of smallest node index, so
-/// two labellings of the same graph are equal no matter how they were
-/// computed (a decoded snapshot is labelled exactly as its frozen source was).
+/// two labellings of the same graph are equal whatever order the sweep
+/// discovers its nodes in.
 ///
 /// # Examples
 ///
@@ -72,23 +71,29 @@ impl ComponentLabels {
     /// Labels the components of `graph` with a sequential BFS sweep.
     #[must_use]
     pub fn of_graph(graph: &Graph) -> Self {
-        let n = graph.node_count();
-        serial_labels(n, |v, queue_cb| {
-            for &u in graph.neighbors(NodeId::new(v as usize)) {
-                queue_cb(u.index() as u32);
+        let mut labels = vec![u32::MAX; graph.node_count()];
+        let mut sizes: Vec<u32> = Vec::new();
+        let mut queue: Vec<NodeId> = Vec::new();
+        for start in graph.nodes() {
+            if labels[start.index()] != u32::MAX {
+                continue;
             }
-        })
-    }
-
-    /// Labels the components of a CSR adjacency with a sequential BFS sweep.
-    #[must_use]
-    pub(crate) fn of_csr(offsets: &[u32], targets: &[u32]) -> Self {
-        let n = offsets.len() - 1;
-        serial_labels(n, |v, queue_cb| {
-            for &u in &targets[offsets[v as usize] as usize..offsets[v as usize + 1] as usize] {
-                queue_cb(u);
+            let label = sizes.len() as u32;
+            let mut size = 0u32;
+            labels[start.index()] = label;
+            queue.push(start);
+            while let Some(v) = queue.pop() {
+                size += 1;
+                for &u in graph.neighbors(v) {
+                    if labels[u.index()] == u32::MAX {
+                        labels[u.index()] = label;
+                        queue.push(u);
+                    }
+                }
             }
-        })
+            sizes.push(size);
+        }
+        ComponentLabels { labels, sizes }
     }
 
     /// Number of connected components (0 for the empty graph).
@@ -131,34 +136,6 @@ impl ComponentLabels {
     pub fn is_connected(&self) -> bool {
         self.sizes.len() <= 1
     }
-}
-
-/// Sequential BFS labelling over any adjacency representation: `neighbors`
-/// is called with a node and a callback receiving each neighbour.
-fn serial_labels(n: usize, neighbors: impl Fn(u32, &mut dyn FnMut(u32))) -> ComponentLabels {
-    let mut labels = vec![u32::MAX; n];
-    let mut sizes: Vec<u32> = Vec::new();
-    let mut queue: Vec<u32> = Vec::new();
-    for start in 0..n as u32 {
-        if labels[start as usize] != u32::MAX {
-            continue;
-        }
-        let label = sizes.len() as u32;
-        let mut size = 0u32;
-        labels[start as usize] = label;
-        queue.push(start);
-        while let Some(v) = queue.pop() {
-            size += 1;
-            neighbors(v, &mut |u| {
-                if labels[u as usize] == u32::MAX {
-                    labels[u as usize] = label;
-                    queue.push(u);
-                }
-            });
-        }
-        sizes.push(size);
-    }
-    ComponentLabels { labels, sizes }
 }
 
 #[cfg(test)]
@@ -252,12 +229,9 @@ mod tests {
                 g
             },
         ];
+        // Snapshots carry no labels, so the one labelling is `of_graph`'s.
         for g in &graphs {
-            let csr = g.freeze();
-            let labels = ComponentLabels::of_csr(csr.offsets(), csr.targets());
-            assert_eq!(&labels, csr.components());
-            assert_eq!(labels, ComponentLabels::of_graph(g));
-            assert_matches_traversal(g, &labels);
+            assert_matches_traversal(g, &ComponentLabels::of_graph(g));
         }
     }
 

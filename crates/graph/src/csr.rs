@@ -13,7 +13,6 @@
 
 use std::sync::Arc;
 
-use crate::components::ComponentLabels;
 use crate::{Graph, Identifier, NodeId};
 
 /// A frozen adjacency snapshot of a [`Graph`] in compressed sparse row form.
@@ -35,33 +34,29 @@ use crate::{Graph, Identifier, NodeId};
 /// assert_eq!(csr.degree(0), 2);
 /// assert_eq!(csr.neighbors(0), &[1, 7]);
 /// assert_eq!(csr.identifier(3), g.identifier(NodeId::new(3)));
-/// assert!(csr.is_connected());
-/// assert_eq!(csr.components().count(), 1);
 /// # Ok(())
 /// # }
 /// ```
 /// The adjacency is immutable once frozen and shared behind an [`Arc`], so
 /// cloning a snapshot — the per-trial operation of an identifier-assignment
 /// sweep, which clones and then calls [`CsrGraph::set_identifiers`] — copies
-/// only the `O(n)` identifier table, never the `O(n + m)` edge arrays or the
-/// component labelling.
+/// only the `O(n)` identifier table, never the `O(n + m)` edge arrays.
+///
+/// A snapshot carries no component labelling: per-component runs compute
+/// one with [`crate::ComponentLabels::of_graph`] from the graph they froze.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     /// `offsets[v] .. offsets[v + 1]` brackets node `v`'s slice of `targets`.
     offsets: Arc<[u32]>,
     /// Concatenated neighbour lists, in port order.
     targets: Arc<[u32]>,
-    /// Canonical connected-component labelling, computed from the adjacency
-    /// when the snapshot is built.
-    components: Arc<ComponentLabels>,
     /// Identifier of each node, indexed by node.
     identifiers: Vec<Identifier>,
 }
 
 impl CsrGraph {
     /// Builds the snapshot; called through [`Graph::freeze`]: one
-    /// left-to-right pass over the adjacency lists, then a BFS component
-    /// sweep.
+    /// left-to-right pass over the adjacency lists.
     ///
     /// # Panics
     ///
@@ -92,21 +87,16 @@ impl CsrGraph {
         CsrGraph::from_parts(offsets.into(), targets.into(), graph.identifiers().collect())
     }
 
-    /// Assembles a snapshot from raw arrays and labels its components — the
-    /// one constructor, so no snapshot's labelling can disagree with its
-    /// edges. The arrays are not validated, but labelling walks them: the
-    /// offsets must be monotone and end at `targets.len()`, and every
-    /// endpoint must be below `n`. [`CsrGraph::from_graph`] builds such
-    /// arrays, and the snapshot decoder ([`crate::snapshot`]) checks them
-    /// first.
+    /// Assembles a snapshot from raw arrays — the one constructor. The
+    /// arrays are not validated: [`CsrGraph::from_graph`] builds valid ones,
+    /// and the snapshot decoder ([`crate::snapshot`]) checks them first.
     pub(crate) fn from_parts(
         offsets: Arc<[u32]>,
         targets: Arc<[u32]>,
         identifiers: Vec<Identifier>,
     ) -> Self {
         debug_assert_eq!(offsets.len(), identifiers.len() + 1);
-        let components = Arc::new(ComponentLabels::of_csr(&offsets, &targets));
-        CsrGraph { offsets, targets, components, identifiers }
+        CsrGraph { offsets, targets, identifiers }
     }
 
     /// Number of nodes.
@@ -144,19 +134,6 @@ impl CsrGraph {
     #[must_use]
     pub fn targets(&self) -> &[u32] {
         &self.targets
-    }
-
-    /// The connected-component labelling, computed from the adjacency when
-    /// the snapshot was frozen or decoded.
-    #[must_use]
-    pub fn components(&self) -> &ComponentLabels {
-        &self.components
-    }
-
-    /// Returns `true` when the snapshot has at most one component.
-    #[must_use]
-    pub fn is_connected(&self) -> bool {
-        self.components.is_connected()
     }
 
     /// Identifier of node `v`.
@@ -241,9 +218,7 @@ mod tests {
             generators::petersen(),
         ];
         for g in &graphs {
-            let csr = g.freeze();
-            assert_mirrors(g, &csr);
-            assert!(csr.is_connected());
+            assert_mirrors(g, &g.freeze());
         }
     }
 
@@ -266,8 +241,6 @@ mod tests {
         assert_eq!(csr.node_count(), 0);
         assert_eq!(csr.edge_count(), 0);
         assert!(csr.identifiers().is_empty());
-        assert!(csr.is_connected());
-        assert_eq!(csr.components().count(), 0);
     }
 
     #[test]
@@ -313,10 +286,12 @@ mod tests {
         }
         g.add_edge(NodeId::new(0), NodeId::new(2)).unwrap();
         g.add_edge(NodeId::new(3), NodeId::new(4)).unwrap();
-        let csr = g.freeze();
-        assert!(!csr.is_connected());
-        assert_eq!(csr.components().count(), 4);
-        assert_eq!(csr.components().sizes(), &[2, 1, 2, 1]);
+        // The snapshot mirrors its disconnected source; the labelling comes
+        // from the source graph, since snapshots carry none.
+        assert_mirrors(&g, &g.freeze());
+        let labels = crate::ComponentLabels::of_graph(&g);
+        assert_eq!(labels.count(), 4);
+        assert_eq!(labels.sizes(), &[2, 1, 2, 1]);
     }
 
     #[test]
@@ -359,8 +334,6 @@ mod tests {
         let mut clone = csr.clone();
         // The adjacency is behind an Arc: a clone points at the same arrays…
         assert!(std::ptr::eq(csr.neighbors(0).as_ptr(), clone.neighbors(0).as_ptr()));
-        // …and so is the component labelling…
-        assert!(Arc::ptr_eq(&csr.components, &clone.components));
         // …while the identifier table stays independent.
         clone.set_identifiers(&(0..6).rev().map(Identifier::new).collect::<Vec<_>>());
         assert_ne!(csr.identifier(0), clone.identifier(0));

@@ -140,7 +140,7 @@ impl Graph {
 
     /// Freezes the adjacency into a flat [`CsrGraph`] snapshot for
     /// traversal-heavy workloads; see [`crate::csr`]. One pass copies the
-    /// adjacency lists in port order, one BFS sweep labels the components.
+    /// adjacency lists in port order; no component labelling is computed.
     ///
     /// # Panics
     ///

@@ -26,11 +26,9 @@
 //! | …  | `8n` | identifier per node (`u64` each) |
 //!
 //! The total length is implied exactly by the header; truncated input and
-//! trailing garbage are both rejected. The component labelling is not
-//! stored: it is a function of the adjacency, so the decoder computes it
-//! from the validated arrays and a decoded snapshot's components can never
-//! disagree with its edges. Version-1 bytes, which stored it, are rejected
-//! by the version check.
+//! trailing garbage are both rejected. A snapshot holds no component
+//! labelling, and the decoder builds none. Version-1 bytes, which stored
+//! one, are rejected by the version check.
 //!
 //! # What the decoder checks
 //!
@@ -44,13 +42,12 @@
 //!    `v ∈ N(u)`), so the result is a simple undirected graph.
 //!
 //! Checks 3–4 are [`CsrGraph::validate`], which runs in place on any
-//! snapshot: the decoder runs them on the raw arrays before it builds (and
-//! labels) the graph, and a publisher can call `validate` on an in-memory
-//! candidate without encoding it, so there is one validator for both.
+//! snapshot: the decoder runs them on the raw arrays before it builds the
+//! graph, and a publisher can call `validate` on an in-memory candidate
+//! without encoding it, so there is one validator for both.
 //!
 //! Encoding then decoding is bit-identical: `from_bytes(&to_bytes(csr))`
-//! reproduces `csr` exactly, including port order, identifiers, and the
-//! component labelling.
+//! reproduces `csr` exactly, including port order and identifiers.
 
 use std::fs;
 use std::io::Write;
@@ -194,8 +191,8 @@ impl CsrGraph {
             (0..len).map(|i| read_u32(bytes, at + 4 * i)).collect()
         };
         let (offsets, targets) = (read_u32s(HEADER_LEN, n + 1), read_u32s(targets_at, de));
-        // Checked before the graph is built: labelling its components walks
-        // these arrays, which must not index out of bounds.
+        // Checked before the graph is built: every accessor of a snapshot
+        // slices these arrays, which must not index out of bounds.
         check_adjacency(&offsets, &targets)?;
         let identifiers =
             (0..n).map(|v| Identifier::new(read_u64(bytes, identifiers_at + 8 * v))).collect();
@@ -210,9 +207,8 @@ impl CsrGraph {
     /// [`CsrGraph::from_bytes`] runs exactly these checks on every decoded
     /// adjacency, so a snapshot passes them if and only if its encoding
     /// decodes. Snapshots built by [`crate::Graph::freeze`] always pass; the
-    /// check is for candidates of unknown provenance. The component labelling
-    /// needs no check: it is computed from the adjacency whenever a snapshot
-    /// is built. `O(n + m)` time and memory, no copy of the snapshot.
+    /// check is for candidates of unknown provenance. `O(n + m)` time and
+    /// memory, no copy of the snapshot.
     ///
     /// # Errors
     ///
@@ -421,7 +417,6 @@ mod tests {
             assert_eq!(bytes.len(), HEADER_LEN + 4 * (n + 1) + 4 * arcs + 8 * n);
             let decoded = CsrGraph::from_bytes(&bytes).unwrap();
             assert_eq!(decoded, csr);
-            assert_eq!(decoded.components(), csr.components());
             // Re-encoding reproduces the exact bytes.
             assert_eq!(decoded.to_bytes(), bytes);
         }
@@ -551,7 +546,7 @@ mod tests {
         let err = check_adjacency(&offsets, &targets).unwrap_err();
         assert!(err.to_string().contains("duplicate neighbour 1 in node 0"), "{err}");
         // Non-monotone offsets are caught before any list is read (no graph
-        // can be built from them: labelling would slice out of bounds).
+        // can be built from them: its accessors would slice out of bounds).
         offsets[1] = 9;
         let err = check_adjacency(&offsets, csr.targets()).unwrap_err();
         assert!(err.to_string().contains("monotone"), "{err}");
@@ -682,6 +677,5 @@ mod tests {
             assert_eq!(decoded.identifier(v), csr.identifier(v));
         }
         assert_eq!(decoded.edges().count(), csr.edge_count());
-        assert!(decoded.is_connected());
     }
 }

@@ -106,33 +106,21 @@ impl<O: Clone> Execution<O> {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct SyncExecutor {
-    max_rounds: Option<usize>,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SyncExecutor;
 
-impl Default for SyncExecutor {
-    fn default() -> Self {
-        SyncExecutor::new()
-    }
+/// The round after which [`SyncExecutor::run`] gives up on a graph with `n`
+/// nodes.
+fn round_limit(n: usize) -> usize {
+    4 * n + 64
 }
 
 impl SyncExecutor {
-    /// Creates an executor with the default round limit (`4·n + 64` for a
-    /// graph with `n` nodes).
+    /// Creates an executor; a run on `n` nodes aborts after `4·n + 64`
+    /// rounds.
     #[must_use]
     pub fn new() -> Self {
-        SyncExecutor { max_rounds: None }
-    }
-
-    /// Creates an executor that aborts after `max_rounds` rounds.
-    #[must_use]
-    pub fn with_max_rounds(max_rounds: usize) -> Self {
-        SyncExecutor { max_rounds: Some(max_rounds) }
-    }
-
-    fn round_limit(&self, n: usize) -> usize {
-        self.max_rounds.unwrap_or(4 * n + 64)
+        SyncExecutor
     }
 
     /// Runs `algorithm` on `graph` with the given global `knowledge`.
@@ -192,7 +180,7 @@ impl SyncExecutor {
             undecided_remaining: undecided,
         });
 
-        let limit = self.round_limit(n);
+        let limit = round_limit(n);
         let mut round = 0usize;
         while undecided > 0 {
             if round >= limit {
@@ -283,9 +271,9 @@ mod tests {
     #[test]
     fn flood_max_without_knowledge_hits_round_limit() {
         let g = generators::cycle(6).unwrap();
-        let err =
-            SyncExecutor::with_max_rounds(10).run(&g, &FloodMax, Knowledge::none()).unwrap_err();
-        assert!(matches!(err, RuntimeError::RoundLimitExceeded { limit: 10, .. }));
+        let err = SyncExecutor::new().run(&g, &FloodMax, Knowledge::none()).unwrap_err();
+        // 4·6 + 64 rounds, and no node ever decides.
+        assert!(matches!(err, RuntimeError::RoundLimitExceeded { limit: 88, undecided: 6 }));
     }
 
     #[test]
@@ -312,8 +300,11 @@ mod tests {
 
     #[test]
     fn default_executor_equals_new() {
-        let a = SyncExecutor::default();
-        let b = SyncExecutor::new();
-        assert_eq!(a.round_limit(10), b.round_limit(10));
+        let g = generators::cycle(5).unwrap();
+        let default: SyncExecutor = Default::default();
+        let a = default.run(&g, &CountNeighbors, Knowledge::none()).unwrap();
+        let b = SyncExecutor::new().run(&g, &CountNeighbors, Knowledge::none()).unwrap();
+        assert_eq!(a.outputs(), b.outputs());
+        assert_eq!(a.decision_rounds(), b.decision_rounds());
     }
 }

@@ -49,15 +49,21 @@ pub enum Consistency {
 /// Options shared by single and batched queries.
 ///
 /// The default asks for no deadline on the pinned generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryOptions {
-    /// Deadline budget in clock ticks. `None`, the default, and
-    /// [`u64::MAX`] both mean no deadline, and such a request reads no
-    /// clock. A finite budget reads the clock once when the request's probe
-    /// starts and once per ball-growth step.
-    pub deadline: Option<u64>,
+    /// Deadline budget in clock ticks. [`u64::MAX`], the default, means no
+    /// deadline, and such a request reads no clock. A finite budget reads
+    /// the clock once when the request's probe starts and once per
+    /// ball-growth step.
+    pub deadline: u64,
     /// Consistency demanded of the answer.
     pub consistency: Consistency,
+}
+
+impl Default for QueryOptions {
+    fn default() -> Self {
+        QueryOptions { deadline: u64::MAX, consistency: Consistency::default() }
+    }
 }
 
 impl QueryOptions {
@@ -70,7 +76,7 @@ impl QueryOptions {
     /// Overrides the deadline budget.
     #[must_use]
     pub fn with_deadline(mut self, ticks: u64) -> Self {
-        self.deadline = Some(ticks);
+        self.deadline = ticks;
         self
     }
 
@@ -79,12 +85,6 @@ impl QueryOptions {
     pub fn with_consistency(mut self, consistency: Consistency) -> Self {
         self.consistency = consistency;
         self
-    }
-
-    /// The deadline budget in clock ticks: [`u64::MAX`], no deadline, when
-    /// the request sets none.
-    pub(crate) fn budget(&self) -> u64 {
-        self.deadline.unwrap_or(u64::MAX)
     }
 }
 
@@ -280,9 +280,8 @@ where
         let _slot = self.admit()?;
         // ordering: monotone statistics counter; no ordering dependency.
         self.counters().batches.fetch_add(1, Ordering::Relaxed);
-        let budget = request.options.budget();
         self.with_consistency(request.options.consistency, |generation| {
-            Ok(self.probe_batch(generation, &request.nodes, budget))
+            Ok(self.probe_batch(generation, &request.nodes, request.options.deadline))
         })
     }
 
@@ -314,8 +313,7 @@ where
         let _slot = self.admit()?;
         // ordering: monotone statistics counter; no ordering dependency.
         self.counters().batches.fetch_add(1, Ordering::Relaxed);
-        let budget = request.options.budget();
-        Ok(self.probe_batch(generation, &request.nodes, budget))
+        Ok(self.probe_batch(generation, &request.nodes, request.options.deadline))
     }
 
     /// One batch attempt on a pinned generation, under a shared budget.

@@ -292,8 +292,8 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
     }
 
     /// Queries `node`: one admission slot, then one probe per consistency
-    /// attempt, each under the deadline budget of `options` (none when
-    /// unset).
+    /// attempt, each under the deadline budget of `options` (none for
+    /// [`u64::MAX`], the default).
     ///
     /// # Errors
     ///
@@ -305,9 +305,8 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
     /// invalidated by a swap. Each attempt gets the full budget.
     pub fn query_with(&self, node: NodeId, options: QueryOptions) -> Result<QueryReply<A::Output>> {
         let _slot = self.admit()?;
-        let budget = options.budget();
         self.with_consistency(options.consistency, |generation| {
-            self.probe(generation, node, budget)
+            self.probe(generation, node, options.deadline)
         })
     }
 
@@ -340,7 +339,7 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
             }
             tries += 1;
             self.counters.retries.fetch_add(1, Ordering::Relaxed);
-            self.clock.sleep(backoff(1, tries));
+            self.clock.sleep(backoff(tries));
         }
     }
 
@@ -453,11 +452,11 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
 /// pinned generation to a swap, at most, whatever its `retry_limit` asks.
 const MAX_RETRIES: u32 = 3;
 
-/// The backoff before retry `retry` (1-based): `base · 2^(retry − 1)` ticks,
-/// saturating at [`u64::MAX`] instead of dropping bits, so a positive base
-/// never backs off for 0 ticks however many retries a request allows.
-fn backoff(base: u64, retry: u32) -> u64 {
-    2u64.checked_pow(retry - 1).and_then(|factor| base.checked_mul(factor)).unwrap_or(u64::MAX)
+/// The backoff before retry `retry` (1-based): `2^(retry − 1)` ticks,
+/// saturating at [`u64::MAX`] instead of dropping bits, so it never backs off
+/// for 0 ticks however many retries a request allows.
+fn backoff(retry: u32) -> u64 {
+    2u64.checked_pow(retry - 1).unwrap_or(u64::MAX)
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -620,8 +619,9 @@ mod tests {
             ServiceConfig::default(),
         );
         let nodes: Vec<NodeId> = [3, 17, 0, 29, 11].map(NodeId::new).to_vec();
+        assert_eq!(QueryOptions::new(), QueryOptions::new().with_deadline(u64::MAX));
         for options in [QueryOptions::new(), QueryOptions::new().with_deadline(1_000_000_000)] {
-            let finite = options.deadline.is_some();
+            let finite = options.deadline != u64::MAX;
             for &node in &nodes {
                 let (reads, reply) = reads_during(&clock, || service.query_with(node, options));
                 // One start read, then one per growth step at radii 0..=r.
@@ -639,15 +639,12 @@ mod tests {
 
     #[test]
     fn backoff_doubles_per_retry_and_saturates() {
-        assert_eq!(backoff(1, 1), 1);
-        assert_eq!(backoff(1, 3), 4);
-        assert_eq!(backoff(1, 64), 1 << 63);
-        assert_eq!(backoff(1, 65), u64::MAX);
-        assert_eq!(backoff(1 << 32, 33), u64::MAX);
-        for base in [1, 3, 1 << 32, u64::MAX] {
-            for retry in 1..=255 {
-                assert_ne!(backoff(base, retry), 0, "base {base}, retry {retry}");
-            }
+        assert_eq!(backoff(1), 1);
+        assert_eq!(backoff(3), 4);
+        assert_eq!(backoff(64), 1 << 63);
+        assert_eq!(backoff(65), u64::MAX);
+        for retry in 1..=255 {
+            assert_ne!(backoff(retry), 0, "retry {retry}");
         }
     }
 

@@ -1,11 +1,12 @@
 //! `Graph::freeze` against the graph it freezes.
 //!
 //! A snapshot must reproduce its source exactly: node and edge counts, every
-//! neighbour list in port order, the identifier table, and a component
-//! labelling equal to the BFS-based `traversal::connected_components`
-//! partition (components numbered by smallest member). Every frozen graph
+//! neighbour list in port order and the identifier table. Every frozen graph
 //! must also pass the snapshot validator, the check untrusted snapshots go
-//! through.
+//! through. Snapshots carry no component labelling; the one the
+//! per-component runs compute from the graph must equal the BFS-based
+//! `traversal::connected_components` partition (components numbered by
+//! smallest member).
 
 use avglocal::graph::csr::CsrGraph;
 use avglocal::graph::{traversal, ComponentLabels, ComponentMode};
@@ -31,7 +32,7 @@ fn assert_freeze_agreement(graph: &Graph) {
     // The component labelling matches the BFS ground truth: same partition,
     // components numbered by smallest member.
     let expected = traversal::connected_components(graph);
-    let labels = csr.components();
+    let labels = ComponentLabels::of_graph(graph);
     assert_eq!(labels.count(), expected.len());
     for (c, nodes) in expected.iter().enumerate() {
         assert_eq!(labels.sizes()[c] as usize, nodes.len());
@@ -40,8 +41,6 @@ fn assert_freeze_agreement(graph: &Graph) {
         }
     }
     assert_eq!(labels.is_connected(), traversal::is_connected(graph));
-    // The standalone graph labelling agrees with the freeze-time one.
-    assert_eq!(&ComponentLabels::of_graph(graph), labels);
 }
 
 #[test]
@@ -81,15 +80,17 @@ fn freeze_agrees_on_large_instances_past_the_parallel_cutoff() {
 
 #[test]
 fn frozen_components_feed_the_executors_unchanged() {
-    // The labelling the executors consult on a disconnected snapshot is the
-    // one a standalone labelling of the graph computes, and a session over
-    // the snapshot carries it unchanged.
+    // A session over the snapshot of a disconnected graph, verified against
+    // the graph's labelling, reports the profile of the per-component run:
+    // one winner per component.
     let graph = Topology::Gnp { p: 0.02, seed: 3 }.build_unchecked(40).unwrap();
+    let labels = ComponentLabels::of_graph(&graph);
+    assert!(labels.count() > 1);
     let csr = graph.freeze();
-    assert_eq!(csr.components(), &ComponentLabels::of_graph(&graph));
     assert_eq!(CsrGraph::from_graph(&graph), csr);
-    let session = avglocal::runtime::FrozenExecutor::from_csr(csr.clone());
-    assert_eq!(session.csr().components(), csr.components());
+    let session = FrozenExecutor::from_csr(csr);
+    let on_session = Problem::LargestId.run_on_session(&session, Some(&labels)).unwrap();
+    assert_eq!(on_session, Problem::LargestId.run_per_component(&graph, &labels).unwrap());
 }
 
 proptest! {
