@@ -160,14 +160,16 @@ impl Problem {
     /// # Errors
     ///
     /// [`CoreError::InvalidConfiguration`] for round-based problems (see
-    /// [`Problem::uses_ball_view`]); otherwise the conditions of
-    /// [`Problem::run`].
+    /// [`Problem::uses_ball_view`]) and, before any node is probed, for a
+    /// `components` labelling that does not cover exactly the snapshot's
+    /// nodes; otherwise the conditions of [`Problem::run`].
     pub fn run_on_session(
         &self,
         session: &FrozenExecutor,
         components: Option<&ComponentLabels>,
     ) -> Result<RadiusProfile> {
-        /// Runs `algorithm` on the session and checks its outputs.
+        /// Runs `algorithm` on the session, checks its outputs and moves the
+        /// radii into the profile.
         fn checked<A>(
             problem: &Problem,
             session: &FrozenExecutor,
@@ -180,9 +182,21 @@ impl Problem {
         {
             let run = session.run(algorithm, Knowledge::none())?;
             problem.check(valid(run.outputs()))?;
-            Ok(RadiusProfile::from_ball_execution(&run))
+            let (_, radii) = run.into_parts();
+            Ok(RadiusProfile::new(radii))
         }
 
+        if let Some(labels) = components {
+            if labels.node_count() != session.node_count() {
+                return Err(CoreError::InvalidConfiguration {
+                    reason: format!(
+                        "the component labelling covers {} nodes, the snapshot has {}",
+                        labels.node_count(),
+                        session.node_count()
+                    ),
+                });
+            }
+        }
         let csr = session.csr();
         let ids = csr.identifiers();
         // Outputs of ball algorithms are scoped to the component the ball
@@ -429,6 +443,26 @@ mod tests {
         let labels = ComponentLabels::of_graph(&g);
         for problem in [Problem::LargestId, Problem::KnowTheLeader] {
             assert_eq!(problem.run(&g).unwrap(), problem.run_per_component(&g, &labels).unwrap());
+        }
+    }
+
+    #[test]
+    fn a_labelling_that_does_not_cover_the_snapshot_is_rejected() {
+        // A 5-node labelling on a 12-node ring is a caller error for every
+        // ball-view problem, the colourings included, whose verifiers never
+        // read the labels.
+        let session = FrozenExecutor::new(&ring(12, 4));
+        let short = ComponentLabels::of_graph(&ring(5, 4));
+        let ball_view: Vec<Problem> =
+            Problem::ALL.into_iter().filter(Problem::uses_ball_view).collect();
+        assert_eq!(ball_view.len(), 5);
+        for problem in ball_view {
+            let err = problem.run_on_session(&session, Some(&short)).unwrap_err();
+            assert!(
+                matches!(&err, CoreError::InvalidConfiguration { reason }
+                    if reason.contains("covers 5 nodes, the snapshot has 12")),
+                "{problem}: {err}"
+            );
         }
     }
 

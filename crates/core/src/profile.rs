@@ -33,7 +33,10 @@ impl RadiusProfile {
         RadiusProfile { radii }
     }
 
-    /// Extracts the profile of a ball-view execution.
+    /// Extracts the profile of a ball-view execution by copying its radii.
+    /// A caller done with the execution moves them instead, with
+    /// `RadiusProfile::new(execution.into_parts().1)`, as
+    /// [`crate::Problem::run_on_session`] does.
     #[must_use]
     pub fn from_ball_execution<O>(execution: &BallExecution<O>) -> Self {
         RadiusProfile { radii: execution.radii().to_vec() }

@@ -9,7 +9,7 @@
 
 use avglocal_graph::NodeId;
 
-use crate::error::Result;
+use crate::error::{Result, RuntimeError};
 
 /// The result of a ball-view execution: per-node outputs and radii.
 #[derive(Debug, Clone)]
@@ -104,14 +104,21 @@ pub enum Scheduling {
     Sequential,
 }
 
-/// Assembles per-node probe results into a [`BallExecution`], surfacing the
-/// first error **in node order** — the same error a sequential
-/// left-to-right run would report, independent of chunk scheduling.
-pub(crate) fn collect_execution<O>(per_node: Vec<Result<(O, usize)>>) -> Result<BallExecution<O>> {
-    let mut outputs = Vec::with_capacity(per_node.len());
-    let mut radii = Vec::with_capacity(per_node.len());
-    for result in per_node {
-        let (output, radius) = result?;
+/// A full run's per-node slot: the probe's `(output, radius)`, or its error
+/// boxed, so the slot is no larger than the pair plus a tag (16 bytes for a
+/// `bool` output, where an inline [`RuntimeError`] would take 48) and only a
+/// failing node allocates.
+pub(crate) type Slot<O> = std::result::Result<(O, usize), Box<RuntimeError>>;
+
+/// Unzips a full run's per-node slots into a [`BallExecution`]'s outputs and
+/// radii, surfacing the first error **in node order** — the same error a
+/// sequential left-to-right run would report, independent of chunk
+/// scheduling.
+pub(crate) fn collect_execution<O>(slots: Vec<Slot<O>>) -> Result<BallExecution<O>> {
+    let mut outputs = Vec::with_capacity(slots.len());
+    let mut radii = Vec::with_capacity(slots.len());
+    for slot in slots {
+        let (output, radius) = slot.map_err(|error| *error)?;
         outputs.push(output);
         radii.push(radius);
     }

@@ -28,6 +28,7 @@
 //! radii and error selection are bit-identical to the left-to-right
 //! reference ([`Scheduling::Sequential`]) no matter how chunks are stolen.
 
+use std::convert::identity;
 use std::fmt;
 
 use avglocal_graph::{BallGrower, CsrGraph, Graph, GraphError, Identifier, NodeId};
@@ -274,15 +275,16 @@ impl FrozenExecutor {
         A: BallAlgorithm + Sync,
         A::Output: Send,
     {
-        self.probe(algorithm, knowledge).nodes(nodes.len(), |i| nodes[i], options)
+        self.probe(algorithm, knowledge).nodes(nodes.len(), |i| nodes[i], options, identity)
     }
 
     /// Runs `algorithm` on every node of the snapshot under the session's
     /// [`Scheduling`] and collects outputs and radii, with the session's
-    /// warmed scratch buffers handed to the pool participants (steady-state
-    /// runs allocate a bounded handful of buffers per call, never per
-    /// probe). Outputs, radii and error selection are identical under every
-    /// [`Scheduling`].
+    /// warmed scratch buffers handed to the pool participants. A
+    /// steady-state run allocates a bounded handful of buffers per call (the
+    /// per-node slots, outputs and radii among them) and nothing per
+    /// successful probe; a failing node allocates its boxed error. Outputs,
+    /// radii and error selection are identical under every [`Scheduling`].
     ///
     /// # Errors
     ///
@@ -296,7 +298,10 @@ impl FrozenExecutor {
         A::Output: Send,
     {
         let probe = self.probe(algorithm, knowledge);
-        collect_execution(probe.nodes(self.node_count(), NodeId::new, &NodeBatchOptions::new()))
+        let options = NodeBatchOptions::new();
+        let slots = probe
+            .nodes(self.node_count(), NodeId::new, &options, |probed| probed.map_err(Box::new));
+        collect_execution(slots)
     }
 }
 
@@ -382,25 +387,27 @@ impl<'a, A: BallAlgorithm> Probe<'a, A> {
         }
     }
 
-    /// The node loop: slot `i` answers `node_at(i)` for `i in 0..count`.
-    /// Each participant (every pool participant under
-    /// [`Scheduling::WorkStealing`], the calling thread under
-    /// [`Scheduling::Sequential`]) keeps one [`LiveGrower`] for every slot it
-    /// claims; results land in index-addressed slots, so they are
+    /// The node loop: slot `i` holds `slot(result)` for the probe of
+    /// `node_at(i)`, `i in 0..count`. The caller picks the slot type: a batch
+    /// keeps every probe's result, a full run a compact
+    /// [`Slot`](crate::ball_executor::Slot). Each participant (every pool
+    /// participant under [`Scheduling::WorkStealing`], the calling thread
+    /// under [`Scheduling::Sequential`]) keeps one [`LiveGrower`] for every
+    /// slot it claims; results land in index-addressed slots, so they are
     /// deterministic by position no matter who stole which chunk.
-    fn nodes(
+    fn nodes<S: Send>(
         &self,
         count: usize,
         node_at: impl Fn(usize) -> NodeId + Sync,
         options: &NodeBatchOptions<'_>,
-    ) -> Vec<Result<(A::Output, usize)>>
+        slot: impl Fn(Result<(A::Output, usize)>) -> S + Sync,
+    ) -> Vec<S>
     where
         A: Sync,
-        A::Output: Send,
     {
         let probe = |live: &mut LiveGrower<'a>, i: usize| {
             let mut hook = |radius: usize| options.cancel.is_some_and(|cancel| cancel(radius));
-            self.node(live, node_at(i), &mut hook)
+            slot(self.node(live, node_at(i), &mut hook))
         };
         match self.scheduling {
             Scheduling::WorkStealing => (0..count)

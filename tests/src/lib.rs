@@ -40,6 +40,7 @@ pub mod alloc_count {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+    static BYTES: AtomicU64 = AtomicU64::new(0);
 
     /// Allocations (including reallocations) since the process started.
     pub fn allocations() -> u64 {
@@ -48,7 +49,16 @@ pub mod alloc_count {
         ALLOCATIONS.load(Ordering::Relaxed)
     }
 
-    /// [`System`], counting every allocation and reallocation.
+    /// Bytes requested since the process started: each allocation's size
+    /// and each reallocation's new size.
+    pub fn allocated_bytes() -> u64 {
+        // ordering: a statistic read once the measured work has finished,
+        // like `allocations`; nothing is published through it.
+        BYTES.load(Ordering::Relaxed)
+    }
+
+    /// [`System`], counting every allocation and reallocation and the bytes
+    /// each requests.
     #[derive(Debug)]
     pub struct CountingAllocator;
 
@@ -57,8 +67,9 @@ pub mod alloc_count {
     unsafe impl GlobalAlloc for CountingAllocator {
         // SAFETY: forwards `layout` unchanged to `System.alloc`.
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            // ordering: a pure event counter, see `allocations`.
+            // ordering: pure counters, see `allocations` and `allocated_bytes`.
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
             unsafe { System.alloc(layout) }
         }
 
@@ -71,8 +82,9 @@ pub mod alloc_count {
         // SAFETY: forwards the caller's arguments, whose validity is the
         // caller's `realloc` contract, unchanged to `System.realloc`.
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            // ordering: a pure event counter, see `allocations`.
+            // ordering: pure counters, see `allocations` and `allocated_bytes`.
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
             unsafe { System.realloc(ptr, layout, new_size) }
         }
     }

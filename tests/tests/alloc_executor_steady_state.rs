@@ -30,10 +30,10 @@ fn steady_state_run_frozen_allocations_are_bounded_per_run() {
     assert_eq!(warm.node_count(), n);
 
     // Steady state: measure a handful of further runs. Each may allocate
-    // per-run buffers (outputs, radii, the per-node result vector, the job's
-    // state slots) but nothing proportional to the number of probes — the
-    // per-participant scratch comes warm out of the session's pool and is
-    // reused across every stolen chunk.
+    // per-run buffers (outputs, radii, the vector of compact per-node slots,
+    // the job's state slots) but nothing proportional to the number of
+    // probes — the per-participant scratch comes warm out of the session's
+    // pool and is reused across every stolen chunk.
     const RUNS: u64 = 4;
     let before = allocations();
     for _ in 0..RUNS {

@@ -12,9 +12,10 @@
 //!    hash containers (`HashMap`, `HashSet`). Legitimate uses (keyed lookups
 //!    that never iterate into results, benchmark timing) are allowlisted
 //!    with a reason in `xtask/lint-allow.txt`.
-//! 3. `no-panic-decode` — the hardened decode surfaces listed in
-//!    [`Config::hardened`] parse untrusted bytes and must stay panic-free:
-//!    no `unwrap`/`expect`, no `panic!` family, no asserts.
+//! 3. `no-panic-decode` — the hardened surfaces listed in
+//!    [`Config::hardened`] parse untrusted bytes or serve the service's
+//!    queries and batches, and must stay panic-free: no `unwrap`/`expect`,
+//!    no `panic!` family, no asserts.
 //! 4. `non-exhaustive-error-enum` — every `pub enum *Error` under the
 //!    library roots is `#[non_exhaustive]`, so downstream matches keep
 //!    compiling when a variant is added.
@@ -72,6 +73,8 @@ impl Config {
                 PathBuf::from("crates/service/src/store.rs"),
                 PathBuf::from("crates/service/src/batch.rs"),
                 PathBuf::from("crates/service/src/service.rs"),
+                PathBuf::from("crates/runtime/src/frozen.rs"),
+                PathBuf::from("crates/runtime/src/ball_executor.rs"),
             ],
             library_roots: vec![PathBuf::from("crates")],
         }
