@@ -21,10 +21,6 @@ pub struct FullInfoColoring;
 impl BallAlgorithm for FullInfoColoring {
     type Output = u64;
 
-    fn name(&self) -> &str {
-        "full-info-coloring"
-    }
-
     fn decide(&self, view: &LocalView, _knowledge: &Knowledge) -> Option<u64> {
         if !view.is_saturated() {
             return None;
@@ -44,10 +40,6 @@ pub struct FullInfoLargestId;
 
 impl BallAlgorithm for FullInfoLargestId {
     type Output = bool;
-
-    fn name(&self) -> &str {
-        "full-info-largest-id"
-    }
 
     fn decide(&self, view: &LocalView, _knowledge: &Knowledge) -> Option<bool> {
         view.is_saturated().then(|| view.center_has_max_identifier())

@@ -43,10 +43,6 @@ pub struct LargestId;
 impl BallAlgorithm for LargestId {
     type Output = bool;
 
-    fn name(&self) -> &str {
-        "largest-id"
-    }
-
     fn decide(&self, view: &LocalView, _knowledge: &Knowledge) -> Option<bool> {
         if !view.center_has_max_identifier() {
             // Someone with a larger identifier is visible: certainly not the

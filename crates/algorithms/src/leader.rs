@@ -27,10 +27,6 @@ pub struct KnowTheLeader;
 impl BallAlgorithm for KnowTheLeader {
     type Output = Identifier;
 
-    fn name(&self) -> &str {
-        "know-the-leader"
-    }
-
     fn decide(&self, view: &LocalView, _knowledge: &Knowledge) -> Option<Identifier> {
         view.is_saturated().then(|| view.max_identifier())
     }

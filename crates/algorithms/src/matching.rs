@@ -75,10 +75,6 @@ impl RoundAlgorithm for MatchingRing {
     type Output = Option<Identifier>;
     type State = MatchingState;
 
-    fn name(&self) -> &str {
-        "matching-ring"
-    }
-
     fn init(&self, ctx: &NodeContext) -> Self::State {
         MatchingState {
             coloring: self.coloring.init(ctx),

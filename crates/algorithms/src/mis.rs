@@ -60,10 +60,6 @@ impl RoundAlgorithm for MisRing {
     type Output = bool;
     type State = MisState;
 
-    fn name(&self) -> &str {
-        "mis-ring"
-    }
-
     fn init(&self, ctx: &NodeContext) -> Self::State {
         MisState {
             coloring: self.coloring.init(ctx),

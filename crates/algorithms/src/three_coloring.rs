@@ -75,10 +75,6 @@ impl RoundAlgorithm for ThreeColorRing {
     type Output = u64;
     type State = ThreeColorState;
 
-    fn name(&self) -> &str {
-        "cole-vishkin-3-coloring"
-    }
-
     fn init(&self, ctx: &NodeContext) -> Self::State {
         let successor_id = self
             .orientation
@@ -207,10 +203,6 @@ impl LandmarkColoring {
 
 impl BallAlgorithm for LandmarkColoring {
     type Output = u64;
-
-    fn name(&self) -> &str {
-        "landmark-4-coloring"
-    }
 
     fn decide(&self, view: &LocalView, _knowledge: &Knowledge) -> Option<u64> {
         if view.is_saturated() {

@@ -46,8 +46,8 @@ pub fn expected_random_radius_largest_id(n: u64) -> f64 {
 }
 
 /// Number of derangement-free fixed points expected in a uniform permutation
-/// of `n` elements (always exactly 1.0 for `n >= 1`); exposed because several
-/// sanity tests of the random-permutation study use it.
+/// of `n` elements (always exactly 1.0 for `n >= 1`): a sanity reference for
+/// the uniform permutations a sweep draws under `AssignmentPolicy::Random`.
 #[must_use]
 pub fn expected_fixed_points(n: u64) -> f64 {
     if n == 0 {

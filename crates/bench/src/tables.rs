@@ -173,14 +173,11 @@ pub fn table_e4(quick: bool) -> Table {
     );
     for &n in &sizes {
         for problem in [Problem::LandmarkColoring, Problem::ThreeColoring] {
-            let random = random_permutation_study_on(
-                problem,
-                &Topology::Cycle,
-                n,
-                if quick { 3 } else { 8 },
-                5,
-            )
-            .expect("random study runs on cycles");
+            let random = Sweep::new(problem, vec![n])
+                .with_policy(AssignmentPolicy::Random { base_seed: 5 })
+                .with_trials(if quick { 3 } else { 8 })
+                .run()
+                .expect("random-id sweeps run on cycles");
             let section3 = section3_assignment(problem, n)
                 .and_then(|a| run_on_topology(problem, &Topology::Cycle, n, &a))
                 .expect("section 3 construction runs on cycles");
@@ -190,7 +187,7 @@ pub fn table_e4(quick: bool) -> Table {
             table.push_row(vec![
                 n.to_string(),
                 problem.to_string(),
-                fmt_float(random.average_radius.mean),
+                fmt_float(random.rows[0].average),
                 fmt_float(section3.average()),
                 fmt_float(climbed.objective),
                 fmt_float(theory::coloring_average_lower_bound(n)),
@@ -220,16 +217,19 @@ pub fn table_e5(quick: bool) -> Table {
     );
     for &k in &exponents {
         let n = 1usize << k;
-        let study =
-            random_permutation_study_on(Problem::LargestId, &Topology::Cycle, n, samples, 23)
-                .expect("largest-ID study runs on cycles");
+        let result = Sweep::new(Problem::LargestId, vec![n])
+            .with_policy(AssignmentPolicy::Random { base_seed: 23 })
+            .with_trials(samples)
+            .run()
+            .expect("largest-ID sweeps run on cycles");
+        let row = &result.rows[0];
         table.push_row(vec![
             n.to_string(),
             samples.to_string(),
-            fmt_float(study.average_radius.mean),
-            format!("±{}", fmt_float(study.average_radius.confidence_95())),
+            fmt_float(row.average),
+            format!("±{}", fmt_float(row.average_summary.confidence_95())),
             fmt_float(theory::largest_id_random_average(n)),
-            fmt_float(study.worst_case_radius.mean),
+            fmt_float(row.worst_case),
             fmt_float(theory::largest_id_worst_average(n)),
         ]);
     }

@@ -62,14 +62,14 @@ use crate::profile::RadiusProfile;
 use crate::sampling::{Estimate, SamplePlan, SampledMeasureSet};
 
 /// How identifiers are assigned to the nodes in a sweep.
+///
+/// `Random` is the paper's Section 4 question — both measures under
+/// uniformly random identifiers — asked of every trial of the row;
+/// `Fixed(IdAssignment::Identity)` is the adversarial case for the
+/// largest-ID average.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum AssignmentPolicy {
-    /// Identifiers follow the node order (`0, 1, …, n-1` around the cycle) —
-    /// the adversarial case for the largest-ID average.
-    Identity,
-    /// Identifiers in reverse node order.
-    Reversed,
     /// One uniformly random permutation per trial, derived from `base_seed`.
     Random {
         /// Seed from which per-trial seeds are derived.
@@ -89,8 +89,6 @@ impl AssignmentPolicy {
     #[must_use]
     pub fn assignment_for_trial(&self, trial: usize) -> IdAssignment {
         match self {
-            AssignmentPolicy::Identity => IdAssignment::Identity,
-            AssignmentPolicy::Reversed => IdAssignment::Reversed,
             AssignmentPolicy::Random { base_seed } => {
                 IdAssignment::Shuffled { seed: derive_seed(*base_seed, trial as u64) }
             }
@@ -277,6 +275,11 @@ impl Sweep {
     }
 
     /// Sets the identifier-assignment policy (default: random with seed 0).
+    ///
+    /// A one-size sweep with [`AssignmentPolicy::Random`] and `samples`
+    /// trials is the random-permutation study of the paper's Section 4: its
+    /// row holds the mean and spread of both measures over the sampled
+    /// permutations, and the pooled radius distribution of all of them.
     #[must_use]
     pub fn with_policy(mut self, policy: AssignmentPolicy) -> Self {
         self.policy = policy;
@@ -355,7 +358,7 @@ impl Sweep {
             });
         }
         check_problem_supports_topology(self.problem, &self.topology)?;
-        if let Some(plan) = self.sample {
+        if self.sample.is_some() {
             if !self.problem.uses_ball_view() {
                 return Err(CoreError::InvalidConfiguration {
                     reason: format!(
@@ -371,103 +374,142 @@ impl Sweep {
                         .to_string(),
                 });
             }
-            let mut rows = Vec::with_capacity(self.sizes.len());
-            for &n in &self.sizes {
-                rows.push(self.sampled_row(n, plan)?);
-            }
-            return Ok(SweepResult {
-                problem: self.problem,
-                topology: self.topology.clone(),
-                rows,
-            });
         }
-        let mut rows = Vec::with_capacity(self.sizes.len());
-        for &n in &self.sizes {
-            // One instance per size: trials vary the identifiers, never the
-            // graph (essential for random families, cheaper for all). For
-            // ball-view problems the adjacency is also frozen once and a
-            // trial is an identifier-table swap on a session over that
-            // snapshot (see `run_trials`). In per-component mode the instance
-            // is the first draw (no connectivity redraws) and one BFS sweep
-            // of it labels the components that scope verification.
-            let base = self.topology.build_for(n, self.mode)?;
-            let frozen_base = self.problem.uses_ball_view().then(|| base.freeze());
-            let labels = (self.mode == ComponentMode::PerComponent)
-                .then(|| ComponentLabels::of_graph(&base));
-            let sets = run_trials(
-                self.problem,
-                &base,
-                frozen_base.as_ref(),
-                labels.as_ref(),
-                self.trials,
-                |t| self.policy.assignment_for_trial(t),
-            )?;
-            let averages: Vec<f64> = sets.iter().map(|s| s.node_averaged).collect();
-            let average_summary = Summary::from_values(&averages);
-            // Scalar measures average over the trials; the distribution
-            // merges exactly (in trial order, for determinism by
-            // construction rather than by commutativity).
-            let mut cdf = RadiusCdf::empty();
-            for set in &sets {
-                cdf.merge(&set.cdf);
-            }
-            rows.push(SweepRow {
-                topology: self.topology.clone(),
-                n,
-                trials: self.trials,
-                components: labels.as_ref().map_or(1, ComponentLabels::count),
-                worst_case: mean_of(&sets, |s| s.worst_case),
-                average: average_summary.mean,
-                average_summary,
-                total: mean_of(&sets, |s| s.total),
-                edge_averaged: mean_of(&sets, |s| s.edge_averaged),
-                edge_averaged_mean: mean_of(&sets, |s| s.edge_averaged_mean),
-                median: mean_of(&sets, |s| s.median),
-                cdf,
-                sampled: None,
-            });
-        }
+        let rows = self.sizes.iter().map(|&n| self.row(n)).collect::<Result<_>>()?;
         Ok(SweepResult { problem: self.problem, topology: self.topology.clone(), rows })
     }
 
-    /// One size of a sampled sweep: per trial, draw the plan's sample from
-    /// the frozen instance, probe exactly that subset through the
-    /// index-addressed batch path, and fold the radii into estimates.
+    /// One size of the sweep, exact or sampled.
     ///
-    /// The trial loop mirrors the exact path — one instance per size, one
-    /// frozen snapshot shared across trials, one persistent-pool session per
-    /// participant, results collected in trial order — so sampled sweeps
-    /// inherit the exact path's bit-reproducibility.
-    fn sampled_row(&self, n: usize, plan: SamplePlan) -> Result<SweepRow> {
+    /// One instance per size: trials vary the identifiers, never the graph
+    /// (essential for random families, cheaper for all). In per-component
+    /// mode the instance is the first draw (no connectivity redraws) and one
+    /// BFS sweep of it labels the components that scope verification.
+    /// Ball-view problems freeze the instance once and run every trial on a
+    /// session over that snapshot ([`Sweep::run_trials`]): an exact trial
+    /// probes and verifies every node, a sampled trial probes exactly the
+    /// subset the plan draws through the index-addressed batch path.
+    /// Round-based problems clone the instance and apply the assignment per
+    /// trial instead.
+    fn row(&self, n: usize) -> Result<SweepRow> {
         let base = self.topology.build_for(n, self.mode)?;
-        let frozen_base = base.freeze();
-        let per_trial: Vec<Result<(SampledMeasureSet, RadiusCdf, f64)>> = (0..self.trials)
+        let labels =
+            (self.mode == ComponentMode::PerComponent).then(|| ComponentLabels::of_graph(&base));
+        let components = labels.as_ref().map_or(1, ComponentLabels::count);
+        if !self.problem.uses_ball_view() {
+            let per_trial: Vec<Result<MeasureSet>> = (0..self.trials)
+                .into_par_iter()
+                .map(|trial| {
+                    let mut graph = base.clone();
+                    self.policy.assignment_for_trial(trial).apply(&mut graph)?;
+                    Ok(MeasureSet::of(&self.problem.run(&graph)?, &base))
+                })
+                .collect();
+            let sets = per_trial.into_iter().collect::<Result<Vec<_>>>()?;
+            return Ok(self.exact_row(n, components, &sets));
+        }
+        let csr = base.freeze();
+        let Some(plan) = self.sample else {
+            let sets = self.run_trials(&csr, |session, _| {
+                let profile = self.problem.run_on_session(session, labels.as_ref())?;
+                Ok(MeasureSet::of_csr(&profile, &csr))
+            })?;
+            return Ok(self.exact_row(n, components, &sets));
+        };
+        let per_trial = self.run_trials(&csr, |session, trial| {
+            let sample = plan.draw(&csr, plan.seed_for(self.sample_seed, trial));
+            let radii =
+                self.problem.probe_radii(session, sample.nodes(), &NodeBatchOptions::new())?;
+            // The raw sampled observations: pooled into the row cdf, and
+            // their maximum is a certified lower bound on the trial's worst
+            // case.
+            let worst = radii.iter().copied().max().unwrap_or(0) as f64;
+            Ok((sample.estimate(&radii), RadiusCdf::from_radii(&radii), worst))
+        })?;
+        Ok(self.sampled_row(n, plan, per_trial))
+    }
+
+    /// Runs the sweep's trials on the frozen instance `csr` and returns
+    /// `trial(session, t)` for every trial `t`, in trial order.
+    ///
+    /// Trials are independent and their seeds explicit, so they run on the
+    /// work-stealing pool: the pool claims trials dynamically (a slow trial
+    /// stalls only itself) and each participant keeps one session alive
+    /// across every trial it steals. The participant's first trial creates
+    /// the session by cloning the snapshot (the adjacency is shared, only the
+    /// `O(n)` identifier table copies); every trial then installs the
+    /// policy's identifier table for `t`, a permutation, so unique by
+    /// construction, and nothing is hashed or re-indexed. A trial costs that
+    /// table swap plus its probes, and the grower scratch stays warm from
+    /// trial to trial. Results are collected in trial order (the error is the
+    /// first failing trial's), keeping every aggregate bit-for-bit identical
+    /// to a sequential sweep.
+    fn run_trials<T: Send>(
+        &self,
+        csr: &CsrGraph,
+        trial: impl Fn(&FrozenExecutor, usize) -> Result<T> + Sync,
+    ) -> Result<Vec<T>> {
+        let per_trial: Vec<Result<T>> = (0..self.trials)
             .into_par_iter()
             .map_init(
                 || None,
-                |session, trial| {
-                    let assignment = self.policy.assignment_for_trial(trial);
-                    let session = trial_session(session, &frozen_base, &assignment)?;
-                    let sample = plan.draw(&frozen_base, plan.seed_for(self.sample_seed, trial));
-                    let radii = self.problem.probe_radii(
-                        session,
-                        sample.nodes(),
-                        &NodeBatchOptions::new(),
-                    )?;
-                    // The raw sampled observations: pooled into the row cdf,
-                    // and their maximum is a certified lower bound on the
-                    // trial's worst case.
-                    let worst = radii.iter().copied().max().unwrap_or(0) as f64;
-                    let cdf = RadiusCdf::from_radii(&radii);
-                    Ok((sample.estimate(&radii), cdf, worst))
+                |session: &mut Option<FrozenExecutor>, t| {
+                    let assignment = self.policy.assignment_for_trial(t);
+                    let identifiers = assignment.try_identifiers(csr.node_count(), 0)?;
+                    let session =
+                        session.get_or_insert_with(|| FrozenExecutor::from_csr(csr.clone()));
+                    session.try_set_identifiers(&identifiers)?;
+                    // The session holds its own copy: free this `O(n)` table
+                    // before the probes, not after them.
+                    drop(identifiers);
+                    trial(session, t)
                 },
             )
             .collect();
+        per_trial.into_iter().collect()
+    }
+
+    /// Folds the exact trials of one size into its row: the scalar measures
+    /// average over the trials, and the distribution merges exactly (in trial
+    /// order, for determinism by construction rather than by commutativity).
+    fn exact_row(&self, n: usize, components: usize, sets: &[MeasureSet]) -> SweepRow {
+        let mean_of =
+            |f: fn(&MeasureSet) -> f64| sets.iter().map(f).sum::<f64>() / sets.len() as f64;
+        let averages: Vec<f64> = sets.iter().map(|s| s.node_averaged).collect();
+        let average_summary = Summary::from_values(&averages);
+        let mut cdf = RadiusCdf::empty();
+        for set in sets {
+            cdf.merge(&set.cdf);
+        }
+        SweepRow {
+            topology: self.topology.clone(),
+            n,
+            trials: self.trials,
+            components,
+            worst_case: mean_of(|s| s.worst_case),
+            average: average_summary.mean,
+            average_summary,
+            total: mean_of(|s| s.total),
+            edge_averaged: mean_of(|s| s.edge_averaged),
+            edge_averaged_mean: mean_of(|s| s.edge_averaged_mean),
+            median: mean_of(|s| s.median),
+            cdf,
+            sampled: None,
+        }
+    }
+
+    /// Folds the sampled trials of one size (each trial's estimate, raw
+    /// sampled distribution and largest sampled radius) into its row.
+    fn sampled_row(
+        &self,
+        n: usize,
+        plan: SamplePlan,
+        per_trial: Vec<(SampledMeasureSet, RadiusCdf, f64)>,
+    ) -> SweepRow {
         let mut estimates = Vec::with_capacity(self.trials);
         let mut cdf = RadiusCdf::empty();
         let mut worst_sum = 0.0;
-        for result in per_trial {
-            let (estimate, trial_cdf, worst) = result?;
+        for (estimate, trial_cdf, worst) in per_trial {
             cdf.merge(&trial_cdf);
             worst_sum += worst;
             estimates.push(estimate);
@@ -489,17 +531,7 @@ impl Sweep {
         let averages: Vec<f64> =
             estimates.iter().filter_map(|e| e.node_averaged.map(|est| est.value)).collect();
         let average_summary = Summary::from_values(&averages);
-        let sampled = SampledRow {
-            plan,
-            probes: estimates.first().map_or(0, |e| e.probes),
-            census: estimates.iter().all(|e| e.census),
-            node_averaged,
-            edge_averaged,
-            edge_averaged_mean,
-            median,
-            per_trial: estimates,
-        };
-        Ok(SweepRow {
+        SweepRow {
             topology: self.topology.clone(),
             n,
             trials: self.trials,
@@ -512,8 +544,17 @@ impl Sweep {
             edge_averaged_mean: edge_averaged_mean.map_or(0.0, |e| e.value),
             median: median.unwrap_or(0.0),
             cdf,
-            sampled: Some(sampled),
-        })
+            sampled: Some(SampledRow {
+                plan,
+                probes: estimates.first().map_or(0, |e| e.probes),
+                census: estimates.iter().all(|e| e.census),
+                node_averaged,
+                edge_averaged,
+                edge_averaged_mean,
+                median,
+                per_trial: estimates,
+            }),
+        }
     }
 }
 
@@ -584,149 +625,6 @@ pub fn topology_with_assignment(
     let mut graph = topology.build(n)?;
     assignment.apply(&mut graph)?;
     Ok(graph)
-}
-
-/// The Section 4 "further work" study: the distribution of both measures when
-/// the identifier permutation is uniformly random.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RandomPermutationStudy {
-    /// The topology the permutations were sampled on.
-    pub topology: Topology,
-    /// Instance size.
-    pub n: usize,
-    /// Number of sampled permutations.
-    pub samples: usize,
-    /// Summary of the per-sample node-averaged radii.
-    pub average_radius: Summary,
-    /// Summary of the per-sample worst-case radii.
-    pub worst_case_radius: Summary,
-    /// Summary of the per-sample edge-averaged radii (max-endpoint
-    /// weighting).
-    pub edge_averaged_radius: Summary,
-    /// Summary of the per-sample median radii.
-    pub median_radius: Summary,
-    /// The pooled radius distribution over all samples
-    /// (`samples x n` observations).
-    pub cdf: RadiusCdf,
-}
-
-/// Samples `samples` uniformly random identifier permutations of a size-`n`
-/// instance of `topology`, runs `problem` on each, and summarises both
-/// measures. All samples share the same instance; only the identifiers vary.
-///
-/// # Errors
-///
-/// Propagates construction and execution errors; returns
-/// [`CoreError::InvalidConfiguration`] when `samples == 0`.
-pub fn random_permutation_study_on(
-    problem: Problem,
-    topology: &Topology,
-    n: usize,
-    samples: usize,
-    base_seed: u64,
-) -> Result<RandomPermutationStudy> {
-    if samples == 0 {
-        return Err(CoreError::InvalidConfiguration {
-            reason: "the random-permutation study needs at least one sample".to_string(),
-        });
-    }
-    check_problem_supports_topology(problem, topology)?;
-    let base = topology.build(n)?;
-    let frozen_base = problem.uses_ball_view().then(|| base.freeze());
-    // Same machinery as `Sweep::run`: one sample is one trial.
-    let sets = run_trials(problem, &base, frozen_base.as_ref(), None, samples, |i| {
-        IdAssignment::Shuffled { seed: derive_seed(base_seed, i as u64) }
-    })?;
-    let collect = |f: fn(&MeasureSet) -> f64| -> Vec<f64> { sets.iter().map(f).collect() };
-    let mut cdf = RadiusCdf::empty();
-    for set in &sets {
-        cdf.merge(&set.cdf);
-    }
-    Ok(RandomPermutationStudy {
-        topology: topology.clone(),
-        n,
-        samples,
-        average_radius: Summary::from_values(&collect(|s| s.node_averaged)),
-        worst_case_radius: Summary::from_values(&collect(|s| s.worst_case)),
-        edge_averaged_radius: Summary::from_values(&collect(|s| s.edge_averaged)),
-        median_radius: Summary::from_values(&collect(|s| s.median)),
-        cdf,
-    })
-}
-
-/// Runs `trials` trials of `problem` on one instance, trial `t` under
-/// `assignment_for(t)`, and folds every measure of each trial in one pass
-/// over its radius vector and the shared edge structure.
-///
-/// Trials are independent and their seeds explicit, so they run on the
-/// work-stealing pool: the pool claims trials dynamically (a slow trial
-/// stalls only itself) and each participant keeps one session alive across
-/// every trial it steals. Results are collected in trial order (the error is
-/// the first failing trial's), keeping every aggregate bit-for-bit identical
-/// to a sequential sweep.
-///
-/// Ball-view problems (`frozen_base` is set) never touch a [`Graph`] per
-/// trial: the assignment's identifier table is installed on the
-/// participant's session ([`trial_session`]) and the outputs are verified
-/// against that session's snapshot ([`Problem::run_on_session`]), so a trial
-/// costs one `O(n)` table swap plus the probes, and the grower scratch stays
-/// warm from trial to trial. Round-based problems clone `base` and apply the
-/// assignment instead.
-fn run_trials(
-    problem: Problem,
-    base: &Graph,
-    frozen_base: Option<&CsrGraph>,
-    components: Option<&ComponentLabels>,
-    trials: usize,
-    assignment_for: impl Fn(usize) -> IdAssignment + Sync,
-) -> Result<Vec<MeasureSet>> {
-    let per_trial: Vec<Result<MeasureSet>> = (0..trials)
-        .into_par_iter()
-        .map_init(
-            || None,
-            |session, trial| {
-                let assignment = assignment_for(trial);
-                match frozen_base {
-                    Some(csr) => {
-                        let session = trial_session(session, csr, &assignment)?;
-                        let profile = problem.run_on_session(session, components)?;
-                        Ok(MeasureSet::of_csr(&profile, csr))
-                    }
-                    None => {
-                        let mut graph = base.clone();
-                        assignment.apply(&mut graph)?;
-                        Ok(MeasureSet::of(&problem.run(&graph)?, base))
-                    }
-                }
-            },
-        )
-        .collect();
-    per_trial.into_iter().collect()
-}
-
-/// The participant's session over `csr` (created on its first trial, which
-/// clones the snapshot: the adjacency is shared, only the `O(n)` identifier
-/// table copies) with `assignment`'s identifier table installed — the whole
-/// per-trial set-up of a ball-view trial. The table is a permutation, so
-/// unique by construction, and nothing is hashed or re-indexed.
-fn trial_session<'s>(
-    session: &'s mut Option<FrozenExecutor>,
-    csr: &CsrGraph,
-    assignment: &IdAssignment,
-) -> Result<&'s FrozenExecutor> {
-    let identifiers = assignment.try_identifiers(csr.node_count(), 0)?;
-    let session = session.get_or_insert_with(|| FrozenExecutor::from_csr(csr.clone()));
-    session.try_set_identifiers(&identifiers)?;
-    Ok(session)
-}
-
-/// Mean of one measure over the per-trial sets (0 for no trials).
-fn mean_of(sets: &[MeasureSet], f: impl Fn(&MeasureSet) -> f64) -> f64 {
-    if sets.is_empty() {
-        0.0
-    } else {
-        sets.iter().map(f).sum::<f64>() / sets.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -856,14 +754,11 @@ mod tests {
         let err = run_on_topology(Problem::Mis, &Topology::Grid, 16, &IdAssignment::Identity)
             .unwrap_err();
         assert!(err.to_string().contains("only runs on cycles"));
-        let err = random_permutation_study_on(
-            Problem::LandmarkColoring,
-            &Topology::CompleteBinaryTree,
-            16,
-            2,
-            0,
-        )
-        .unwrap_err();
+        let err = Sweep::on(Problem::LandmarkColoring, Topology::CompleteBinaryTree, vec![16])
+            .with_policy(AssignmentPolicy::Random { base_seed: 0 })
+            .with_trials(2)
+            .run()
+            .unwrap_err();
         assert!(err.to_string().contains("only runs on cycles"));
         // The cycle variant of the same configuration is fine.
         assert!(Sweep::on(Problem::ThreeColoring, Topology::Cycle, vec![16]).run().is_ok());
@@ -946,7 +841,7 @@ mod tests {
     #[test]
     fn sweep_rows_carry_every_measure() {
         let result = Sweep::new(Problem::LargestId, vec![16])
-            .with_policy(AssignmentPolicy::Identity)
+            .with_policy(AssignmentPolicy::Fixed(IdAssignment::Identity))
             .run()
             .unwrap();
         let row = &result.rows[0];
@@ -968,7 +863,7 @@ mod tests {
         // Identity ids on the 16-cycle, one trial: 15 nodes stop at radius
         // 1, the winner at 8 — the row's distribution is exactly that.
         let result = Sweep::new(Problem::LargestId, vec![16])
-            .with_policy(AssignmentPolicy::Identity)
+            .with_policy(AssignmentPolicy::Fixed(IdAssignment::Identity))
             .run()
             .unwrap();
         let row = &result.rows[0];
@@ -1016,17 +911,25 @@ mod tests {
         assert!(result.rows[0].components >= 1);
     }
 
+    /// The random-permutation study of Section 4: `LargestId` on one size
+    /// of `topology`, one trial per uniformly random permutation.
+    fn random_study(topology: Topology, n: usize, samples: usize, seed: u64) -> Result<SweepRow> {
+        let sweep = Sweep::on(Problem::LargestId, topology, vec![n])
+            .with_policy(AssignmentPolicy::Random { base_seed: seed })
+            .with_trials(samples);
+        Ok(sweep.run()?.rows.remove(0))
+    }
+
     #[test]
     fn study_distribution_pools_all_samples() {
-        let study =
-            random_permutation_study_on(Problem::LargestId, &Topology::Cycle, 32, 5, 11).unwrap();
-        assert_eq!(study.cdf.observations(), 5 * 32);
+        let row = random_study(Topology::Cycle, 32, 5, 11).unwrap();
+        assert_eq!(row.cdf.observations(), 5 * 32);
         // The pooled mean is the mean of per-sample node averages (equal
         // sample sizes), up to floating-point reassociation.
-        assert!((study.cdf.mean() - study.average_radius.mean).abs() < 1e-9);
+        assert!((row.cdf.mean() - row.average_summary.mean).abs() < 1e-9);
         // Every sample's winner saw half the ring (a diametrically placed
         // runner-up can add a second radius-16 observation).
-        assert!(study.cdf.count_at(16) >= 5);
+        assert!(row.cdf.count_at(16) >= 5);
     }
 
     #[test]
@@ -1062,11 +965,11 @@ mod tests {
     #[test]
     fn identity_policy_is_deterministic() {
         let a = Sweep::new(Problem::LargestId, vec![16])
-            .with_policy(AssignmentPolicy::Identity)
+            .with_policy(AssignmentPolicy::Fixed(IdAssignment::Identity))
             .run()
             .unwrap();
         let b = Sweep::new(Problem::LargestId, vec![16])
-            .with_policy(AssignmentPolicy::Identity)
+            .with_policy(AssignmentPolicy::Fixed(IdAssignment::Identity))
             .run()
             .unwrap();
         assert_eq!(a, b);
@@ -1076,14 +979,17 @@ mod tests {
 
     #[test]
     fn policies_produce_expected_assignments() {
-        assert_eq!(AssignmentPolicy::Identity.assignment_for_trial(3), IdAssignment::Identity);
-        assert_eq!(AssignmentPolicy::Reversed.assignment_for_trial(0), IdAssignment::Reversed);
         assert_eq!(
             AssignmentPolicy::Random { base_seed: 10 }.assignment_for_trial(2),
             IdAssignment::Shuffled { seed: derive_seed(10, 2) }
         );
-        let fixed = AssignmentPolicy::Fixed(IdAssignment::Rotated { shift: 1 });
-        assert_eq!(fixed.assignment_for_trial(5), IdAssignment::Rotated { shift: 1 });
+        for fixed in
+            [IdAssignment::Identity, IdAssignment::Reversed, IdAssignment::Rotated { shift: 1 }]
+        {
+            let policy = AssignmentPolicy::Fixed(fixed.clone());
+            assert_eq!(policy.assignment_for_trial(0), fixed);
+            assert_eq!(policy.assignment_for_trial(5), fixed);
+        }
     }
 
     #[test]
@@ -1102,38 +1008,29 @@ mod tests {
 
     #[test]
     fn random_study_brackets_the_measures() {
-        let study =
-            random_permutation_study_on(Problem::LargestId, &Topology::Cycle, 64, 10, 7).unwrap();
-        assert_eq!(study.samples, 10);
-        assert_eq!(study.topology, Topology::Cycle);
+        let row = random_study(Topology::Cycle, 64, 10, 7).unwrap();
+        assert_eq!(row.trials, 10);
+        assert_eq!(row.topology, Topology::Cycle);
         // The worst-case radius is always n/2 = 32 for largest ID.
-        assert_eq!(study.worst_case_radius.mean, 32.0);
-        assert!(study.average_radius.mean < 10.0);
-        assert!(study.average_radius.min >= 1.0);
+        assert_eq!(row.worst_case, 32.0);
+        assert!(row.average < 10.0);
+        assert!(row.average_summary.min >= 1.0);
     }
 
     #[test]
     fn random_study_runs_off_ring() {
-        let study = random_permutation_study_on(
-            Problem::LargestId,
-            &Topology::CompleteBinaryTree,
-            31,
-            6,
-            3,
-        )
-        .unwrap();
-        assert_eq!(study.samples, 6);
-        assert_eq!(study.topology, Topology::CompleteBinaryTree);
+        let row = random_study(Topology::CompleteBinaryTree, 31, 6, 3).unwrap();
+        assert_eq!(row.trials, 6);
+        assert_eq!(row.topology, Topology::CompleteBinaryTree);
         // On a depth-4 complete binary tree the eccentricity is at most 8.
-        assert!(study.worst_case_radius.max <= 8.0);
-        assert!(study.average_radius.mean <= study.worst_case_radius.mean);
+        assert!(row.cdf.max_radius() <= 8);
+        assert!(row.average <= row.worst_case);
     }
 
     #[test]
     fn random_study_rejects_zero_samples() {
-        assert!(
-            random_permutation_study_on(Problem::LargestId, &Topology::Cycle, 16, 0, 0).is_err()
-        );
+        let err = random_study(Topology::Cycle, 16, 0, 0).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidConfiguration { .. }), "{err:?}");
     }
 
     #[test]

@@ -44,8 +44,9 @@
 //!   mergeable ECDF with quantile/mean/tail accessors);
 //! * [`experiment`] — size sweeps over any [`graph::Topology`] (cycles,
 //!   paths, trees, grids, tori, `G(n, p)`, preferential attachment,
-//!   power-law configuration), identifier-assignment policies, and the
-//!   random-permutation study of Section 4;
+//!   power-law configuration) and identifier-assignment policies; the
+//!   random-permutation study of Section 4 is a one-size `Sweep` under
+//!   [`AssignmentPolicy::Random`];
 //! * [`adversary`] — exhaustive and hill-climbing searches for worst-case
 //!   identifier assignments, plus the Section 3 slice construction;
 //! * [`theory`] — the paper's predicted curves (`a(n)`, `log*`, Cole–Vishkin
@@ -85,9 +86,8 @@ pub use aggregate::{AggregateQueries, CdfReply, MeasuresReply, QuantileReply};
 pub use cdf::RadiusCdf;
 pub use error::{CoreError, Result};
 pub use experiment::{
-    random_permutation_study_on, run_on_topology, run_on_topology_per_component,
-    topology_with_assignment, AssignmentPolicy, RandomPermutationStudy, SampledRow, Sweep,
-    SweepResult, SweepRow,
+    run_on_topology, run_on_topology_per_component, topology_with_assignment, AssignmentPolicy,
+    SampledRow, Sweep, SweepResult, SweepRow,
 };
 pub use measure::{ComponentMeasures, EdgeWeight, Measure, MeasurePair, MeasureSet, MEDIAN};
 pub use problem::Problem;
@@ -111,8 +111,8 @@ pub mod prelude {
     pub use crate::aggregate::AggregateQueries;
     pub use crate::cdf::RadiusCdf;
     pub use crate::experiment::{
-        random_permutation_study_on, run_on_topology, run_on_topology_per_component,
-        topology_with_assignment, AssignmentPolicy, SampledRow, Sweep,
+        run_on_topology, run_on_topology_per_component, topology_with_assignment, AssignmentPolicy,
+        SampledRow, Sweep,
     };
     pub use crate::figure::{AsciiChart, Series};
     pub use crate::measure::{ComponentMeasures, EdgeWeight, Measure, MeasurePair, MeasureSet};

@@ -130,22 +130,16 @@ impl Problem {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Problem::run`]; ring-only problems additionally
+    /// [`CoreError::InvalidConfiguration`], before anything runs, when
+    /// `labels` does not cover exactly the nodes of `graph`; otherwise the
+    /// conditions of [`Problem::run`], and ring-only problems additionally
     /// fail on any disconnected (hence non-cycle) instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `labels` does not cover every node of `graph`.
     pub fn run_per_component(
         &self,
         graph: &Graph,
         labels: &ComponentLabels,
     ) -> Result<RadiusProfile> {
-        assert_eq!(
-            labels.node_count(),
-            graph.node_count(),
-            "the component labelling must cover every node of the graph"
-        );
+        check_coverage(labels, graph.node_count(), "graph")?;
         self.run_graph(graph, Some(labels))
     }
 
@@ -187,15 +181,7 @@ impl Problem {
         }
 
         if let Some(labels) = components {
-            if labels.node_count() != session.node_count() {
-                return Err(CoreError::InvalidConfiguration {
-                    reason: format!(
-                        "the component labelling covers {} nodes, the snapshot has {}",
-                        labels.node_count(),
-                        session.node_count()
-                    ),
-                });
-            }
+            check_coverage(labels, session.node_count(), "snapshot")?;
         }
         let csr = session.csr();
         let ids = csr.identifiers();
@@ -344,6 +330,20 @@ impl Problem {
     }
 }
 
+/// Rejects a component labelling that does not cover exactly the `nodes`
+/// nodes of the instance (`what` names it in the error).
+fn check_coverage(labels: &ComponentLabels, nodes: usize, what: &str) -> Result<()> {
+    if labels.node_count() == nodes {
+        return Ok(());
+    }
+    Err(CoreError::InvalidConfiguration {
+        reason: format!(
+            "the component labelling covers {} nodes, the {what} has {nodes}",
+            labels.node_count()
+        ),
+    })
+}
+
 impl fmt::Display for Problem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
@@ -451,7 +451,8 @@ mod tests {
         // A 5-node labelling on a 12-node ring is a caller error for every
         // ball-view problem, the colourings included, whose verifiers never
         // read the labels.
-        let session = FrozenExecutor::new(&ring(12, 4));
+        let graph = ring(12, 4);
+        let session = FrozenExecutor::new(&graph);
         let short = ComponentLabels::of_graph(&ring(5, 4));
         let ball_view: Vec<Problem> =
             Problem::ALL.into_iter().filter(Problem::uses_ball_view).collect();
@@ -461,6 +462,16 @@ mod tests {
             assert!(
                 matches!(&err, CoreError::InvalidConfiguration { reason }
                     if reason.contains("covers 5 nodes, the snapshot has 12")),
+                "{problem}: {err}"
+            );
+        }
+        // The graph entry point returns the same error for every problem,
+        // the round-based ones included, which never read the labels.
+        for problem in Problem::ALL {
+            let err = problem.run_per_component(&graph, &short).unwrap_err();
+            assert!(
+                matches!(&err, CoreError::InvalidConfiguration { reason }
+                    if reason.contains("covers 5 nodes, the graph has 12")),
                 "{problem}: {err}"
             );
         }

@@ -58,10 +58,6 @@ impl<B: BallAlgorithm> RoundAlgorithm for GatherAdapter<B> {
     type Output = B::Output;
     type State = GatherState;
 
-    fn name(&self) -> &str {
-        "gather-adapter"
-    }
-
     fn init(&self, ctx: &NodeContext) -> Self::State {
         let mut records = BTreeMap::new();
         records.insert(ctx.identifier, ctx.neighbor_identifiers.clone());

@@ -66,11 +66,6 @@ pub trait RoundAlgorithm {
     /// Per-node state.
     type State;
 
-    /// Human-readable name used in traces and reports.
-    fn name(&self) -> &str {
-        "unnamed-round-algorithm"
-    }
-
     /// Builds the initial state of a node.
     fn init(&self, ctx: &NodeContext) -> Self::State;
 
@@ -103,11 +98,6 @@ pub trait BallAlgorithm {
     /// Output each node eventually commits to.
     type Output: Clone;
 
-    /// Human-readable name used in traces and reports.
-    fn name(&self) -> &str {
-        "unnamed-ball-algorithm"
-    }
-
     /// Inspects the view and either commits to an output or asks for a larger
     /// radius by returning `None`.
     fn decide(&self, view: &LocalView, knowledge: &Knowledge) -> Option<Self::Output>;
@@ -115,10 +105,6 @@ pub trait BallAlgorithm {
 
 impl<B: BallAlgorithm + ?Sized> BallAlgorithm for &B {
     type Output = B::Output;
-
-    fn name(&self) -> &str {
-        (**self).name()
-    }
 
     fn decide(&self, view: &LocalView, knowledge: &Knowledge) -> Option<Self::Output> {
         (**self).decide(view, knowledge)
@@ -135,9 +121,6 @@ mod tests {
 
     impl BallAlgorithm for Immediate {
         type Output = u64;
-        fn name(&self) -> &str {
-            "immediate"
-        }
         fn decide(&self, view: &LocalView, _knowledge: &Knowledge) -> Option<u64> {
             Some(view.center_identifier().value())
         }
@@ -148,12 +131,9 @@ mod tests {
         let g = generators::cycle(5).unwrap();
         let view = LocalView::from_ball(&extract_ball(&g, NodeId::new(2), 0));
         let algo = Immediate;
-        let by_ref: &dyn Fn() = &|| {};
-        let _ = by_ref; // silence unused closure warning trick not needed
         assert_eq!(algo.decide(&view, &Knowledge::none()), Some(2));
         let r = &algo;
         assert_eq!(r.decide(&view, &Knowledge::none()), Some(2));
-        assert_eq!(r.name(), "immediate");
     }
 
     #[test]

@@ -21,10 +21,6 @@ impl RoundAlgorithm for CountNeighbors {
     type Output = usize;
     type State = ();
 
-    fn name(&self) -> &str {
-        "count-neighbors"
-    }
-
     fn init(&self, _ctx: &NodeContext) -> Self::State {}
 
     fn send(&self, _state: &Self::State, ctx: &NodeContext) -> Vec<Envelope<Self::Message>> {
@@ -61,10 +57,6 @@ impl RoundAlgorithm for FloodMax {
     type Message = Identifier;
     type Output = Identifier;
     type State = FloodMaxState;
-
-    fn name(&self) -> &str {
-        "flood-max"
-    }
 
     fn init(&self, ctx: &NodeContext) -> Self::State {
         FloodMaxState { best: ctx.identifier }
@@ -104,10 +96,6 @@ pub struct NaiveLargestId;
 
 impl BallAlgorithm for NaiveLargestId {
     type Output = bool;
-
-    fn name(&self) -> &str {
-        "naive-largest-id"
-    }
 
     fn decide(&self, view: &LocalView, _knowledge: &Knowledge) -> Option<bool> {
         if !view.center_has_max_identifier() {

@@ -26,7 +26,6 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Knowledge {
     node_count: Option<usize>,
-    max_degree: Option<usize>,
     identifier_bound: Option<u64>,
 }
 
@@ -34,26 +33,19 @@ impl Knowledge {
     /// No global knowledge at all (the paper's setting).
     #[must_use]
     pub const fn none() -> Self {
-        Knowledge { node_count: None, max_degree: None, identifier_bound: None }
+        Knowledge { node_count: None, identifier_bound: None }
     }
 
     /// The classic LOCAL assumption: every node knows `n`.
     #[must_use]
     pub const fn with_node_count(n: usize) -> Self {
-        Knowledge { node_count: Some(n), max_degree: None, identifier_bound: None }
+        Knowledge { node_count: Some(n), identifier_bound: None }
     }
 
     /// Adds knowledge of the number of nodes.
     #[must_use]
     pub const fn and_node_count(mut self, n: usize) -> Self {
         self.node_count = Some(n);
-        self
-    }
-
-    /// Adds knowledge of the maximum degree `Δ`.
-    #[must_use]
-    pub const fn and_max_degree(mut self, delta: usize) -> Self {
-        self.max_degree = Some(delta);
         self
     }
 
@@ -71,12 +63,6 @@ impl Knowledge {
         self.node_count
     }
 
-    /// Maximum degree, if known.
-    #[must_use]
-    pub const fn max_degree(&self) -> Option<usize> {
-        self.max_degree
-    }
-
     /// Upper bound on identifier values, if known.
     #[must_use]
     pub const fn identifier_bound(&self) -> Option<u64> {
@@ -86,7 +72,7 @@ impl Knowledge {
     /// Returns `true` when no global parameter is known.
     #[must_use]
     pub const fn is_oblivious(&self) -> bool {
-        self.node_count.is_none() && self.max_degree.is_none() && self.identifier_bound.is_none()
+        self.node_count.is_none() && self.identifier_bound.is_none()
     }
 }
 
@@ -99,17 +85,15 @@ mod tests {
         let k = Knowledge::none();
         assert!(k.is_oblivious());
         assert_eq!(k.node_count(), None);
-        assert_eq!(k.max_degree(), None);
         assert_eq!(k.identifier_bound(), None);
         assert_eq!(k, Knowledge::default());
     }
 
     #[test]
     fn builders_accumulate() {
-        let k = Knowledge::none().and_node_count(10).and_max_degree(2).and_identifier_bound(1000);
+        let k = Knowledge::none().and_node_count(10).and_identifier_bound(1000);
         assert!(!k.is_oblivious());
         assert_eq!(k.node_count(), Some(10));
-        assert_eq!(k.max_degree(), Some(2));
         assert_eq!(k.identifier_bound(), Some(1000));
     }
 

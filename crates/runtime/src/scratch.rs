@@ -8,7 +8,7 @@
 //! next run's participants check the warmed buffers straight back out.
 
 use std::ops::{Deref, DerefMut};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use avglocal_graph::GrowerScratch;
 
@@ -18,6 +18,10 @@ use avglocal_graph::GrowerScratch;
 /// return on job teardown), never per probe.
 #[derive(Debug, Default)]
 pub(crate) struct ScratchPool {
+    /// Nothing run under the lock can panic: a locker only pops, pushes or
+    /// clones the `Vec` (allocation failure aborts). So the mutex is never
+    /// poisoned, and every locker takes the guard out of a poison error
+    /// without changing behaviour.
     parked: Mutex<Vec<GrowerScratch>>,
 }
 
@@ -30,7 +34,8 @@ impl ScratchPool {
     /// Checks a scratch out of the pool (a warmed one when available), tied
     /// to the pool by a guard that parks it again on drop.
     pub(crate) fn checkout(&self) -> PooledScratch<'_> {
-        let scratch = self.parked.lock().expect("scratch pool poisoned").pop().unwrap_or_default();
+        let scratch =
+            self.parked.lock().unwrap_or_else(PoisonError::into_inner).pop().unwrap_or_default();
         PooledScratch { owner: self, scratch }
     }
 }
@@ -40,7 +45,7 @@ impl Clone for ScratchPool {
     /// as warm as the original.
     fn clone(&self) -> Self {
         ScratchPool {
-            parked: Mutex::new(self.parked.lock().expect("scratch pool poisoned").clone()),
+            parked: Mutex::new(self.parked.lock().unwrap_or_else(PoisonError::into_inner).clone()),
         }
     }
 }
@@ -69,7 +74,7 @@ impl DerefMut for PooledScratch<'_> {
 impl Drop for PooledScratch<'_> {
     fn drop(&mut self) {
         let scratch = std::mem::take(&mut self.scratch);
-        self.owner.parked.lock().expect("scratch pool poisoned").push(scratch);
+        self.owner.parked.lock().unwrap_or_else(PoisonError::into_inner).push(scratch);
     }
 }
 

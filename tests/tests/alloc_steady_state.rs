@@ -20,7 +20,7 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// on both instances), then asserts that the exact probe loop the executor
 /// drives per node — reset, consult the algorithm on the lazy view at each
 /// radius, grow — allocates nothing over every centre.
-fn assert_probe_loop_does_not_allocate(graph: &Graph, algorithm: &impl BallAlgorithm) {
+fn assert_probe_loop_does_not_allocate<A: BallAlgorithm>(graph: &Graph, algorithm: &A) {
     let csr = graph.freeze();
     let n = csr.node_count();
     let knowledge = Knowledge::none();
@@ -51,7 +51,7 @@ fn assert_probe_loop_does_not_allocate(graph: &Graph, algorithm: &impl BallAlgor
         0,
         "the incremental probe loop of {} must not allocate in the steady state \
          ({allocations} allocations over {n} nodes)",
-        algorithm.name()
+        std::any::type_name::<A>()
     );
 }
 

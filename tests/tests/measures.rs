@@ -9,6 +9,7 @@
 //! The per-component mode is checked the same way: aggregate and
 //! per-component sets recomputed from the labelled radius vectors.
 
+use avglocal::analysis::Summary;
 use avglocal::graph::{ComponentLabels, ComponentMode};
 use avglocal::prelude::*;
 use proptest::prelude::*;
@@ -54,7 +55,7 @@ fn policies(n: usize) -> [AssignmentPolicy; 3] {
     // i -> 7i + 2 (mod n) is a permutation whenever gcd(7, n) = 1.
     let explicit = IdAssignment::from_vec((0..n).map(|i| (7 * i + 2) % n).collect()).unwrap();
     [
-        AssignmentPolicy::Identity,
+        AssignmentPolicy::Fixed(IdAssignment::Identity),
         AssignmentPolicy::Random { base_seed: 3 },
         AssignmentPolicy::Fixed(explicit),
     ]
@@ -165,12 +166,21 @@ fn round_based_problems_report_edge_measures_too() {
 
 #[test]
 fn study_measures_equal_brute_force() {
+    // The random-permutation study (a one-size sweep under random ids, one
+    // trial per sample) against per-sample folds of `run_on_topology` on
+    // independently shuffled graphs, the worst case and the per-sample
+    // summary E5 prints included.
     let n = 32;
     let samples = 5;
     let base_seed = 11;
-    let study =
-        random_permutation_study_on(Problem::LargestId, &Topology::Grid, n, samples, base_seed)
-            .unwrap();
+    let result = Sweep::on(Problem::LargestId, Topology::Grid, vec![n])
+        .with_policy(AssignmentPolicy::Random { base_seed })
+        .with_trials(samples)
+        .run()
+        .unwrap();
+    let row = &result.rows[0];
+    let mut worst = Vec::new();
+    let mut averages = Vec::new();
     let mut edge_max = Vec::new();
     let mut medians = Vec::new();
     for i in 0..samples {
@@ -178,12 +188,17 @@ fn study_measures_equal_brute_force() {
             IdAssignment::Shuffled { seed: avglocal::graph::derive_seed(base_seed, i as u64) };
         let graph = topology_with_assignment(&Topology::Grid, n, &assignment).unwrap();
         let profile = run_on_topology(Problem::LargestId, &Topology::Grid, n, &assignment).unwrap();
+        worst.push(profile.max() as f64);
+        averages.push(profile.average());
         edge_max.push(brute_force_edge_averaged(&graph, profile.radii(), true));
         medians.push(brute_force_median(profile.radii()));
     }
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    assert_eq!(study.edge_averaged_radius.mean, mean(&edge_max));
-    assert_eq!(study.median_radius.mean, mean(&medians));
+    assert_eq!(row.worst_case, mean(&worst));
+    assert_eq!(row.average_summary, Summary::from_values(&averages));
+    assert_eq!(row.average, mean(&averages));
+    assert_eq!(row.edge_averaged, mean(&edge_max));
+    assert_eq!(row.median, mean(&medians));
 }
 
 #[test]
@@ -256,8 +271,8 @@ proptest! {
         topologies.push(Topology::PreferentialAttachment { m: 2, seed });
         for topology in &topologies {
             for (assignment, policy) in [
-                (IdAssignment::Identity, AssignmentPolicy::Identity),
-                (IdAssignment::Reversed, AssignmentPolicy::Reversed),
+                (IdAssignment::Identity, AssignmentPolicy::Fixed(IdAssignment::Identity)),
+                (IdAssignment::Reversed, AssignmentPolicy::Fixed(IdAssignment::Reversed)),
                 (IdAssignment::Shuffled { seed }, AssignmentPolicy::Random { base_seed: seed }),
             ] {
                 let graph = topology_with_assignment(topology, n, &assignment).unwrap();

@@ -153,7 +153,10 @@ fn disconnected_gnp_instances_are_rejected_not_measured() {
     // and the error survives the whole experiment stack.
     let err = Sweep::on(Problem::LargestId, family.clone(), vec![8]).run().unwrap_err();
     assert!(matches!(err, CoreError::Graph(GraphError::Disconnected { .. })));
-    let err = random_permutation_study_on(Problem::LargestId, &family, 8, 3, 0).unwrap_err();
+    let study = Sweep::on(Problem::LargestId, family, vec![8])
+        .with_policy(AssignmentPolicy::Random { base_seed: 0 })
+        .with_trials(3);
+    let err = study.run().unwrap_err();
     assert!(matches!(err, CoreError::Graph(GraphError::Disconnected { .. })));
 }
 

@@ -75,6 +75,7 @@ impl Config {
                 PathBuf::from("crates/service/src/service.rs"),
                 PathBuf::from("crates/runtime/src/frozen.rs"),
                 PathBuf::from("crates/runtime/src/ball_executor.rs"),
+                PathBuf::from("crates/runtime/src/scratch.rs"),
             ],
             library_roots: vec![PathBuf::from("crates")],
         }
