@@ -385,10 +385,11 @@ impl Sweep {
     /// (essential for random families, cheaper for all). In per-component
     /// mode the instance is the first draw (no connectivity redraws) and one
     /// BFS sweep of it labels the components that scope verification.
-    /// Ball-view problems freeze the instance once and run every trial on a
-    /// session over that snapshot ([`Sweep::run_trials`]): an exact trial
-    /// probes and verifies every node, a sampled trial probes exactly the
-    /// subset the plan draws through the index-addressed batch path.
+    /// Ball-view problems freeze the instance once, free it (the labels are
+    /// taken first, and a trial reads only the snapshot) and run every trial
+    /// on a session over that snapshot ([`Sweep::run_trials`]): an exact
+    /// trial probes and verifies every node, a sampled trial probes exactly
+    /// the subset the plan draws through the index-addressed batch path.
     /// Round-based problems clone the instance and apply the assignment per
     /// trial instead.
     fn row(&self, n: usize) -> Result<SweepRow> {
@@ -409,6 +410,7 @@ impl Sweep {
             return Ok(self.exact_row(n, components, &sets));
         }
         let csr = base.freeze();
+        drop(base);
         let Some(plan) = self.sample else {
             let sets = self.run_trials(&csr, |session, _| {
                 let profile = self.problem.run_on_session(session, labels.as_ref())?;

@@ -1,14 +1,15 @@
 //! Compressed sparse row (CSR) adjacency snapshots.
 //!
-//! [`Graph`] stores adjacency as one `Vec` per node, which is the right shape
+//! [`Graph`] stores adjacency as one list per node, which is the right shape
 //! for incremental construction but the wrong one for traversal-heavy hot
-//! loops: every neighbour list is its own allocation, so a BFS chases a
-//! pointer per node. [`CsrGraph`] is the frozen, read-only counterpart — two
-//! flat arrays (`offsets`, `targets`) plus the identifier table — produced
-//! once per execution by [`Graph::freeze`] and shared immutably by every
-//! worker thread. Port order (the neighbour order of the source graph) is
-//! preserved exactly, so anything derived from a CSR snapshot matches the
-//! `Graph`-based code paths node for node.
+//! loops: every node takes a 40-byte slot whatever its degree, and a list
+//! longer than 4 lives on the heap behind a pointer. [`CsrGraph`] is the
+//! frozen, read-only counterpart — two flat arrays (`offsets`, `targets`)
+//! plus the identifier table — produced once per execution by
+//! [`Graph::freeze`] and shared immutably by every worker thread. Port order
+//! (the neighbour order of the source graph) is preserved exactly, so
+//! anything derived from a CSR snapshot matches the `Graph`-based code paths
+//! node for node.
 //!
 
 use std::sync::Arc;

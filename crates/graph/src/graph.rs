@@ -1,6 +1,7 @@
 //! Undirected simple graphs with per-node identifiers.
 
 use std::fmt;
+use std::ops::Deref;
 
 use crate::csr::CsrGraph;
 use crate::error::{GraphError, Result};
@@ -12,6 +13,11 @@ use crate::{Identifier, NodeId};
 /// densely and addressed by [`NodeId`]; each node holds the identifier it
 /// exposes to the distributed algorithm. Neighbour lists are kept in insertion
 /// order, which doubles as the port numbering used by the runtime.
+///
+/// A neighbour list of degree at most 4 (every node of a cycle, path, binary
+/// tree, grid or torus) sits inline in its node's slot, so building or
+/// cloning such a graph allocates per table, not per node; the fifth
+/// neighbour moves that node's list to the heap once.
 ///
 /// Nothing derived from the adjacency or the identifier table is stored:
 /// [`Graph::contains_edge`] (and so [`Graph::add_edge`]) scans the shorter
@@ -36,9 +42,68 @@ use crate::{Identifier, NodeId};
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Graph {
-    adjacency: Vec<Vec<NodeId>>,
+    adjacency: Vec<Neighbors>,
     identifiers: Vec<Identifier>,
     edge_count: usize,
+}
+
+/// Neighbours a list holds without a heap allocation: the largest degree of
+/// the families that sweeps build in bulk (4 on grids and tori).
+const INLINE: usize = 4;
+
+/// One node's neighbour list, in port order. Up to [`INLINE`] neighbours sit
+/// in the 40-byte slot itself; the next one moves the list to a `Vec` once,
+/// and it stays there. It dereferences to the slice, and readers, equality
+/// and `Debug` see only that, never which of the two the list is.
+#[derive(Clone)]
+enum Neighbors {
+    Inline { len: u8, ids: [NodeId; INLINE] },
+    Heap(Vec<NodeId>),
+}
+
+impl Neighbors {
+    const EMPTY: Neighbors = Neighbors::Inline { len: 0, ids: [NodeId::new(0); INLINE] };
+
+    fn push(&mut self, v: NodeId) {
+        match self {
+            Neighbors::Inline { len, ids } if usize::from(*len) < INLINE => {
+                ids[usize::from(*len)] = v;
+                *len += 1;
+            }
+            Neighbors::Inline { ids, .. } => {
+                let mut heap = Vec::with_capacity(2 * INLINE);
+                heap.extend_from_slice(ids);
+                heap.push(v);
+                *self = Neighbors::Heap(heap);
+            }
+            Neighbors::Heap(heap) => heap.push(v),
+        }
+    }
+}
+
+impl Deref for Neighbors {
+    type Target = [NodeId];
+
+    fn deref(&self) -> &[NodeId] {
+        match self {
+            Neighbors::Inline { len, ids } => &ids[..usize::from(*len)],
+            Neighbors::Heap(heap) => heap,
+        }
+    }
+}
+
+impl PartialEq for Neighbors {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Neighbors {}
+
+impl fmt::Debug for Neighbors {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
 }
 
 /// The smallest identifier that occurs more than once in `identifiers`.
@@ -71,7 +136,7 @@ impl Graph {
     /// builder validates uniqueness when it matters).
     pub fn add_node(&mut self, identifier: Identifier) -> NodeId {
         let id = NodeId::new(self.adjacency.len());
-        self.adjacency.push(Vec::new());
+        self.adjacency.push(Neighbors::EMPTY);
         self.identifiers.push(identifier);
         id
     }
@@ -232,13 +297,13 @@ impl Graph {
     /// Minimum degree over all nodes, or `None` for the empty graph.
     #[must_use]
     pub fn min_degree(&self) -> Option<usize> {
-        self.adjacency.iter().map(Vec::len).min()
+        self.adjacency.iter().map(|nbrs| nbrs.len()).min()
     }
 
     /// Maximum degree over all nodes, or `None` for the empty graph.
     #[must_use]
     pub fn max_degree(&self) -> Option<usize> {
-        self.adjacency.iter().map(Vec::len).max()
+        self.adjacency.iter().map(|nbrs| nbrs.len()).max()
     }
 
     /// Replaces the identifiers of every node at once.
@@ -297,6 +362,7 @@ impl fmt::Display for Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn triangle() -> (Graph, NodeId, NodeId, NodeId) {
         let mut g = Graph::new();
@@ -472,5 +538,130 @@ mod tests {
         let g = Graph::with_capacity(16);
         assert!(g.is_empty());
         assert_eq!(g, Graph::new());
+    }
+
+    /// A graph on `n` default-id nodes with `edges` added in order.
+    fn graph_with(n: usize, edges: &[(usize, usize)]) -> Graph {
+        let mut g = Graph::new();
+        g.add_nodes_with_default_ids(n);
+        for &(u, v) in edges {
+            g.add_edge(NodeId::new(u), NodeId::new(v)).unwrap();
+        }
+        g
+    }
+
+    fn indices(nodes: &[NodeId]) -> Vec<usize> {
+        nodes.iter().map(|v| v.index()).collect()
+    }
+
+    #[test]
+    fn port_order_survives_the_move_to_the_heap() {
+        // A 7-star whose leaves join the hub out of index order: the hub's
+        // list moves to the heap at its fifth neighbour.
+        let leaves = [3, 1, 7, 5, 2, 6, 4];
+        let star = graph_with(8, &leaves.map(|leaf| (0, leaf)));
+        assert_eq!(indices(star.neighbors(NodeId::new(0))), leaves);
+        assert_eq!(star.degree(NodeId::new(0)), 7);
+        assert_eq!(indices(star.neighbors(NodeId::new(7))), [0]);
+
+        // K6, each edge added from its larger endpoint: every list reaches
+        // degree 5, so every list moves.
+        let pairs: Vec<(usize, usize)> =
+            (0..6).flat_map(|u| (0..u).rev().map(move |v| (u, v))).collect();
+        let k6 = graph_with(6, &pairs);
+        let ports = [
+            [1, 2, 3, 4, 5],
+            [0, 2, 3, 4, 5],
+            [1, 0, 3, 4, 5],
+            [2, 1, 0, 4, 5],
+            [3, 2, 1, 0, 5],
+            [4, 3, 2, 1, 0],
+        ];
+        for (u, expected) in ports.iter().enumerate() {
+            assert_eq!(indices(k6.neighbors(NodeId::new(u))), expected);
+        }
+    }
+
+    #[test]
+    fn contains_edge_on_both_sides_of_the_inline_boundary() {
+        let mut g = graph_with(7, &[(0, 1), (0, 2), (0, 3)]);
+        let [hub, a, b, c, d, e, f] = [0, 1, 2, 3, 4, 5, 6].map(NodeId::new);
+        for (degree, next) in [(3, d), (4, e), (5, f)] {
+            assert_eq!(g.degree(hub), degree);
+            assert!(!g.contains_edge(hub, next) && !g.contains_edge(next, hub));
+            g.add_edge(hub, next).unwrap();
+            for leaf in [a, b, c, next] {
+                assert!(g.contains_edge(hub, leaf) && g.contains_edge(leaf, hub));
+            }
+            assert_eq!(g.add_edge(next, hub), Err(GraphError::DuplicateEdge { u: next, v: hub }));
+            assert!(!g.contains_edge(a, next));
+        }
+        assert_eq!(g.edge_count(), 6);
+    }
+
+    #[test]
+    fn debug_prints_each_list_as_a_slice() {
+        let (g, _, _, _) = triangle();
+        assert_eq!(
+            format!("{g:?}"),
+            "Graph { adjacency: [[NodeId(1), NodeId(2)], [NodeId(0), NodeId(2)], \
+             [NodeId(1), NodeId(0)]], identifiers: [Identifier(1), Identifier(2), \
+             Identifier(3)], edge_count: 3 }"
+        );
+        let star = graph_with(7, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6)]);
+        assert_eq!(
+            format!("{star:?}"),
+            "Graph { adjacency: [[NodeId(1), NodeId(2), NodeId(3), NodeId(4), NodeId(5), \
+             NodeId(6)], [NodeId(0)], [NodeId(0)], [NodeId(0)], [NodeId(0)], [NodeId(0)], \
+             [NodeId(0)]], identifiers: [Identifier(0), Identifier(1), Identifier(2), \
+             Identifier(3), Identifier(4), Identifier(5), Identifier(6)], edge_count: 6 }"
+        );
+    }
+
+    proptest! {
+        /// Inline and heap lists are invisible to every reader: after each
+        /// insertion attempt the graph agrees with a plain `Vec<Vec<usize>>`
+        /// model, with at most 10 nodes so degrees regularly pass 4.
+        #[test]
+        fn graph_matches_a_vec_of_vecs_model(
+            n in 1usize..11,
+            attempts in proptest::collection::vec(0usize..100, 0..41),
+        ) {
+            let mut g = Graph::new();
+            g.add_nodes_with_default_ids(n);
+            let mut model: Vec<Vec<usize>> = vec![Vec::new(); n];
+            for attempt in attempts {
+                let (u, v) = (attempt / 10 % n, attempt % 10 % n);
+                let before = g.clone();
+                let added = g.add_edge(NodeId::new(u), NodeId::new(v)).is_ok();
+                prop_assert_eq!(added, u != v && !model[u].contains(&v));
+                if added {
+                    model[u].push(v);
+                    model[v].push(u);
+                }
+                prop_assert_eq!(g == before, !added);
+                let csr = g.freeze();
+                let copy = g.clone();
+                prop_assert!(copy == g);
+                prop_assert_eq!(&copy.freeze(), &csr);
+                let mut edges = Vec::new();
+                for (x, list) in model.iter().enumerate() {
+                    let node = NodeId::new(x);
+                    prop_assert_eq!(&indices(g.neighbors(node)), list);
+                    prop_assert_eq!(g.degree(node), list.len());
+                    let frozen: Vec<usize> =
+                        csr.neighbors(x as u32).iter().map(|&y| y as usize).collect();
+                    prop_assert_eq!(&frozen, list);
+                    for y in 0..n {
+                        prop_assert_eq!(g.contains_edge(node, NodeId::new(y)), list.contains(&y));
+                    }
+                    edges.extend(list.iter().filter(|&&y| x < y).map(|&y| (x, y)));
+                }
+                let reported: Vec<(usize, usize)> =
+                    g.edges().map(|(a, b)| (a.index(), b.index())).collect();
+                prop_assert_eq!(reported, edges);
+                prop_assert_eq!(g.edge_count(), g.edges().count());
+            }
+        }
     }
 }

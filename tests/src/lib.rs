@@ -41,6 +41,8 @@ pub mod alloc_count {
 
     static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
     static BYTES: AtomicU64 = AtomicU64::new(0);
+    static LIVE: AtomicU64 = AtomicU64::new(0);
+    static PEAK_LIVE: AtomicU64 = AtomicU64::new(0);
 
     /// Allocations (including reallocations) since the process started.
     pub fn allocations() -> u64 {
@@ -57,12 +59,46 @@ pub mod alloc_count {
         BYTES.load(Ordering::Relaxed)
     }
 
-    /// [`System`], counting every allocation and reallocation and the bytes
-    /// each requests.
+    /// The high-water mark of live heap bytes (requested sizes of the blocks
+    /// not yet freed) since the process started or the last
+    /// [`reset_peak_live_bytes`].
+    pub fn peak_live_bytes() -> u64 {
+        // ordering: a statistic read once the measured work has finished,
+        // like `allocations`; nothing is published through it.
+        PEAK_LIVE.load(Ordering::Relaxed)
+    }
+
+    /// Lowers the high-water mark to the bytes live now and returns them, so
+    /// `peak_live_bytes() - start` is the peak a following window adds. Call
+    /// it while no other thread allocates (between pool jobs).
+    pub fn reset_peak_live_bytes() -> u64 {
+        // ordering: called between measured windows, when no pool job runs;
+        // both values are statistics, nothing is published through them.
+        let live = LIVE.load(Ordering::Relaxed);
+        PEAK_LIVE.store(live, Ordering::Relaxed);
+        live
+    }
+
+    /// Adds `bytes` to the live total and raises the high-water mark to it.
+    fn grow_live(bytes: u64) {
+        // ordering: pure counters; the read-modify-writes alone keep the
+        // total exact, and every total they return is one the counter held.
+        let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        PEAK_LIVE.fetch_max(live, Ordering::Relaxed);
+    }
+
+    /// Subtracts `bytes` from the live total.
+    fn shrink_live(bytes: u64) {
+        // ordering: pure counter, see `grow_live`.
+        LIVE.fetch_sub(bytes, Ordering::Relaxed);
+    }
+
+    /// [`System`], counting every allocation and reallocation, the bytes
+    /// each requests, and the bytes live at once.
     #[derive(Debug)]
     pub struct CountingAllocator;
 
-    // SAFETY: delegates verbatim to `System`; the counter has no effect on
+    // SAFETY: delegates verbatim to `System`; the counters have no effect on
     // the returned memory.
     unsafe impl GlobalAlloc for CountingAllocator {
         // SAFETY: forwards `layout` unchanged to `System.alloc`.
@@ -70,12 +106,14 @@ pub mod alloc_count {
             // ordering: pure counters, see `allocations` and `allocated_bytes`.
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
             BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+            grow_live(layout.size() as u64);
             unsafe { System.alloc(layout) }
         }
 
         // SAFETY: forwards the caller's `ptr`/`layout` pair, whose validity
         // is the caller's `dealloc` contract, unchanged to `System.dealloc`.
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            shrink_live(layout.size() as u64);
             unsafe { System.dealloc(ptr, layout) }
         }
 
@@ -85,6 +123,13 @@ pub mod alloc_count {
             // ordering: pure counters, see `allocations` and `allocated_bytes`.
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
             BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+            let (old, new) = (layout.size() as u64, new_size as u64);
+            if new >= old {
+                grow_live(new - old);
+            } else {
+                shrink_live(old - new);
+            }
+            // SAFETY: the caller's arguments, forwarded unchanged (see above).
             unsafe { System.realloc(ptr, layout, new_size) }
         }
     }
