@@ -354,7 +354,7 @@ fn main() -> ExitCode {
     fs::write("BENCH_e1.json", json).expect("BENCH_e1.json must be writable");
     println!("wrote BENCH_e1.json");
 
-    // (name, value, full threshold, sanity threshold). A version-2 cycle
+    // (name, value, full threshold, sanity threshold). A version-3 cycle
     // costs 20 bytes/edge; the 50x decode budget still catches a quadratic
     // validator. On one core a batch runs inline and only the amortised
     // admission remains, hence its 0.5x sanity bound.

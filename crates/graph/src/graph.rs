@@ -64,21 +64,29 @@ enum Neighbors {
 impl Neighbors {
     const EMPTY: Neighbors = Neighbors::Inline { len: 0, ids: [NodeId::new(0); INLINE] };
 
+    // Inlined into every caller, whichever codegen unit it lands in: the
+    // generators' build loops call it once per arc, and an out-of-line call
+    // there measurably slowed a 128x128 grid build.
+    #[inline]
     fn push(&mut self, v: NodeId) {
         match self {
             Neighbors::Inline { len, ids } if usize::from(*len) < INLINE => {
                 ids[usize::from(*len)] = v;
                 *len += 1;
             }
-            Neighbors::Inline { ids, .. } => {
-                let mut heap = Vec::with_capacity(2 * INLINE);
-                heap.extend_from_slice(ids);
-                heap.push(v);
-                *self = Neighbors::Heap(heap);
-            }
+            Neighbors::Inline { ids, .. } => *self = Neighbors::Heap(spill(ids, v)),
             Neighbors::Heap(heap) => heap.push(v),
         }
     }
+}
+
+/// The heap list a full inline list moves to when `v` joins it.
+#[cold]
+fn spill(ids: &[NodeId; INLINE], v: NodeId) -> Vec<NodeId> {
+    let mut heap = Vec::with_capacity(2 * INLINE);
+    heap.extend_from_slice(ids);
+    heap.push(v);
+    heap
 }
 
 impl Deref for Neighbors {

@@ -9,7 +9,7 @@
 //! back, and every violation is a typed [`GraphError::CorruptSnapshot`] —
 //! never a panic, whatever the bytes.
 //!
-//! # Format (version 2)
+//! # Format (version 3)
 //!
 //! All integers are little-endian. The file is one header followed by three
 //! flat arrays:
@@ -17,8 +17,8 @@
 //! | offset | size | field |
 //! |-------:|-----:|-------|
 //! | 0  | 8 | magic `b"AVGLSNAP"` |
-//! | 8  | 4 | format version (`u32`, currently 2) |
-//! | 12 | 8 | FNV-1a 64 checksum of every byte after this field |
+//! | 8  | 4 | format version (`u32`, currently 3) |
+//! | 12 | 8 | [`checksum`] of every byte after this field (`u64`) |
 //! | 20 | 8 | node count `n` (`u64`) |
 //! | 28 | 8 | directed edge count `2m` (`u64`) |
 //! | 36 | `4(n+1)` | offsets (`u32` each) |
@@ -27,13 +27,16 @@
 //!
 //! The total length is implied exactly by the header; truncated input and
 //! trailing garbage are both rejected. A snapshot holds no component
-//! labelling, and the decoder builds none. Version-1 bytes, which stored
-//! one, are rejected by the version check.
+//! labelling, and the decoder builds none. Bytes of a retired version are
+//! rejected by the version check: version 1 also stored a component
+//! labelling, and version 2 checksummed its payload byte by byte with
+//! FNV-1a-64.
 //!
 //! # What the decoder checks
 //!
-//! 1. **Header**: magic, version, and the checksum of the entire payload
-//!    (so any bit flip after byte 20 is detected before parsing).
+//! 1. **Header**: magic, version, and the word-wise [`checksum`] of the
+//!    entire payload (so any bit flip after byte 20 is detected before
+//!    parsing).
 //! 2. **Counts**: `n` and `2m` fit the crate's `u32` index limits, `2m` is
 //!    even, and the byte length matches the implied layout exactly.
 //! 3. **Offsets**: start at 0, are monotone non-decreasing, and end at `2m`.
@@ -61,7 +64,7 @@ use crate::{CsrGraph, Identifier};
 pub const MAGIC: [u8; 8] = *b"AVGLSNAP";
 
 /// The current (and only) snapshot format version.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 /// Byte length of the fixed header (magic, version, checksum, two counts).
 pub const HEADER_LEN: usize = 36;
@@ -70,46 +73,65 @@ pub const HEADER_LEN: usize = 36;
 /// checksum field itself).
 const CHECKSUMMED_FROM: usize = 20;
 
-/// FNV-1a 64-bit hash — the integrity checksum of the snapshot payload.
+/// Odd multipliers of the checksum step (the 64-bit xxHash primes 1 and 2).
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+
+/// One checksum step. It is a bijection of `lane` for a fixed `word` and of
+/// `word` for a fixed `lane`: xor, rotation and multiplication by an odd
+/// constant are each invertible.
+fn mix(lane: u64, word: u64) -> u64 {
+    (lane ^ word.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+}
+
+/// The integrity checksum of a snapshot: the digest of its bytes from
+/// offset 20 on, which [`CsrGraph::to_bytes`] stores at bytes 12..20.
 ///
-/// Not cryptographic: it defends against accidental corruption (truncation
-/// aside, any single bit flip changes the digest), not against a forger, who
-/// is already constrained by the structural validation.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// Little-endian `u64` words are striped over four independent lanes, so
+/// the multiplies of consecutive words overlap rather than form one
+/// dependent chain. The lanes, then the leftover words, then the leftover
+/// bytes are folded into one digest with the same step, starting from the
+/// payload length. Every step is a bijection of each input for the other
+/// fixed, so a change confined to one word, in particular any single bit
+/// flip, changes the digest.
+///
+/// Not cryptographic: it defends against accidental corruption, not against
+/// a forger, who is already constrained by the structural validation.
+#[must_use]
+pub fn checksum(payload: &[u8]) -> u64 {
+    let (words, bytes) = payload.as_chunks::<8>();
+    let stripes = words.chunks_exact(4);
+    let leftover = stripes.remainder();
+    let mut lanes = [P1, P2, !P1, !P2];
+    for stripe in stripes {
+        for (lane, word) in lanes.iter_mut().zip(stripe) {
+            *lane = mix(*lane, u64::from_le_bytes(*word));
+        }
     }
-    hash
+    let leftover = leftover.iter().map(|word| u64::from_le_bytes(*word));
+    let bytes = bytes.iter().map(|&b| u64::from(b));
+    lanes.into_iter().chain(leftover).chain(bytes).fold(payload.len() as u64, mix)
 }
 
 impl CsrGraph {
-    /// Serialises the snapshot into the version-2 binary format described in
-    /// [`crate::snapshot`].
+    /// Serialises the snapshot into the version-3 binary format described in
+    /// [`crate::snapshot`]: one allocation of the exact length, the header,
+    /// each array coded in bulk, then the [`checksum`] of the payload.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let n = self.node_count();
-        let offsets = self.offsets();
-        let targets = self.targets();
-        let total = HEADER_LEN + 4 * offsets.len() + 4 * targets.len() + 8 * n;
-        let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&[0u8; 8]); // checksum placeholder
-        out.extend_from_slice(&(n as u64).to_le_bytes());
-        out.extend_from_slice(&(targets.len() as u64).to_le_bytes());
-        for &x in offsets {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        for &x in targets {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        for id in self.identifiers() {
-            out.extend_from_slice(&id.value().to_le_bytes());
-        }
-        debug_assert_eq!(out.len(), total);
-        let checksum = fnv1a(&out[CHECKSUMMED_FROM..]);
+        let (offsets, targets) = (self.offsets(), self.targets());
+        let mut out = vec![0u8; HEADER_LEN + 4 * offsets.len() + 4 * targets.len() + 8 * n];
+        out[..8].copy_from_slice(&MAGIC);
+        out[8..12].copy_from_slice(&VERSION.to_le_bytes());
+        out[20..28].copy_from_slice(&(n as u64).to_le_bytes());
+        out[28..36].copy_from_slice(&(targets.len() as u64).to_le_bytes());
+        let (offsets_out, rest) = out[HEADER_LEN..].split_at_mut(4 * offsets.len());
+        let (targets_out, identifiers_out) = rest.split_at_mut(4 * targets.len());
+        write_words(offsets_out, offsets.iter().map(|x| x.to_le_bytes()));
+        write_words(targets_out, targets.iter().map(|x| x.to_le_bytes()));
+        write_words(identifiers_out, self.identifiers().iter().map(|id| id.value().to_le_bytes()));
+        let checksum = checksum(&out[CHECKSUMMED_FROM..]);
         out[12..20].copy_from_slice(&checksum.to_le_bytes());
         out
     }
@@ -117,14 +139,16 @@ impl CsrGraph {
     /// Decodes and validates a snapshot produced by [`CsrGraph::to_bytes`].
     ///
     /// The input is untrusted: see [`crate::snapshot`] for the full list of
-    /// checks. Accepted snapshots round-trip bit-identically (re-encoding the
-    /// returned graph reproduces `bytes`).
+    /// checks. After the header and [`checksum`] checks, each array is
+    /// decoded in bulk into one allocation, and the adjacency is validated
+    /// before the graph is built. Accepted snapshots round-trip
+    /// bit-identically (re-encoding the returned graph reproduces `bytes`).
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::CorruptSnapshot`] — carrying a best-effort byte
     /// offset and a description of the violated invariant — for any input
-    /// that is not a valid version-2 snapshot. Never panics.
+    /// that is not a valid version-3 snapshot. Never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<CsrGraph> {
         let corrupt =
             |offset: usize, reason: String| GraphError::CorruptSnapshot { offset, reason };
@@ -145,7 +169,7 @@ impl CsrGraph {
             ));
         }
         let stored_checksum = read_u64(bytes, 12);
-        let actual_checksum = fnv1a(&bytes[CHECKSUMMED_FROM..]);
+        let actual_checksum = checksum(&bytes[CHECKSUMMED_FROM..]);
         if stored_checksum != actual_checksum {
             return Err(corrupt(
                 12,
@@ -185,17 +209,14 @@ impl CsrGraph {
                 ),
             ));
         }
-        let targets_at = HEADER_LEN + 4 * (n + 1);
-        let identifiers_at = targets_at + 4 * de;
-        let read_u32s = |at: usize, len: usize| -> Arc<[u32]> {
-            (0..len).map(|i| read_u32(bytes, at + 4 * i)).collect()
-        };
-        let (offsets, targets) = (read_u32s(HEADER_LEN, n + 1), read_u32s(targets_at, de));
+        let (offsets, rest) = bytes[HEADER_LEN..].split_at(4 * (n + 1));
+        let (targets, identifiers) = rest.split_at(4 * de);
+        let offsets: Arc<[u32]> = read_words(offsets, u32::from_le_bytes);
+        let targets: Arc<[u32]> = read_words(targets, u32::from_le_bytes);
         // Checked before the graph is built: every accessor of a snapshot
         // slices these arrays, which must not index out of bounds.
         check_adjacency(&offsets, &targets)?;
-        let identifiers =
-            (0..n).map(|v| Identifier::new(read_u64(bytes, identifiers_at + 8 * v))).collect();
+        let identifiers = read_words(identifiers, |word| Identifier::new(u64::from_le_bytes(word)));
         Ok(CsrGraph::from_parts(offsets, targets, identifiers))
     }
 
@@ -371,14 +392,30 @@ fn usize_u32_count(raw: u64, limit: u64) -> Option<usize> {
     (raw <= limit).then_some(raw as usize)
 }
 
-/// Reads a little-endian `u32`; `at + 4 <= bytes.len()` is guaranteed by the
-/// exact length check.
+/// Writes `words` back to back into `out`: the bulk coding of one array.
+fn write_words<const N: usize>(out: &mut [u8], words: impl Iterator<Item = [u8; N]>) {
+    for (slot, word) in out.as_chunks_mut::<N>().0.iter_mut().zip(words) {
+        *slot = word;
+    }
+}
+
+/// Decodes `bytes` as back-to-back `N`-byte words: the bulk decoding of one
+/// array, collected in one allocation.
+fn read_words<const N: usize, T, C: FromIterator<T>>(
+    bytes: &[u8],
+    decode: impl Fn([u8; N]) -> T,
+) -> C {
+    bytes.as_chunks::<N>().0.iter().map(|&word| decode(word)).collect()
+}
+
+/// Reads a little-endian `u32` header field; `at + 4 <= bytes.len()` is
+/// guaranteed by the header length check.
 fn read_u32(bytes: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte slice"))
 }
 
-/// Reads a little-endian `u64`; `at + 8 <= bytes.len()` is guaranteed by the
-/// exact length check.
+/// Reads a little-endian `u64` header field; `at + 8 <= bytes.len()` is
+/// guaranteed by the header length check.
 fn read_u64(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte slice"))
 }
@@ -463,20 +500,23 @@ mod tests {
         bad_magic[0] = b'X';
         let err = CsrGraph::from_bytes(&bad_magic).unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
-        // Version 1, the format that also stored the component labelling.
-        let mut bad_version = bytes.clone();
-        bad_version[8] = 1;
-        // Patch the checksum so the version check itself is exercised.
-        let checksum = fnv1a(&bad_version[CHECKSUMMED_FROM..]).to_le_bytes();
-        bad_version[12..20].copy_from_slice(&checksum);
-        let err = CsrGraph::from_bytes(&bad_version).unwrap_err();
-        assert!(err.to_string().contains("unsupported format version 1"), "{err}");
+        // Version 1, the format that also stored the component labelling,
+        // and version 2, the format checksummed byte by byte with FNV-1a.
+        // The version field lies outside the checksummed region, so only the
+        // version check can reject these bytes.
+        for version in [1u32, 2] {
+            let mut bad_version = bytes.clone();
+            bad_version[8..12].copy_from_slice(&version.to_le_bytes());
+            let err = CsrGraph::from_bytes(&bad_version).unwrap_err();
+            let expected = format!("unsupported format version {version}, expected 3");
+            assert!(err.to_string().contains(&expected), "{err}");
+        }
     }
 
     /// Re-checksums `bytes` in place, so structural corruption deeper than
     /// the checksum can be exercised.
     fn fix_checksum(bytes: &mut [u8]) {
-        let checksum = fnv1a(&bytes[CHECKSUMMED_FROM..]).to_le_bytes();
+        let checksum = checksum(&bytes[CHECKSUMMED_FROM..]).to_le_bytes();
         bytes[12..20].copy_from_slice(&checksum);
     }
 

@@ -8,6 +8,11 @@
 //! write the service deterministically falls back to the last durable
 //! generation, reporting (not panicking over) everything it skipped.
 //! Stray `.tmp` staging files from interrupted writes are ignored outright.
+//!
+//! The store keeps no reader for retired snapshot format versions: a
+//! generation written in an older version is skipped like a corrupt one.
+//! Moving to a new format version therefore makes every older generation
+//! unrecoverable, and the service must be re-seeded from its source graph.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -220,6 +225,42 @@ mod tests {
         assert_eq!(recovery.durable, Some((7, csr)));
         let skipped: Vec<&PathBuf> = recovery.skipped.iter().map(|(path, _)| path).collect();
         assert_eq!(skipped, vec![&store.path_for(7)]);
+        teardown(&store);
+    }
+
+    /// Persists `csr` as generation `epoch`, then rewrites its version field
+    /// to `version`, as a binary of an older format version left it. The
+    /// field lies outside the checksummed region, so only the version check
+    /// can reject the file.
+    fn persist_as_version(store: &SnapshotStore, epoch: u64, csr: &CsrGraph, version: u32) {
+        let path = store.persist(epoch, csr).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+    }
+
+    #[test]
+    fn generations_of_a_retired_format_version_are_skipped() {
+        let store = scratch_store("retired");
+        let current = generators::cycle(6).unwrap().freeze();
+        store.persist(3, &current).unwrap();
+        persist_as_version(&store, 8, &generators::grid(3, 3).unwrap().freeze(), 2);
+        let recovery = store.recover();
+        assert_eq!(recovery.durable, Some((3, current)));
+        assert_eq!(recovery.skipped.len(), 1);
+        let (path, err) = &recovery.skipped[0];
+        assert_eq!(path, &store.path_for(8));
+        assert!(matches!(err, GraphError::CorruptSnapshot { .. }), "{err}");
+        assert!(err.to_string().contains("unsupported format version 2"), "{err}");
+
+        // A store of nothing but such files recovers nothing.
+        std::fs::remove_file(store.path_for(3)).unwrap();
+        persist_as_version(&store, 5, &generators::cycle(4).unwrap().freeze(), 2);
+        let recovery = store.recover();
+        assert!(recovery.durable.is_none());
+        let skipped: Vec<&PathBuf> = recovery.skipped.iter().map(|(path, _)| path).collect();
+        assert_eq!(skipped, vec![&store.path_for(8), &store.path_for(5)]);
+        assert!(recovery.skipped.iter().all(|(_, e)| e.to_string().contains("version 2")));
         teardown(&store);
     }
 

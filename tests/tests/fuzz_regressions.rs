@@ -11,9 +11,9 @@
 //!   them on disk (torn writes, zeroed pages, trailing garbage); read back
 //!   through `CsrGraph::read_from_path`, `*_valid.snap` must round-trip
 //!   bit-identically and everything else must be rejected with the typed
-//!   `CorruptSnapshot` — never a panic, never an untyped error. The frozen
-//!   `*_version1.snap` is a valid file of the retired format, which must be
-//!   rejected by the version check;
+//!   `CorruptSnapshot` — never a panic, never an untyped error. Each frozen
+//!   `*_version<N>.snap` is a valid file of retired format version `N`,
+//!   which must be rejected by the version check;
 //! * `corpus/edge_list/*_valid.txt` must parse; `*_malformed_l<N>.txt` must
 //!   fail with `MalformedLine` on line `N`; `*_invalid.txt` must fail with a
 //!   builder-level error (the text itself is well-formed);
@@ -23,12 +23,13 @@
 //!
 //! The binary snapshot cases are derived from the real codec; run the
 //! `#[ignore]`d `regenerate_derived_corpus` test to rewrite them after a
-//! deliberate format change. It never writes `*_version1.snap`.
+//! deliberate format change. It never writes a frozen `*_version<N>.snap`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use avglocal::graph::io::from_edge_list;
+use avglocal::graph::snapshot::checksum;
 use avglocal::graph::{generators, CsrGraph, GraphError};
 use avglocal_integration_tests::fuzz::run_program;
 
@@ -93,8 +94,9 @@ fn snapshot_file_corpus_replays_clean() {
                     "{name}: valid file rejected at byte {offset}: {reason}"
                 );
                 assert!(offset <= bytes.len(), "{name}: error offset outside the file");
-                if name.ends_with("_version1") {
-                    assert!(reason.contains("unsupported format version 1"), "{name}: {reason}");
+                if let Some((_, version)) = name.rsplit_once("_version") {
+                    let expected = format!("unsupported format version {version},");
+                    assert!(reason.contains(&expected), "{name}: {reason}");
                 }
             }
             Err(other) => panic!("{name}: expected CorruptSnapshot, got: {other}"),
@@ -143,20 +145,11 @@ fn program_corpus_replays_with_zero_divergences() {
     }
 }
 
-/// FNV-1a 64, mirroring the snapshot checksum so derived corrupt cases can be
-/// re-checksummed (corruption *behind* a valid checksum exercises the
-/// structural validators instead of the integrity check).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
+/// Re-checksums a derived corrupt case with the codec's own checksum, so
+/// corruption *behind* a valid checksum exercises the structural validators
+/// instead of the integrity check.
 fn fix_checksum(bytes: &mut [u8]) {
-    let checksum = fnv1a(&bytes[20..]).to_le_bytes();
+    let checksum = checksum(&bytes[20..]).to_le_bytes();
     bytes[12..20].copy_from_slice(&checksum);
 }
 
