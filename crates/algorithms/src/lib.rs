@@ -60,7 +60,7 @@ pub use baselines::{FullInfoColoring, FullInfoLargestId};
 pub use cole_vishkin::RingOrientation;
 pub use largest_id::{predicted_cycle_radii, predicted_cycle_total, run_largest_id, LargestId};
 pub use leader::{elect_leader, Election, KnowTheLeader};
-pub use matching::{run_matching, MatchingMessage, MatchingRing, MatchingState};
+pub use matching::{partner_indices, run_matching, MatchingMessage, MatchingRing, MatchingState};
 pub use mis::{run_mis, MisMessage, MisRing, MisState};
 pub use three_coloring::{
     landmarks, run_three_coloring, LandmarkColoring, ThreeColorRing, ThreeColorState,

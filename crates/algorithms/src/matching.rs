@@ -13,7 +13,7 @@
 //! (claimers decide one round before the nodes they claim), giving yet
 //! another radius profile for the average-measure experiments.
 
-use avglocal_graph::{Graph, Identifier, NodeId};
+use avglocal_graph::{Graph, Identifier};
 use avglocal_runtime::{broadcast, Envelope, Knowledge, NodeContext, RoundAlgorithm};
 
 use crate::cole_vishkin::{cv_iterations_for_knowledge, RingOrientation};
@@ -174,25 +174,36 @@ pub fn run_matching(graph: &Graph) -> Result<Vec<Option<usize>>, avglocal_runtim
     let orientation = RingOrientation::trace(graph)?;
     let algo = MatchingRing::new(orientation);
     let run = avglocal_runtime::SyncExecutor::new().run(graph, &algo, Knowledge::none())?;
-    let outputs = run.outputs();
-    Ok(outputs
-        .into_iter()
+    Ok(partner_indices(graph, &run.outputs()))
+}
+
+/// Resolves the partner identifiers a matching run outputs to node indices.
+///
+/// One table of `(identifier, node)` pairs is sorted per call and searched
+/// per partner, `O(n log n)` for a whole run where a
+/// [`Graph::node_by_identifier`] scan per partner is `O(n²)`. Like that
+/// scan, the first node carrying a repeated identifier wins, and an
+/// identifier no node carries resolves to `None`.
+#[must_use]
+pub fn partner_indices(graph: &Graph, partners: &[Option<Identifier>]) -> Vec<Option<usize>> {
+    let mut by_identifier: Vec<(Identifier, usize)> = graph.identifiers().zip(0..).collect();
+    // Sorting the pairs puts the lowest node of a repeated identifier first.
+    by_identifier.sort_unstable();
+    partners
+        .iter()
         .map(|partner| {
-            partner.map(|id| {
-                graph
-                    .node_by_identifier(id)
-                    .map(NodeId::index)
-                    .expect("partners are identifiers of ring nodes")
-            })
+            let id = (*partner)?;
+            let at = by_identifier.partition_point(|&(held, _)| held < id);
+            by_identifier.get(at).filter(|&&(held, _)| held == id).map(|&(_, node)| node)
         })
-        .collect())
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::verify;
-    use avglocal_graph::{generators, IdAssignment};
+    use avglocal_graph::{generators, IdAssignment, NodeId};
     use avglocal_runtime::SyncExecutor;
 
     fn ring(n: usize, seed: u64) -> Graph {
@@ -213,6 +224,50 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The reference mapping: one `node_by_identifier` scan per partner.
+    fn scanned_partner_indices(g: &Graph, partners: &[Option<Identifier>]) -> Vec<Option<usize>> {
+        partners
+            .iter()
+            .map(|p| p.and_then(|id| g.node_by_identifier(id)).map(NodeId::index))
+            .collect()
+    }
+
+    #[test]
+    fn partner_indices_equal_the_identifier_scan_on_shuffled_rings() {
+        for n in 3usize..=512 {
+            let g = ring(n, n as u64);
+            // Every identifier of the ring, no partner, and an absent one.
+            let mut partners: Vec<Option<Identifier>> = g.identifiers().map(Some).collect();
+            partners.extend([None, Some(Identifier::new(n as u64))]);
+            assert_eq!(partner_indices(&g, &partners), scanned_partner_indices(&g, &partners));
+            // A whole run's partners on every 16th size (runs dominate the
+            // test's time).
+            if n % 16 == 3 {
+                let run = SyncExecutor::new()
+                    .run(
+                        &g,
+                        &MatchingRing::new(RingOrientation::trace(&g).unwrap()),
+                        Knowledge::none(),
+                    )
+                    .unwrap();
+                let expected = scanned_partner_indices(&g, &run.outputs());
+                assert_eq!(run_matching(&g).unwrap(), expected, "n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn partner_indices_resolve_a_repeated_identifier_to_its_first_node() {
+        let mut g = ring(9, 4);
+        let repeated = g.identifier(NodeId::new(6));
+        g.set_identifier(NodeId::new(2), repeated).unwrap();
+        g.set_identifier(NodeId::new(8), repeated).unwrap();
+        let partners: Vec<Option<Identifier>> = g.identifiers().map(Some).collect();
+        let resolved = partner_indices(&g, &partners);
+        assert_eq!(resolved, scanned_partner_indices(&g, &partners));
+        assert_eq!(resolved[6], Some(2));
     }
 
     #[test]

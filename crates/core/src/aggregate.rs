@@ -35,7 +35,8 @@ use avglocal_service::BatchReply;
 pub struct CdfReply {
     /// Epoch of the generation the distribution describes.
     pub epoch: u64,
-    /// Exact ECDF over every node's decision radius.
+    /// Exact ECDF over every node's decision radius: one entry per distinct
+    /// radius of the generation.
     pub cdf: RadiusCdf,
 }
 
@@ -99,6 +100,11 @@ pub struct MeasuresReply {
 /// ```
 pub trait AggregateQueries {
     /// The exact radius ECDF of the pinned generation's whole population.
+    ///
+    /// The batch's radii are folded into the distribution's support, so the
+    /// reply holds one entry per distinct radius, not one per node: on a
+    /// random-id `LargestId` cycle that is a few hundred entries even where
+    /// the winner's radius is half the cycle.
     ///
     /// # Errors
     ///

@@ -135,6 +135,8 @@ pub struct SweepRow {
     /// The pooled radius distribution of the row: every trial's radius
     /// vector merged exactly (`trials x n` observations), so any quantile —
     /// not just the scalar columns above — can be read off after the sweep.
+    /// It holds one entry per distinct radius of the pooled trials, not one
+    /// per node or per radius up to the largest.
     ///
     /// In a sampled sweep this pools the **raw sampled** radii (the
     /// observations actually probed) — unweighted, so biased for stratified

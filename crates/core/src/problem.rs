@@ -245,13 +245,7 @@ impl Problem {
                 let orientation = avglocal_algorithms::RingOrientation::trace(graph)?;
                 let algo = avglocal_algorithms::MatchingRing::new(orientation);
                 let run = avglocal_runtime::SyncExecutor::new().run(graph, &algo, knowledge)?;
-                let matched: Vec<Option<usize>> = run
-                    .outputs()
-                    .into_iter()
-                    .map(|partner| {
-                        partner.and_then(|id| graph.node_by_identifier(id).map(|v| v.index()))
-                    })
-                    .collect();
+                let matched = avglocal_algorithms::partner_indices(graph, &run.outputs());
                 self.check(verify::is_maximal_matching(graph, &matched))?;
                 RadiusProfile::from_execution(&run)
             }

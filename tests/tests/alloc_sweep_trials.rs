@@ -16,6 +16,17 @@
 //! sweep divided by 8, so everything a sweep pays once (build, freeze,
 //! session creation) cancels out. The whole binary holds exactly this one
 //! test so the counting allocator observes nothing but the measured window.
+//!
+//! What a sweep keeps is pinned at n = 65,536, where the `LargestId` winner
+//! decides at radius 32,768. Every trial's measure set lives until the row
+//! folds them, and a distribution stored up to its largest radius would cost
+//! 4 bytes per node per trial. So the finished `SweepResult` must hold under
+//! a byte per node, and a 16-trial sweep must peak within 4 bytes per node
+//! of an 8-trial sweep. The second check runs on pools of 1 or 2 threads
+//! only: on 4 threads up to four trials are in flight, and how many of them
+//! meet at the peak depends on scheduling (one run on a 2-vCPU host read the
+//! 16-trial sweep 25 bytes per node above the 8-trial one, with nothing
+//! retained per trial).
 
 use avglocal::prelude::*;
 use avglocal_integration_tests::alloc_count::{
@@ -56,12 +67,19 @@ fn per_trial_cost(n: usize) -> (u64, u64) {
         .fold((u64::MAX, u64::MAX), |min, cost| (min.0.min(cost.0), min.1.min(cost.1)))
 }
 
-/// The live heap bytes a warmed 1-trial sweep at size `n` adds at its peak.
-fn peak_live_bytes_of_one_trial(n: usize) -> u64 {
-    sweep_cost(n, 1);
+/// The live heap of one `LargestId` cycle sweep with `trials` trials: the
+/// bytes its `SweepResult` still holds when `run` returns, and the peak the
+/// sweep adds above the bytes live before it.
+fn live_heap_of_sweep(n: usize, trials: usize) -> (u64, u64) {
+    let sweep = Sweep::new(Problem::LargestId, vec![n])
+        .with_policy(AssignmentPolicy::Random { base_seed: 5 })
+        .with_trials(trials);
     let start = reset_peak_live_bytes();
-    sweep_cost(n, 1);
-    peak_live_bytes() - start
+    let result = sweep.run().expect("largest-ID sweeps on a cycle succeed");
+    let peak = peak_live_bytes() - start;
+    let held = reset_peak_live_bytes().saturating_sub(start);
+    assert_eq!(result.rows[0].trials, trials);
+    (held, peak)
 }
 
 #[test]
@@ -98,9 +116,34 @@ fn sweep_trials_allocate_a_bounded_handful_independent_of_n() {
     // to the trial's buffers). A base graph alive through the trial would
     // add its 48 to the second.
     let n = 8192;
-    let peak = peak_live_bytes_of_one_trial(n);
+    sweep_cost(n, 1);
+    let (_, peak) = live_heap_of_sweep(n, 1);
     assert!(
         peak < 100 * n as u64,
         "a 1-trial sweep peaked at {peak} live heap bytes at n = {n}, 100 per node or more"
     );
+    // The pooled distribution keeps one entry per distinct radius, about
+    // 26 KB here; one slot per radius up to the winner's would be 262 KB.
+    let n = 65_536;
+    sweep_cost(n, 2);
+    let (held, sixteen) = live_heap_of_sweep(n, 16);
+    assert!(
+        held < n as u64,
+        "a finished 16-trial sweep holds {held} live heap bytes at n = {n}, a byte per node or more"
+    );
+    // Within a byte per node; a dense per-trial distribution adds 32. On 2
+    // threads the peak falls in one of two modes about 8.5 bytes per node
+    // apart: how the participants' trials line up decides which of their
+    // `O(n)` buffers are live at once. The minimum over a few repetitions
+    // filters that, and a per-trial retention would show in every one.
+    if threads <= 2 {
+        let (sixteen, eight) = (0..5)
+            .map(|_| (live_heap_of_sweep(n, 16).1, live_heap_of_sweep(n, 8).1))
+            .fold((sixteen, u64::MAX), |min, peak| (min.0.min(peak.0), min.1.min(peak.1)));
+        assert!(
+            sixteen <= eight + 4 * n as u64,
+            "a 16-trial sweep peaked at {sixteen} live heap bytes at n = {n}, an 8-trial one at \
+             {eight}: more than 4 bytes per node apart on {threads} threads"
+        );
+    }
 }

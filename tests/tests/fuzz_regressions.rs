@@ -6,7 +6,8 @@
 //! Expectations are encoded in file names:
 //!
 //! * `corpus/snapshot/*_valid.bin` must decode and round-trip bit-identically;
-//!   every other `.bin` must be rejected with `CorruptSnapshot` (no panics);
+//!   every other `.bin` must be rejected with `CorruptSnapshot` (no panics),
+//!   and a `*length_mismatch*` case by the exact-length check;
 //! * `corpus/snapshot_files/*.snap` are whole files as a crash can leave
 //!   them on disk (torn writes, zeroed pages, trailing garbage); read back
 //!   through `CsrGraph::read_from_path`, `*_valid.snap` must round-trip
@@ -72,6 +73,9 @@ fn snapshot_corpus_replays_clean() {
                     "{name}: valid case rejected at byte {offset}: {reason}"
                 );
                 assert!(offset <= bytes.len(), "{name}: error offset outside the input");
+                if name.contains("length_mismatch") {
+                    assert!(reason.contains("does not match the"), "{name}: {reason}");
+                }
             }
             Err(other) => panic!("{name}: unexpected error variant: {other}"),
         }
@@ -186,6 +190,13 @@ fn regenerate_derived_corpus() {
     bad_version[8..12].copy_from_slice(&99u32.to_le_bytes());
     fix_checksum(&mut bad_version);
     fs::write(dir.join("unsupported_version.bin"), &bad_version).unwrap();
+
+    // Trailing bytes behind a re-fixed checksum: every count is consistent,
+    // so only the exact-length check can reject it.
+    let mut length_mismatch = base.clone();
+    length_mismatch.extend_from_slice(&[0; 8]);
+    fix_checksum(&mut length_mismatch);
+    fs::write(dir.join("length_mismatch.bin"), &length_mismatch).unwrap();
 
     let mut bitflip = base.clone();
     bitflip[base.len() / 2] ^= 0x10;

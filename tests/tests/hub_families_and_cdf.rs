@@ -8,7 +8,9 @@
 //!   saturating at 1), its 500-per-mille point is bit-identical to the
 //!   `Measure::Quantile { per_mille: 500 }` median column for single-trial
 //!   rows, and merging per-trial distributions equals pooling the raw
-//!   radius vectors.
+//!   radius vectors. Every accessor also equals a dense-histogram model of
+//!   the distribution (`counts[r]` for every radius up to the largest), bit
+//!   for bit.
 //! * **Hub-family properties** across seeds: preferential attachment is
 //!   deterministic per seed, realises `n` exactly, satisfies the handshake
 //!   identity (degree sum = 2m) with the exact BA edge count, and stays
@@ -69,6 +71,127 @@ fn assert_cdf_invariants(cdf: &RadiusCdf, observations: u64) {
     }
     assert!((previous - 1.0).abs() < 1e-12, "the CDF saturates at 1");
     assert_eq!(cdf.tail(cdf.max_radius()), 0.0);
+}
+
+/// The reference model of [`RadiusCdf`]: a dense histogram, `counts[r]` for
+/// every radius up to the largest, with each accessor written the plain way.
+struct DenseCdf {
+    counts: Vec<u64>,
+    total: u64,
+}
+
+impl DenseCdf {
+    fn from_radii(radii: &[usize]) -> Self {
+        let mut counts = vec![0u64; radii.iter().max().map_or(0, |&m| m + 1)];
+        for &r in radii {
+            counts[r] += 1;
+        }
+        DenseCdf { counts, total: radii.len() as u64 }
+    }
+
+    fn max_radius(&self) -> usize {
+        self.counts.iter().rposition(|&c| c > 0).unwrap_or(0)
+    }
+
+    fn count_at(&self, r: usize) -> u64 {
+        self.counts.get(r).copied().unwrap_or(0)
+    }
+
+    fn fraction_within(&self, r: usize) -> f64 {
+        if self.total == 0 {
+            return 0.0;
+        }
+        let within: u64 = self.counts.iter().take(r.saturating_add(1)).sum();
+        within as f64 / self.total as f64
+    }
+
+    fn tail(&self, r: usize) -> f64 {
+        if self.total == 0 {
+            return 0.0;
+        }
+        1.0 - self.fraction_within(r)
+    }
+
+    fn quantile(&self, per_mille: u16) -> f64 {
+        if self.total == 0 {
+            return 0.0;
+        }
+        let q = u64::from(per_mille.min(1000));
+        let index = (q * (self.total - 1) + 500) / 1000;
+        let mut seen = 0u64;
+        for (r, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen > index {
+                return r as f64;
+            }
+        }
+        self.max_radius() as f64
+    }
+
+    fn mean(&self) -> f64 {
+        if self.total == 0 {
+            return 0.0;
+        }
+        let sum: u64 = self.counts.iter().enumerate().map(|(r, &c)| r as u64 * c).sum();
+        sum as f64 / self.total as f64
+    }
+
+    fn steps(&self) -> Vec<(usize, f64)> {
+        let mut seen = 0u64;
+        let mut steps = Vec::new();
+        for (r, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if c > 0 {
+                steps.push((r, seen as f64 / self.total as f64));
+            }
+        }
+        steps
+    }
+
+    fn curve(&self) -> Vec<f64> {
+        if self.total == 0 {
+            return vec![0.0];
+        }
+        let mut seen = 0u64;
+        self.counts
+            .iter()
+            .map(|&c| {
+                seen += c;
+                seen as f64 / self.total as f64
+            })
+            .collect()
+    }
+
+    fn render(&self) -> String {
+        if self.total == 0 {
+            return "(empty)".to_string();
+        }
+        let steps: Vec<String> =
+            self.steps().iter().map(|(r, fraction)| format!("{r}:{fraction:.3}")).collect();
+        steps.join(" ")
+    }
+}
+
+/// A radius vector for the model test, drawn from `raw`: ordinary radii,
+/// radii on both sides of 256 (where `RadiusCdf::from_radii` stops counting
+/// on the stack and starts sorting) and radii up to `n / 2`, the winner's
+/// radius on the `n`-cycle. Empty when `empty` is set.
+fn model_radii(raw: &[usize], n: usize, empty: bool) -> Vec<usize> {
+    if empty {
+        return Vec::new();
+    }
+    raw.iter()
+        .map(|&x| match x % 3 {
+            0 => x / 3 % 16,
+            1 => 240 + x / 3 % 32,
+            _ => x / 3 % (n / 2 + 1),
+        })
+        .collect()
+}
+
+/// The bit patterns of a float sequence, so a comparison is bit for bit.
+fn bits(values: impl IntoIterator<Item = f64>) -> Vec<u64> {
+    values.into_iter().map(f64::to_bits).collect()
 }
 
 #[test]
@@ -194,6 +317,61 @@ proptest! {
         let mut merged = RadiusCdf::from_radii(&radii[..split]);
         merged.merge(&RadiusCdf::from_radii(&radii[split..]));
         prop_assert_eq!(merged, RadiusCdf::from_radii(&radii));
+    }
+
+    /// Every accessor of the distribution equals the dense model's, bit for
+    /// bit, and a split of the vector merged in either order equals the
+    /// distribution of the whole vector.
+    #[test]
+    fn cdf_equals_the_dense_histogram_model(
+        raw in collection::vec(0usize..1 << 20, 1..120),
+        n in 2usize..1 << 18,
+        split_seed in 0usize..1000,
+        shape in 0usize..8
+    ) {
+        let radii = model_radii(&raw, n, shape == 0);
+        let cdf = RadiusCdf::from_radii(&radii);
+        let model = DenseCdf::from_radii(&radii);
+        prop_assert_eq!(cdf.observations(), model.total);
+        prop_assert_eq!(cdf.is_empty(), model.total == 0);
+        prop_assert_eq!(cdf.max_radius(), model.max_radius());
+        let mut points: Vec<usize> =
+            radii.iter().flat_map(|&r| [r.saturating_sub(1), r, r + 1]).collect();
+        points.extend([0, 255, 256, 257, n / 2, usize::MAX]);
+        for r in points {
+            prop_assert_eq!(cdf.count_at(r), model.count_at(r), "count at {}", r);
+            prop_assert_eq!(
+                cdf.fraction_within(r).to_bits(),
+                model.fraction_within(r).to_bits(),
+                "F({})",
+                r
+            );
+            prop_assert_eq!(cdf.tail(r).to_bits(), model.tail(r).to_bits(), "tail at {}", r);
+        }
+        for per_mille in (0..=1000).chain([u16::MAX]) {
+            prop_assert_eq!(
+                cdf.quantile(per_mille).to_bits(),
+                model.quantile(per_mille).to_bits(),
+                "quantile {}",
+                per_mille
+            );
+        }
+        prop_assert_eq!(cdf.mean().to_bits(), model.mean().to_bits());
+        let (steps, model_steps) = (cdf.steps().collect::<Vec<_>>(), model.steps());
+        prop_assert_eq!(
+            steps.iter().map(|&(r, f)| (r, f.to_bits())).collect::<Vec<_>>(),
+            model_steps.iter().map(|&(r, f)| (r, f.to_bits())).collect::<Vec<_>>()
+        );
+        prop_assert_eq!(bits(cdf.curve()), bits(model.curve()));
+        prop_assert_eq!(cdf.to_string(), model.render());
+
+        let (left, right) = radii.split_at(split_seed % (radii.len() + 1));
+        let mut forward = RadiusCdf::from_radii(left);
+        forward.merge(&RadiusCdf::from_radii(right));
+        prop_assert_eq!(&forward, &cdf);
+        let mut backward = RadiusCdf::from_radii(right);
+        backward.merge(&RadiusCdf::from_radii(left));
+        prop_assert_eq!(&backward, &cdf);
     }
 
     /// Preferential-attachment determinism as a property: rebuilding with
