@@ -41,6 +41,7 @@ pub struct FullInfoLargestId;
 impl BallAlgorithm for FullInfoLargestId {
     type Output = bool;
 
+    #[inline]
     fn decide(&self, view: &LocalView, _knowledge: &Knowledge) -> Option<bool> {
         view.is_saturated().then(|| view.center_has_max_identifier())
     }

@@ -43,6 +43,7 @@ pub struct LargestId;
 impl BallAlgorithm for LargestId {
     type Output = bool;
 
+    #[inline]
     fn decide(&self, view: &LocalView, _knowledge: &Knowledge) -> Option<bool> {
         if !view.center_has_max_identifier() {
             // Someone with a larger identifier is visible: certainly not the

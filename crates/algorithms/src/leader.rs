@@ -27,6 +27,7 @@ pub struct KnowTheLeader;
 impl BallAlgorithm for KnowTheLeader {
     type Output = Identifier;
 
+    #[inline]
     fn decide(&self, view: &LocalView, _knowledge: &Knowledge) -> Option<Identifier> {
         view.is_saturated().then(|| view.max_identifier())
     }

@@ -45,18 +45,6 @@ pub fn expected_random_radius_largest_id(n: u64) -> f64 {
     expectation
 }
 
-/// Number of derangement-free fixed points expected in a uniform permutation
-/// of `n` elements (always exactly 1.0 for `n >= 1`): a sanity reference for
-/// the uniform permutations a sweep draws under `AssignmentPolicy::Random`.
-#[must_use]
-pub fn expected_fixed_points(n: u64) -> f64 {
-    if n == 0 {
-        0.0
-    } else {
-        1.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,12 +88,5 @@ mod tests {
         // Doubling n adds about ½ ln 2 ≈ 0.35.
         let e8192 = expected_random_radius_largest_id(8192);
         assert!((e8192 - e4096 - 0.5 * 2.0f64.ln()).abs() < 0.05);
-    }
-
-    #[test]
-    fn fixed_points_expectation() {
-        assert_eq!(expected_fixed_points(0), 0.0);
-        assert_eq!(expected_fixed_points(1), 1.0);
-        assert_eq!(expected_fixed_points(1000), 1.0);
     }
 }

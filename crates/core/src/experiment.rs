@@ -441,13 +441,15 @@ impl Sweep {
     /// stalls only itself) and each participant keeps one session alive
     /// across every trial it steals. The participant's first trial creates
     /// the session by cloning the snapshot (the adjacency is shared, only the
-    /// `O(n)` identifier table copies); every trial then installs the
-    /// policy's identifier table for `t`, a permutation, so unique by
-    /// construction, and nothing is hashed or re-indexed. A trial costs that
-    /// table swap plus its probes, and the grower scratch stays warm from
-    /// trial to trial. Results are collected in trial order (the error is the
-    /// first failing trial's), keeping every aggregate bit-for-bit identical
-    /// to a sequential sweep.
+    /// `O(n)` identifier table copies); every trial then writes the policy's
+    /// identifier table for `t` straight into the session's table
+    /// ([`FrozenExecutor::try_assign`]): a permutation, so unique by
+    /// construction, with no permutation or second table built first and
+    /// nothing hashed or re-indexed. A trial costs that write plus its
+    /// probes, and the grower scratch stays warm from trial to trial.
+    /// Results are collected in trial order (the error is the first failing
+    /// trial's), keeping every aggregate bit-for-bit identical to a
+    /// sequential sweep.
     fn run_trials<T: Send>(
         &self,
         csr: &CsrGraph,
@@ -458,14 +460,9 @@ impl Sweep {
             .map_init(
                 || None,
                 |session: &mut Option<FrozenExecutor>, t| {
-                    let assignment = self.policy.assignment_for_trial(t);
-                    let identifiers = assignment.try_identifiers(csr.node_count(), 0)?;
                     let session =
                         session.get_or_insert_with(|| FrozenExecutor::from_csr(csr.clone()));
-                    session.try_set_identifiers(&identifiers)?;
-                    // The session holds its own copy: free this `O(n)` table
-                    // before the probes, not after them.
-                    drop(identifiers);
+                    session.try_assign(&self.policy.assignment_for_trial(t))?;
                     trial(session, t)
                 },
             )

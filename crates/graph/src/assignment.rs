@@ -6,6 +6,7 @@
 //! applied to any graph.
 
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::error::Result;
@@ -61,8 +62,8 @@ impl IdAssignment {
     /// use [`IdAssignment::try_identifiers`] to reject it instead.
     #[must_use]
     pub fn identifiers(&self, n: usize, base: u64) -> Vec<Identifier> {
-        let perm = self.permutation(n);
-        (0..n).map(|i| Identifier::new(base + perm.get(i) as u64)).collect()
+        self.try_identifiers(n, base)
+            .unwrap_or_else(|_| IdAssignment::Identity.identifiers(n, base))
     }
 
     /// Checked counterpart of [`IdAssignment::identifiers`]: the table is a
@@ -74,15 +75,50 @@ impl IdAssignment {
     /// Returns [`crate::GraphError::AssignmentLengthMismatch`] when an
     /// explicit permutation does not have exactly `n` entries.
     pub fn try_identifiers(&self, n: usize, base: u64) -> Result<Vec<Identifier>> {
+        let mut table = vec![Identifier::new(0); n];
+        self.write_identifiers(&mut table, base)?;
+        Ok(table)
+    }
+
+    /// Writes the table [`IdAssignment::identifiers`] returns for
+    /// `table.len()` nodes into `table`, in place: `base + i` at every `i`,
+    /// then the policy's permutation. A shuffle makes the same draws as
+    /// [`Permutation::random`], so every table is bit-identical to the one
+    /// built from [`IdAssignment::permutation`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::GraphError::AssignmentLengthMismatch`], before
+    /// anything is written, when an explicit permutation does not have
+    /// exactly one entry per slot.
+    pub fn write_identifiers(&self, table: &mut [Identifier], base: u64) -> Result<()> {
         if let IdAssignment::Explicit(p) = self {
-            if p.len() != n {
+            if p.len() != table.len() {
                 return Err(crate::GraphError::AssignmentLengthMismatch {
                     provided: p.len(),
-                    expected: n,
+                    expected: table.len(),
                 });
             }
         }
-        Ok(self.identifiers(n, base))
+        for (i, slot) in (base..).zip(table.iter_mut()) {
+            *slot = Identifier::new(i);
+        }
+        match self {
+            IdAssignment::Identity => {}
+            IdAssignment::Reversed => table.reverse(),
+            IdAssignment::Rotated { shift } => {
+                if !table.is_empty() {
+                    table.rotate_left(shift % table.len());
+                }
+            }
+            IdAssignment::Shuffled { seed } => table.shuffle(&mut StdRng::seed_from_u64(*seed)),
+            IdAssignment::Explicit(p) => {
+                for (slot, &image) in table.iter_mut().zip(p.as_slice()) {
+                    *slot = Identifier::new(base + image as u64);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The permutation of `0..n` underlying this policy.
@@ -147,6 +183,7 @@ mod tests {
     use super::*;
     use crate::generators;
     use crate::NodeId;
+    use crate::Permutation;
 
     #[test]
     fn identity_assignment() {
@@ -206,6 +243,40 @@ mod tests {
         // The unchecked table documents its identity fallback.
         assert_eq!(a.identifiers(3, 0), IdAssignment::Identity.identifiers(3, 0));
         assert_eq!(a.try_identifiers(2, 5).unwrap(), a.identifiers(2, 5));
+        // The in-place writer rejects the mismatch before writing anything.
+        let mut table = vec![Identifier::new(7); 3];
+        let err = a.write_identifiers(&mut table, 0).unwrap_err();
+        assert_eq!(err, crate::GraphError::AssignmentLengthMismatch { provided: 2, expected: 3 });
+        assert_eq!(table, vec![Identifier::new(7); 3]);
+    }
+
+    #[test]
+    fn in_place_table_matches_the_permutation_for_every_variant() {
+        for n in [0usize, 1, 2, 3, 17, 1024] {
+            let explicit = Permutation::random(n, &mut StdRng::seed_from_u64(9));
+            let variants = [
+                IdAssignment::Identity,
+                IdAssignment::Reversed,
+                IdAssignment::Rotated { shift: 0 },
+                IdAssignment::Rotated { shift: 5 },
+                IdAssignment::Rotated { shift: 3000 },
+                IdAssignment::Shuffled { seed: 0 },
+                IdAssignment::Shuffled { seed: 42 },
+                IdAssignment::Explicit(explicit),
+            ];
+            for assignment in variants {
+                for base in [0, 1000] {
+                    let perm = assignment.permutation(n);
+                    let expected: Vec<Identifier> =
+                        (0..n).map(|i| Identifier::new(base + perm.get(i) as u64)).collect();
+                    let mut table = vec![Identifier::new(u64::MAX); n];
+                    assignment.write_identifiers(&mut table, base).unwrap();
+                    assert_eq!(table, expected, "{assignment:?}, n = {n}, base = {base}");
+                    assert_eq!(assignment.identifiers(n, base), expected);
+                    assert_eq!(assignment.try_identifiers(n, base).unwrap(), expected);
+                }
+            }
+        }
     }
 
     #[test]

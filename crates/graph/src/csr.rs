@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use crate::{Graph, Identifier, NodeId};
+use crate::{Graph, IdAssignment, Identifier, NodeId};
 
 /// A frozen adjacency snapshot of a [`Graph`] in compressed sparse row form.
 ///
@@ -53,6 +53,8 @@ pub struct CsrGraph {
     targets: Arc<[u32]>,
     /// Identifier of each node, indexed by node.
     identifiers: Vec<Identifier>,
+    /// The largest degree, which bounds how far one ring of a ball can grow.
+    max_degree: usize,
 }
 
 impl CsrGraph {
@@ -76,16 +78,22 @@ impl CsrGraph {
             u32::try_from(directed_edges).is_ok(),
             "CSR snapshots index edge offsets with u32; {directed_edges} edge endpoints do not fit"
         );
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(directed_edges);
-        offsets.push(0);
+        // Both arrays are written in their shared allocations: no growing
+        // `Vec` and no copy into an `Arc` afterwards.
+        let mut offsets: Arc<[u32]> = std::iter::repeat_n(0, n + 1).collect();
+        let mut targets: Arc<[u32]> = std::iter::repeat_n(0, directed_edges).collect();
+        let fresh = "a freshly collected slice has no other owner";
+        let offset_slots = Arc::get_mut(&mut offsets).expect(fresh);
+        let target_slots = Arc::get_mut(&mut targets).expect(fresh);
+        let mut end = 0;
         for v in graph.nodes() {
             for &u in graph.neighbors(v) {
-                targets.push(u.index() as u32);
+                target_slots[end] = u.index() as u32;
+                end += 1;
             }
-            offsets.push(targets.len() as u32);
+            offset_slots[v.index() + 1] = end as u32;
         }
-        CsrGraph::from_parts(offsets.into(), targets.into(), graph.identifiers().collect())
+        CsrGraph::from_parts(offsets, targets, graph.identifiers().collect())
     }
 
     /// Assembles a snapshot from raw arrays — the one constructor. The
@@ -97,13 +105,23 @@ impl CsrGraph {
         identifiers: Vec<Identifier>,
     ) -> Self {
         debug_assert_eq!(offsets.len(), identifiers.len() + 1);
-        CsrGraph { offsets, targets, identifiers }
+        let degrees =
+            offsets.iter().zip(&offsets[1..]).map(|(start, end)| end.wrapping_sub(*start));
+        let max_degree = degrees.max().unwrap_or(0) as usize;
+        CsrGraph { offsets, targets, identifiers, max_degree }
     }
 
     /// Number of nodes.
+    #[inline]
     #[must_use]
     pub fn node_count(&self) -> usize {
         self.offsets.len() - 1
+    }
+
+    /// The largest degree of any node (0 for an empty or edgeless graph).
+    #[inline]
+    pub(crate) fn max_degree(&self) -> usize {
+        self.max_degree
     }
 
     /// Number of undirected edges.
@@ -113,6 +131,7 @@ impl CsrGraph {
     }
 
     /// Degree of node `v`.
+    #[inline]
     #[must_use]
     pub fn degree(&self, v: u32) -> usize {
         (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
@@ -138,12 +157,14 @@ impl CsrGraph {
     }
 
     /// Identifier of node `v`.
+    #[inline]
     #[must_use]
     pub fn identifier(&self, v: u32) -> Identifier {
         self.identifiers[v as usize]
     }
 
     /// All identifiers, indexed by node.
+    #[inline]
     #[must_use]
     pub fn identifiers(&self) -> &[Identifier] {
         &self.identifiers
@@ -201,6 +222,20 @@ impl CsrGraph {
         self.identifiers.clear();
         self.identifiers.extend_from_slice(identifiers);
         Ok(())
+    }
+
+    /// Writes `assignment`'s identifier table over `0..n` straight into the
+    /// snapshot ([`IdAssignment::write_identifiers`]), keeping the frozen
+    /// adjacency: the table [`CsrGraph::set_identifiers`] would install,
+    /// with no table built first.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::GraphError::AssignmentLengthMismatch`] (leaving the
+    /// snapshot unchanged) when an explicit permutation does not have
+    /// exactly one entry per node.
+    pub fn try_assign(&mut self, assignment: &IdAssignment) -> crate::Result<()> {
+        assignment.write_identifiers(&mut self.identifiers, 0)
     }
 }
 

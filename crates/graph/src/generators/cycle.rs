@@ -19,10 +19,9 @@ pub fn cycle(n: usize) -> Result<Graph> {
             reason: format!("a cycle needs at least 3 nodes, got {n}"),
         });
     }
-    let mut g = Graph::with_capacity(n);
-    let nodes = g.add_nodes_with_default_ids(n);
+    let mut g = Graph::with_default_nodes(n);
     for i in 0..n {
-        g.add_edge(nodes[i], nodes[(i + 1) % n])?;
+        g.push_edge(i, (i + 1) % n);
     }
     Ok(g)
 }
@@ -42,10 +41,9 @@ pub fn path(n: usize) -> Result<Graph> {
             reason: "a path needs at least 1 node".to_string(),
         });
     }
-    let mut g = Graph::with_capacity(n);
-    let nodes = g.add_nodes_with_default_ids(n);
-    for w in nodes.windows(2) {
-        g.add_edge(w[0], w[1])?;
+    let mut g = Graph::with_default_nodes(n);
+    for i in 1..n {
+        g.push_edge(i - 1, i);
     }
     Ok(g)
 }

@@ -16,16 +16,15 @@ pub fn grid(w: usize, h: usize) -> Result<Graph> {
             reason: format!("grid dimensions must be positive, got {w}x{h}"),
         });
     }
-    let mut g = Graph::with_capacity(w * h);
-    let nodes = g.add_nodes_with_default_ids(w * h);
+    let mut g = Graph::with_default_nodes(w * h);
     for y in 0..h {
         for x in 0..w {
             let i = y * w + x;
             if x + 1 < w {
-                g.add_edge(nodes[i], nodes[i + 1])?;
+                g.push_edge(i, i + 1);
             }
             if y + 1 < h {
-                g.add_edge(nodes[i], nodes[i + w])?;
+                g.push_edge(i, i + w);
             }
         }
     }
@@ -47,19 +46,13 @@ pub fn torus(w: usize, h: usize) -> Result<Graph> {
             reason: format!("torus dimensions must be at least 3, got {w}x{h}"),
         });
     }
-    let mut g = Graph::with_capacity(w * h);
-    let nodes = g.add_nodes_with_default_ids(w * h);
+    // With both sides at least 3, each wrap-around edge comes up once.
+    let mut g = Graph::with_default_nodes(w * h);
     for y in 0..h {
         for x in 0..w {
             let i = y * w + x;
-            let right = y * w + (x + 1) % w;
-            let down = ((y + 1) % h) * w + x;
-            if !g.contains_edge(nodes[i], nodes[right]) {
-                g.add_edge(nodes[i], nodes[right])?;
-            }
-            if !g.contains_edge(nodes[i], nodes[down]) {
-                g.add_edge(nodes[i], nodes[down])?;
-            }
+            g.push_edge(i, y * w + (x + 1) % w);
+            g.push_edge(i, ((y + 1) % h) * w + x);
         }
     }
     Ok(g)

@@ -80,12 +80,11 @@ pub fn complete_binary_tree(n: usize) -> Result<Graph> {
             reason: "a complete binary tree needs at least 1 node".to_string(),
         });
     }
-    let mut g = Graph::with_capacity(n);
-    let nodes = g.add_nodes_with_default_ids(n);
+    let mut g = Graph::with_default_nodes(n);
     for i in 0..n {
         for child in [2 * i + 1, 2 * i + 2] {
             if child < n {
-                g.add_edge(nodes[i], nodes[child])?;
+                g.push_edge(i, child);
             }
         }
     }

@@ -154,6 +154,31 @@ impl Graph {
         (0..count).map(|i| self.add_node(Identifier::new(i as u64))).collect()
     }
 
+    /// `n` isolated nodes carrying the default identifiers `0..n`: the start
+    /// of the bulk generators, one allocation per table.
+    pub(crate) fn with_default_nodes(n: usize) -> Self {
+        Graph {
+            adjacency: vec![Neighbors::EMPTY; n],
+            identifiers: (0..n as u64).map(Identifier::new).collect(),
+            edge_count: 0,
+        }
+    }
+
+    /// Appends the edge `(u, v)` between node indices without the checks of
+    /// [`Graph::add_edge`], pushing both endpoints in its order. Only for
+    /// generators whose edges are simple by construction: both nodes exist,
+    /// `u != v`, and the edge is new.
+    #[inline]
+    pub(crate) fn push_edge(&mut self, u: usize, v: usize) {
+        debug_assert!(
+            u != v && !self.contains_edge(NodeId::new(u), NodeId::new(v)),
+            "push_edge({u}, {v}) would break a simple graph"
+        );
+        self.adjacency[u].push(NodeId::new(v));
+        self.adjacency[v].push(NodeId::new(u));
+        self.edge_count += 1;
+    }
+
     /// Adds the undirected edge `(u, v)` in `O(min degree)`.
     ///
     /// # Errors

@@ -7,12 +7,16 @@
 //! the edges of the newest ring, so probing a node up to its decision radius
 //! costs `Θ(ball(v))` in total.
 //!
-//! The grower works on a [`CsrGraph`] snapshot and owns two dense scratch
-//! arrays: epoch-stamped visited marks and the members in BFS order, split
-//! into rings by their ends. Discovering a node costs one stamp write and one
-//! append. [`BallGrower::reset`] re-centres it in `O(1)` (one epoch bump, no
-//! clearing), so one grower can serve every node of an execution without
-//! allocating in the steady state.
+//! The grower works on a [`CsrGraph`] snapshot and owns two scratch arrays:
+//! epoch-stamped visited marks (one per node) and the members in BFS order,
+//! split into rings by their ends. Discovering a node costs one stamp write
+//! and one member write by index. The member buffer is never sized to the
+//! graph up front: before a ring is scanned it grows, if it must, to the most
+//! nodes that scan can discover (the ring's size times the largest degree,
+//! capped by the node count), so it stays as small as the largest ball the
+//! grower has probed. [`BallGrower::reset`] re-centres it in `O(1)` (one
+//! epoch bump, no clearing), so one grower can serve every node of an
+//! execution without allocating in the steady state.
 //!
 //! The grower always *discovers* one ring beyond the published radius: ring
 //! `r + 1` is exactly what the saturation test at radius `r` needs ("does any
@@ -75,9 +79,12 @@ pub struct BallGrower<'g> {
     csr: &'g CsrGraph,
     center: u32,
     radius: usize,
-    /// Ball members in BFS (distance, discovery) order, as CSR node indices.
-    /// Includes one ring of lookahead past the published radius.
+    /// Ball members in BFS (distance, discovery) order, as CSR node indices:
+    /// `members[..discovered]`, one ring of lookahead past the published
+    /// radius included. The entries past `discovered` are slack.
     members: Vec<u32>,
+    /// Number of members discovered so far (published and lookahead).
+    discovered: usize,
     /// `ring_ends[d]` = exclusive end of ring `d` in `members`. Covers every
     /// ring up to and including the lookahead ring `radius + 1`.
     ring_ends: Vec<u32>,
@@ -112,15 +119,20 @@ impl<'g> BallGrower<'g> {
     /// Panics if `center` is not a node of the snapshot.
     #[must_use]
     pub fn with_scratch(csr: &'g CsrGraph, center: NodeId, scratch: GrowerScratch) -> Self {
-        let GrowerScratch { members, ring_ends, mut stamp, epoch } = scratch;
+        let GrowerScratch { mut members, ring_ends, mut stamp, epoch } = scratch;
         // Stale entries hold past epochs, which are strictly smaller than the
         // epoch `reset` bumps to, so resizing preserves correctness.
         stamp.resize(csr.node_count(), 0);
+        // The centre's slot; every later slot is made before its ring's scan.
+        if members.is_empty() {
+            members.push(0);
+        }
         let mut grower = BallGrower {
             csr,
             center: 0,
             radius: 0,
             members,
+            discovered: 0,
             ring_ends,
             stamp,
             epoch,
@@ -147,6 +159,10 @@ impl<'g> BallGrower<'g> {
     /// # Panics
     ///
     /// Panics if `center` is not a node of the snapshot.
+    // `reset` and `grow` inline into the runtime's probe loop, in another
+    // crate, around one call to the ring scan; with a plain `#[inline]` hint
+    // both stayed calls there, and the probe loop ran measurably slower.
+    #[inline(always)]
     pub fn reset(&mut self, center: NodeId) {
         assert!(center.index() < self.csr.node_count(), "ball centre must be in the graph");
         if self.epoch == u32::MAX {
@@ -158,69 +174,94 @@ impl<'g> BallGrower<'g> {
         self.epoch += 1;
         self.center = center.index() as u32;
         self.radius = 0;
-        self.members.clear();
         self.ring_ends.clear();
 
         self.stamp[self.center as usize] = self.epoch;
-        self.members.push(self.center);
+        self.members[0] = self.center;
+        self.discovered = 1;
         self.ring_ends.push(1);
         self.published = 1;
         self.max_id = self.csr.identifier(self.center);
 
         self.discover_next_ring();
-        self.saturated = self.members.len() == self.published;
+        self.saturated = self.discovered == self.published;
     }
 
     /// Grows the published radius by one, expanding only the frontier.
     ///
     /// Once the ball is saturated this is a no-op apart from the radius
     /// bookkeeping (larger radii reveal nothing new).
+    #[inline(always)]
     pub fn grow(&mut self) {
         self.radius += 1;
         if self.saturated {
             // Record an empty ring so per-radius snapshots stay well formed.
-            self.ring_ends.push(self.members.len() as u32);
+            self.ring_ends.push(self.discovered as u32);
             return;
         }
         let newly_published = self.ring_ends[self.radius] as usize;
-        for &v in &self.members[self.published..newly_published] {
-            self.max_id = self.max_id.max(self.csr.identifier(v));
-        }
+        let identifiers = self.csr.identifiers();
+        self.max_id = self.members[self.published..newly_published]
+            .iter()
+            .fold(self.max_id, |max, &v| max.max(identifiers[v as usize]));
         self.published = newly_published;
         self.discover_next_ring();
-        self.saturated = self.members.len() == self.published;
+        self.saturated = self.discovered == self.published;
     }
 
     /// Discovers the ring after the last complete one by scanning exactly the
-    /// edges incident to that last ring.
+    /// edges incident to that last ring, writing each new member at the next
+    /// free index of the member buffer.
     fn discover_next_ring(&mut self) {
         let ring_count = self.ring_ends.len();
         let scan_start = if ring_count >= 2 { self.ring_ends[ring_count - 2] as usize } else { 0 };
-        let scan_end = self.ring_ends[ring_count - 1] as usize;
-        for i in scan_start..scan_end {
-            for &v in self.csr.neighbors(self.members[i]) {
-                if self.stamp[v as usize] != self.epoch {
-                    self.stamp[v as usize] = self.epoch;
-                    self.members.push(v);
+        let scan_end = self.discovered;
+        // The scan discovers at most the ring's size times the largest
+        // degree, and never more nodes than the graph has left.
+        let bound = (scan_end - scan_start)
+            .saturating_mul(self.csr.max_degree())
+            .saturating_add(scan_end)
+            .min(self.csr.node_count());
+        if bound > self.members.len() {
+            self.members.resize(bound, 0);
+        }
+        let (offsets, targets) = (self.csr.offsets(), self.csr.targets());
+        let (stamp, epoch) = (&mut self.stamp[..], self.epoch);
+        // The ring is read from the discovered part, new members are written
+        // to the free part after it.
+        let (discovered, free) = self.members.split_at_mut(scan_end);
+        let mut found = 0;
+        for &u in &discovered[scan_start..] {
+            let row = &offsets[u as usize..u as usize + 2];
+            for &v in &targets[row[0] as usize..row[1] as usize] {
+                let mark = &mut stamp[v as usize];
+                if *mark != epoch {
+                    *mark = epoch;
+                    free[found] = v;
+                    found += 1;
                 }
             }
         }
-        self.ring_ends.push(self.members.len() as u32);
+        self.discovered = scan_end + found;
+        self.ring_ends.push(self.discovered as u32);
     }
 
     /// The centre node.
+    #[inline]
     #[must_use]
     pub fn center(&self) -> NodeId {
         NodeId::new(self.center as usize)
     }
 
     /// The published radius.
+    #[inline]
     #[must_use]
     pub fn radius(&self) -> usize {
         self.radius
     }
 
     /// Number of nodes in the published ball (the centre counts).
+    #[inline]
     #[must_use]
     pub fn node_count(&self) -> usize {
         self.published
@@ -228,12 +269,14 @@ impl<'g> BallGrower<'g> {
 
     /// Returns `true` when the published ball covers the centre's entire
     /// connected component.
+    #[inline]
     #[must_use]
     pub fn is_saturated(&self) -> bool {
         self.saturated
     }
 
     /// Identifier of the centre.
+    #[inline]
     #[must_use]
     pub fn center_identifier(&self) -> Identifier {
         self.csr.identifier(self.center)
@@ -241,12 +284,14 @@ impl<'g> BallGrower<'g> {
 
     /// The centre's degree in the host graph (which equals its degree inside
     /// the ball as soon as the radius is at least 1).
+    #[inline]
     #[must_use]
     pub fn center_host_degree(&self) -> usize {
         self.csr.degree(self.center)
     }
 
     /// Largest identifier in the published ball, maintained incrementally.
+    #[inline]
     #[must_use]
     pub fn max_identifier(&self) -> Identifier {
         self.max_id
@@ -259,6 +304,7 @@ impl<'g> BallGrower<'g> {
     }
 
     /// Host node ids of the published members, in BFS order.
+    #[inline]
     #[must_use]
     pub fn members(&self) -> &[u32] {
         &self.members[..self.published]

@@ -55,6 +55,7 @@ impl Permutation {
         if n == 0 {
             return Permutation { map: Vec::new() };
         }
+        let shift = shift % n;
         Permutation { map: (0..n).map(|i| (i + shift) % n).collect() }
     }
 

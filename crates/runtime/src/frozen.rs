@@ -31,7 +31,7 @@
 use std::convert::identity;
 use std::fmt;
 
-use avglocal_graph::{BallGrower, CsrGraph, Graph, GraphError, Identifier, NodeId};
+use avglocal_graph::{BallGrower, CsrGraph, Graph, GraphError, IdAssignment, Identifier, NodeId};
 use rayon::prelude::*;
 
 use crate::algorithm::BallAlgorithm;
@@ -210,6 +210,21 @@ impl FrozenExecutor {
         self.csr.try_set_identifiers(identifiers).map_err(crate::RuntimeError::Graph)
     }
 
+    /// Writes `assignment`'s identifier table straight into the session's
+    /// snapshot ([`CsrGraph::try_assign`]): the per-trial operation of an
+    /// identifier-assignment sweep, with no permutation or table built
+    /// first.
+    ///
+    /// # Errors
+    ///
+    /// Returns the graph layer's
+    /// [`avglocal_graph::GraphError::AssignmentLengthMismatch`], leaving the
+    /// session unchanged, when an explicit permutation does not have exactly
+    /// one entry per node.
+    pub fn try_assign(&mut self, assignment: &IdAssignment) -> avglocal_graph::Result<()> {
+        self.csr.try_assign(assignment)
+    }
+
     fn probe<'a, A: BallAlgorithm>(
         &'a self,
         algorithm: &'a A,
@@ -243,10 +258,12 @@ impl FrozenExecutor {
         knowledge: Knowledge,
         options: ProbeOptions<'_>,
     ) -> Result<(A::Output, usize)> {
-        let mut never = |_: usize| false;
-        let cancel = options.cancel.unwrap_or(&mut never);
         let mut grower = LiveGrower::new(&self.scratch_pool);
-        self.probe(algorithm, knowledge).node(&mut grower, node, cancel)
+        let probe = self.probe(algorithm, knowledge);
+        match options.cancel {
+            Some(cancel) => probe.node(&mut grower, node, cancel),
+            None => probe.node(&mut grower, node, |_| false),
+        }
     }
 
     /// Probes an arbitrary **set** of nodes on the shared session, under the
@@ -350,11 +367,15 @@ impl<'a, A: BallAlgorithm> Probe<'a, A> {
     /// hook that never fires leaves the probe bit-identical to an
     /// uncancelled one. An out-of-bounds node is rejected before the grower
     /// is touched.
+    ///
+    /// The hook is a type parameter, so a hook-less probe polls a constant
+    /// `false` and makes no indirect call per growth step; only a caller's
+    /// own `dyn` hook costs one.
     fn node(
         &self,
         live: &mut LiveGrower<'a>,
         node: NodeId,
-        cancel: &mut dyn FnMut(usize) -> bool,
+        mut cancel: impl FnMut(usize) -> bool,
     ) -> Result<(A::Output, usize)> {
         let node_count = self.csr.node_count();
         if node.index() >= node_count {
@@ -406,8 +427,11 @@ impl<'a, A: BallAlgorithm> Probe<'a, A> {
         A: Sync,
     {
         let probe = |live: &mut LiveGrower<'a>, i: usize| {
-            let mut hook = |radius: usize| options.cancel.is_some_and(|cancel| cancel(radius));
-            slot(self.node(live, node_at(i), &mut hook))
+            let node = node_at(i);
+            slot(match options.cancel {
+                Some(cancel) => self.node(live, node, cancel),
+                None => self.node(live, node, |_| false),
+            })
         };
         match self.scheduling {
             Scheduling::WorkStealing => (0..count)
@@ -506,6 +530,23 @@ mod tests {
         // The session still runs on its original identifier table.
         let run = session.run(&NaiveLargestId, Knowledge::none()).unwrap();
         assert_eq!(run.outputs().len(), 6);
+    }
+
+    #[test]
+    fn try_assign_equals_installing_the_built_table() {
+        let g = generators::cycle(12).unwrap();
+        let mut assigned = FrozenExecutor::new(&g);
+        let mut installed = FrozenExecutor::new(&g);
+        for seed in 0u64..3 {
+            let assignment = IdAssignment::Shuffled { seed };
+            assigned.try_assign(&assignment).unwrap();
+            installed.set_identifiers(&assignment.identifiers(12, 0));
+            assert_eq!(assigned.csr(), installed.csr(), "seed {seed}");
+        }
+        let wrong = IdAssignment::from_vec(vec![2, 0, 1]).unwrap();
+        let err = assigned.try_assign(&wrong).unwrap_err();
+        assert_eq!(err, GraphError::AssignmentLengthMismatch { provided: 3, expected: 12 });
+        assert_eq!(assigned.csr(), installed.csr(), "a rejected assignment writes nothing");
     }
 
     #[test]

@@ -69,13 +69,16 @@ struct OwnedView {
     distances: Vec<usize>,
 }
 
+/// The materialised data is boxed, so dropping a grower-backed view that
+/// never materialised inlines to one check: the probe loop drops a view at
+/// every growth step.
 #[derive(Debug, Clone)]
 enum Backing<'a> {
     /// Eagerly materialised (from a [`Ball`] or from flooded records).
-    Owned(OwnedView),
+    Owned(Box<OwnedView>),
     /// Backed by the incremental grower; the subgraph is materialised only on
     /// first demand.
-    Grower { grower: &'a BallGrower<'a>, materialized: OnceCell<OwnedView> },
+    Grower { grower: &'a BallGrower<'a>, materialized: OnceCell<Box<OwnedView>> },
 }
 
 impl OwnedView {
@@ -96,6 +99,7 @@ impl<'a> LocalView<'a> {
     /// All `O(1)` queries (radius, saturation, centre identifier, maximum
     /// identifier, node count) are answered from the grower without copying;
     /// the induced subgraph is snapshotted only if asked for.
+    #[inline]
     #[must_use]
     pub fn from_grower(grower: &'a BallGrower<'a>) -> LocalView<'a> {
         LocalView {
@@ -111,7 +115,7 @@ impl<'a> LocalView<'a> {
         LocalView {
             radius: ball.radius(),
             saturated: ball.is_saturated(),
-            backing: Backing::Owned(OwnedView::from_ball(ball)),
+            backing: Backing::Owned(Box::new(OwnedView::from_ball(ball))),
         }
     }
 
@@ -158,7 +162,7 @@ impl<'a> LocalView<'a> {
         LocalView {
             radius,
             saturated,
-            backing: Backing::Owned(OwnedView { graph, center: center_local, distances }),
+            backing: Backing::Owned(Box::new(OwnedView { graph, center: center_local, distances })),
         }
     }
 
@@ -168,7 +172,7 @@ impl<'a> LocalView<'a> {
         match &self.backing {
             Backing::Owned(owned) => owned,
             Backing::Grower { grower, materialized } => {
-                materialized.get_or_init(|| OwnedView::from_ball(&grower.snapshot_ball()))
+                materialized.get_or_init(|| Box::new(OwnedView::from_ball(&grower.snapshot_ball())))
             }
         }
     }
@@ -183,6 +187,7 @@ impl<'a> LocalView<'a> {
     }
 
     /// The centre node, in local ids.
+    #[inline]
     #[must_use]
     pub fn center(&self) -> NodeId {
         match &self.backing {
@@ -193,6 +198,7 @@ impl<'a> LocalView<'a> {
     }
 
     /// Identifier of the centre node.
+    #[inline]
     #[must_use]
     pub fn center_identifier(&self) -> Identifier {
         match &self.backing {
@@ -202,6 +208,7 @@ impl<'a> LocalView<'a> {
     }
 
     /// Degree of the centre node *inside the view*.
+    #[inline]
     #[must_use]
     pub fn center_degree(&self) -> usize {
         match &self.backing {
@@ -219,12 +226,14 @@ impl<'a> LocalView<'a> {
     }
 
     /// Radius the view was gathered at.
+    #[inline]
     #[must_use]
     pub fn radius(&self) -> usize {
         self.radius
     }
 
     /// Number of nodes visible in the view.
+    #[inline]
     #[must_use]
     pub fn node_count(&self) -> usize {
         match &self.backing {
@@ -235,6 +244,7 @@ impl<'a> LocalView<'a> {
 
     /// Whether the view covers the whole connected component of the centre,
     /// i.e. growing the radius further cannot reveal anything new.
+    #[inline]
     #[must_use]
     pub fn is_saturated(&self) -> bool {
         self.saturated
@@ -268,6 +278,7 @@ impl<'a> LocalView<'a> {
     ///
     /// `O(1)` on grower-backed views — the grower maintains the running
     /// maximum, which is all the largest-ID algorithm ever needs.
+    #[inline]
     #[must_use]
     pub fn max_identifier(&self) -> Identifier {
         match &self.backing {
@@ -280,6 +291,7 @@ impl<'a> LocalView<'a> {
 
     /// Returns `true` when the centre's identifier is the maximum of all
     /// identifiers visible in the view.
+    #[inline]
     #[must_use]
     pub fn center_has_max_identifier(&self) -> bool {
         self.center_identifier() == self.max_identifier()

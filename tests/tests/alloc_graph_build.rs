@@ -1,10 +1,9 @@
 //! Pins that building and cloning the graphs sweeps build in bulk allocates
 //! per table, not per node. Every node of a cycle, path, grid, torus or
 //! complete binary tree has degree at most 4, so its neighbour list sits
-//! inline in the node's slot: a build costs the same few allocations (the
-//! adjacency and identifier tables, the generator's node list) at any size,
-//! and a clone one per table. A `Vec` per neighbour list would cost n more of
-//! each.
+//! inline in the node's slot: a build costs the same 2 allocations (the
+//! adjacency and identifier tables) at any size, and a clone one per table.
+//! A `Vec` per neighbour list would cost n more of each.
 //!
 //! The whole binary holds exactly this one test so the counting allocator
 //! observes nothing but the measured window.

@@ -1,10 +1,12 @@
 //! Property tests: the incremental [`BallGrower`] is indistinguishable from
 //! from-scratch [`extract_ball`] extraction — members, distances, saturation
 //! and view fingerprints — at every radius, on every graph family the sweep
-//! harness cares about (cycles, paths, trees, grids, Gnp random graphs).
+//! harness cares about (cycles, paths, trees, grids, Gnp random graphs), and
+//! also when one grower is re-centred on every node and its scratch carried
+//! between snapshots of different sizes.
 
 use avglocal::algorithms::LargestId;
-use avglocal::graph::{extract_ball, generators, BallGrower};
+use avglocal::graph::{extract_ball, generators, BallGrower, GrowerScratch};
 use avglocal::prelude::*;
 use avglocal::runtime::{BallAlgorithm, FrozenExecutor, Knowledge, LocalView};
 use proptest::prelude::*;
@@ -16,34 +18,74 @@ use rand::SeedableRng;
 fn assert_grower_matches_extraction(g: &Graph) {
     let csr = g.freeze();
     for center in g.nodes() {
-        let mut grower = BallGrower::new(&csr, center);
-        let mut radius = 0usize;
-        let mut beyond_saturation = 0usize;
-        loop {
-            let expected = extract_ball(g, center, radius);
-            assert_eq!(
-                grower.snapshot_ball(),
-                expected,
-                "ball mismatch at centre {center}, radius {radius}"
-            );
-            let lazy = LocalView::from_grower(&grower);
-            let eager = LocalView::from_ball(&expected);
-            assert_eq!(lazy.fingerprint(), eager.fingerprint());
-            assert_eq!(lazy.node_count(), eager.node_count());
-            assert_eq!(lazy.max_identifier(), eager.max_identifier());
-            assert_eq!(lazy.center_degree(), eager.center_degree());
-            assert_eq!(lazy.is_saturated(), eager.is_saturated());
-
-            if grower.is_saturated() {
-                beyond_saturation += 1;
-                if beyond_saturation > 2 {
-                    break;
-                }
-            }
-            grower.grow();
-            radius += 1;
-        }
+        assert_growth_matches_extraction(g, &mut BallGrower::new(&csr, center));
     }
+}
+
+/// Grows `grower`, freshly centred on a node of `g`, from radius 0 to two
+/// past saturation and checks it against [`extract_ball`] at every radius.
+fn assert_growth_matches_extraction(g: &Graph, grower: &mut BallGrower<'_>) {
+    let center = grower.center();
+    let mut radius = 0usize;
+    let mut beyond_saturation = 0usize;
+    loop {
+        let expected = extract_ball(g, center, radius);
+        assert_eq!(
+            grower.snapshot_ball(),
+            expected,
+            "ball mismatch at centre {center}, radius {radius}"
+        );
+        let lazy = LocalView::from_grower(grower);
+        let eager = LocalView::from_ball(&expected);
+        assert_eq!(lazy.fingerprint(), eager.fingerprint());
+        assert_eq!(lazy.node_count(), eager.node_count());
+        assert_eq!(lazy.max_identifier(), eager.max_identifier());
+        assert_eq!(lazy.center_degree(), eager.center_degree());
+        assert_eq!(lazy.is_saturated(), eager.is_saturated());
+
+        if grower.is_saturated() {
+            beyond_saturation += 1;
+            if beyond_saturation > 2 {
+                break;
+            }
+        }
+        grower.grow();
+        radius += 1;
+    }
+}
+
+/// Runs one grower over `graphs` in turn, carrying its [`GrowerScratch`]
+/// from snapshot to snapshot, and re-centres it with `reset` on every node
+/// of each: the member buffer a previous ball or a previous snapshot left
+/// behind must never show in a later ball.
+fn assert_reused_grower_matches_extraction(graphs: &[Graph]) {
+    let mut scratch = GrowerScratch::default();
+    for g in graphs {
+        let csr = g.freeze();
+        let mut grower = BallGrower::with_scratch(&csr, NodeId::new(0), scratch);
+        for center in g.nodes() {
+            grower.reset(center);
+            assert_growth_matches_extraction(g, &mut grower);
+        }
+        scratch = grower.into_scratch();
+    }
+}
+
+/// One draw of a family whose rings can be far wider than the ring before:
+/// a near-square grid, G(n, p), preferential attachment or a power-law
+/// configuration on `n >= 1` nodes.
+fn wide_ring_graph(family: usize, n: usize, seed: u64) -> Graph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let g = match family {
+        0 => {
+            let rows = n.isqrt();
+            generators::grid(rows, n / rows)
+        }
+        1 => generators::erdos_renyi(n, 0.15, &mut rng),
+        2 => generators::preferential_attachment(n, 2, &mut rng),
+        _ => generators::power_law_configuration(n, 2.1, &mut rng),
+    };
+    shuffled(g.expect("every family builds on at least one node"), seed)
 }
 
 /// Checks that the incremental executor agrees with a from-scratch probe (a
@@ -123,6 +165,21 @@ proptest! {
         let g = shuffled(generators::preferential_attachment(n, m, &mut rng).unwrap(), seed);
         assert_grower_matches_extraction(&g);
         assert_executors_agree(&g);
+    }
+
+    #[test]
+    fn a_reused_grower_matches_extraction_small_large_small(
+        family in 0usize..4,
+        small in 1usize..10,
+        large in 24usize..49,
+        seed in 0u64..1000
+    ) {
+        let graphs = [
+            wide_ring_graph(family, small, seed),
+            wide_ring_graph(family, large, seed + 1),
+            wide_ring_graph(family, small, seed + 2),
+        ];
+        assert_reused_grower_matches_extraction(&graphs);
     }
 
     #[test]
