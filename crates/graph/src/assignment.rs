@@ -59,32 +59,23 @@ impl IdAssignment {
     ///
     /// An [`IdAssignment::Explicit`] permutation whose length is not `n`
     /// silently yields the identity table (see [`IdAssignment::permutation`]);
-    /// use [`IdAssignment::try_identifiers`] to reject it instead.
+    /// [`IdAssignment::write_identifiers`] rejects it instead.
     #[must_use]
     pub fn identifiers(&self, n: usize, base: u64) -> Vec<Identifier> {
-        self.try_identifiers(n, base)
-            .unwrap_or_else(|_| IdAssignment::Identity.identifiers(n, base))
-    }
-
-    /// Checked counterpart of [`IdAssignment::identifiers`]: the table is a
-    /// permutation of `base .. base + n`, so unique by construction, and can
-    /// be installed on a frozen snapshot without any duplicate check.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::GraphError::AssignmentLengthMismatch`] when an
-    /// explicit permutation does not have exactly `n` entries.
-    pub fn try_identifiers(&self, n: usize, base: u64) -> Result<Vec<Identifier>> {
         let mut table = vec![Identifier::new(0); n];
-        self.write_identifiers(&mut table, base)?;
-        Ok(table)
+        match self.write_identifiers(&mut table, base) {
+            Ok(()) => table,
+            Err(_) => IdAssignment::Identity.identifiers(n, base),
+        }
     }
 
     /// Writes the table [`IdAssignment::identifiers`] returns for
     /// `table.len()` nodes into `table`, in place: `base + i` at every `i`,
     /// then the policy's permutation. A shuffle makes the same draws as
     /// [`Permutation::random`], so every table is bit-identical to the one
-    /// built from [`IdAssignment::permutation`].
+    /// built from [`IdAssignment::permutation`]. The table is a permutation
+    /// of `base .. base + n`, so unique by construction: it can be installed
+    /// without any duplicate check.
     ///
     /// # Errors
     ///
@@ -137,7 +128,7 @@ impl IdAssignment {
                     p.clone()
                 } else {
                     // Fall back to the identity when the explicit permutation
-                    // does not match the graph size; try_identifiers() and
+                    // does not match the graph size; write_identifiers() and
                     // apply() report the error.
                     Permutation::identity(n)
                 }
@@ -149,21 +140,24 @@ impl IdAssignment {
     ///
     /// # Errors
     ///
-    /// Propagates [`crate::GraphError::AssignmentLengthMismatch`] when an
-    /// explicit permutation does not match the graph size.
+    /// Propagates [`crate::GraphError::AssignmentLengthMismatch`], leaving
+    /// the graph unchanged, when an explicit permutation does not match the
+    /// graph size.
     pub fn apply(&self, graph: &mut Graph) -> Result<()> {
         self.apply_with_base(graph, 0)
     }
 
     /// Like [`IdAssignment::apply`] but with identifiers drawn from
-    /// `base .. base + n`.
+    /// `base .. base + n`: [`IdAssignment::write_identifiers`] writes them
+    /// straight into the graph's table.
     ///
     /// # Errors
     ///
-    /// Propagates [`crate::GraphError::AssignmentLengthMismatch`] when an
-    /// explicit permutation does not match the graph size.
+    /// Propagates [`crate::GraphError::AssignmentLengthMismatch`], leaving
+    /// the graph unchanged, when an explicit permutation does not match the
+    /// graph size.
     pub fn apply_with_base(&self, graph: &mut Graph, base: u64) -> Result<()> {
-        graph.set_all_identifiers(&self.try_identifiers(graph.node_count(), base)?)
+        self.write_identifiers(graph.identifiers_mut(), base)
     }
 
     /// Convenience constructor for an explicit assignment from an image
@@ -236,13 +230,15 @@ mod tests {
     #[test]
     fn explicit_assignment_size_mismatch() {
         let mut g = generators::path(3).unwrap();
+        IdAssignment::Reversed.apply(&mut g).unwrap();
+        let before: Vec<Identifier> = g.identifiers().collect();
         let a = IdAssignment::from_vec(vec![1, 0]).unwrap();
-        assert!(a.apply(&mut g).is_err());
-        let err = a.try_identifiers(3, 0).unwrap_err();
+        let err = a.apply(&mut g).unwrap_err();
         assert_eq!(err, crate::GraphError::AssignmentLengthMismatch { provided: 2, expected: 3 });
+        // A rejected assignment leaves the graph's identifiers untouched.
+        assert_eq!(g.identifier_slice(), before.as_slice());
         // The unchecked table documents its identity fallback.
         assert_eq!(a.identifiers(3, 0), IdAssignment::Identity.identifiers(3, 0));
-        assert_eq!(a.try_identifiers(2, 5).unwrap(), a.identifiers(2, 5));
         // The in-place writer rejects the mismatch before writing anything.
         let mut table = vec![Identifier::new(7); 3];
         let err = a.write_identifiers(&mut table, 0).unwrap_err();
@@ -273,7 +269,9 @@ mod tests {
                     assignment.write_identifiers(&mut table, base).unwrap();
                     assert_eq!(table, expected, "{assignment:?}, n = {n}, base = {base}");
                     assert_eq!(assignment.identifiers(n, base), expected);
-                    assert_eq!(assignment.try_identifiers(n, base).unwrap(), expected);
+                    let mut graph = Graph::with_default_nodes(n);
+                    assignment.apply_with_base(&mut graph, base).unwrap();
+                    assert_eq!(graph.identifier_slice(), expected.as_slice());
                 }
             }
         }

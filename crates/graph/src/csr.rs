@@ -39,9 +39,15 @@ use crate::{Graph, IdAssignment, Identifier, NodeId};
 /// # }
 /// ```
 /// The adjacency is immutable once frozen and shared behind an [`Arc`], so
-/// cloning a snapshot — the per-trial operation of an identifier-assignment
-/// sweep, which clones and then calls [`CsrGraph::set_identifiers`] — copies
-/// only the `O(n)` identifier table, never the `O(n + m)` edge arrays.
+/// cloning a snapshot — how each participant of an identifier-assignment
+/// sweep gets its session, whose table every trial then rewrites in place
+/// with [`CsrGraph::try_assign`] — copies only the `O(n)` identifier table,
+/// never the `O(n + m)` edge arrays.
+///
+/// A snapshot is valid by construction: [`Graph::freeze`] copies a simple
+/// graph, the decoder ([`crate::snapshot`]) checks untrusted arrays before
+/// it builds one, and nothing afterwards changes the adjacency. Nothing
+/// checks a built snapshot again.
 ///
 /// A snapshot carries no component labelling: per-component runs compute
 /// one with [`crate::ComponentLabels::of_graph`] from the graph they froze.
@@ -67,7 +73,7 @@ impl CsrGraph {
     /// directed edge count `2·m` exceeds `u32::MAX` (dense graphs can hit the
     /// edge limit well below the node limit).
     #[must_use]
-    pub fn from_graph(graph: &Graph) -> Self {
+    pub(crate) fn from_graph(graph: &Graph) -> Self {
         let n = graph.node_count();
         assert!(
             u32::try_from(n).is_ok_and(|n| n < u32::MAX),
@@ -193,35 +199,16 @@ impl CsrGraph {
     /// # Panics
     ///
     /// Panics when `identifiers` does not provide exactly one identifier per
-    /// node. Callers handling untrusted table lengths should use
-    /// [`CsrGraph::try_set_identifiers`] instead.
+    /// node. [`CsrGraph::try_assign`] writes an assignment policy's table in
+    /// place and reports a wrong-length permutation instead.
     pub fn set_identifiers(&mut self, identifiers: &[Identifier]) {
         assert!(
-            self.try_set_identifiers(identifiers).is_ok(),
+            identifiers.len() == self.node_count(),
             "identifier table must cover every node exactly once ({} identifiers for {} nodes)",
             identifiers.len(),
             self.node_count()
         );
-    }
-
-    /// Fallible counterpart of [`CsrGraph::set_identifiers`] for untrusted
-    /// table lengths.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::GraphError::AssignmentLengthMismatch`] (leaving the
-    /// snapshot unchanged) when `identifiers` does not provide exactly one
-    /// identifier per node.
-    pub fn try_set_identifiers(&mut self, identifiers: &[Identifier]) -> crate::Result<()> {
-        if identifiers.len() != self.node_count() {
-            return Err(crate::GraphError::AssignmentLengthMismatch {
-                provided: identifiers.len(),
-                expected: self.node_count(),
-            });
-        }
-        self.identifiers.clear();
-        self.identifiers.extend_from_slice(identifiers);
-        Ok(())
+        self.identifiers.copy_from_slice(identifiers);
     }
 
     /// Writes `assignment`'s identifier table over `0..n` straight into the
@@ -347,21 +334,6 @@ mod tests {
     fn set_identifiers_rejects_wrong_length() {
         let mut csr = generators::cycle(4).unwrap().freeze();
         csr.set_identifiers(&[Identifier::new(0)]);
-    }
-
-    #[test]
-    fn try_set_identifiers_reports_wrong_length_and_leaves_table_intact() {
-        let mut csr = generators::cycle(4).unwrap().freeze();
-        let before: Vec<Identifier> = csr.identifiers().to_vec();
-        let err = csr.try_set_identifiers(&[Identifier::new(9)]).unwrap_err();
-        assert!(matches!(
-            err,
-            crate::GraphError::AssignmentLengthMismatch { provided: 1, expected: 4 }
-        ));
-        assert_eq!(csr.identifiers(), before.as_slice());
-        let reversed: Vec<Identifier> = (0..4).rev().map(Identifier::new).collect();
-        csr.try_set_identifiers(&reversed).unwrap();
-        assert_eq!(csr.identifiers(), reversed.as_slice());
     }
 
     #[test]

@@ -60,10 +60,10 @@ pub enum GraphError {
     /// A binary snapshot (see [`crate::snapshot`]) failed validation.
     ///
     /// Snapshot bytes are treated as untrusted: every structural invariant
-    /// (header magic and version, payload checksum, monotone offsets,
-    /// endpoint bounds, adjacency symmetry, component-label consistency) is
-    /// checked during decode, and any violation is reported through this
-    /// variant instead of a panic.
+    /// (header magic and version, payload checksum, counts and length,
+    /// monotone offsets, endpoint bounds, no self loops or duplicate
+    /// neighbours, adjacency symmetry) is checked during decode, and any
+    /// violation is reported through this variant instead of a panic.
     CorruptSnapshot {
         /// Byte offset of the region in which validation failed (best
         /// effort; `0` when the failure is not tied to one region, such as a

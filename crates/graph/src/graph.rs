@@ -319,6 +319,13 @@ impl Graph {
         &self.identifiers
     }
 
+    /// The identifier table, written in place by
+    /// [`crate::IdAssignment::write_identifiers`], whose tables are unique
+    /// by construction.
+    pub(crate) fn identifiers_mut(&mut self) -> &mut [Identifier] {
+        &mut self.identifiers
+    }
+
     /// Iterator over all undirected edges, each reported once with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.adjacency.iter().enumerate().flat_map(|(u, nbrs)| {

@@ -44,10 +44,9 @@
 //!    neighbours, and the adjacency is **symmetric** (`u ∈ N(v)` ⇔
 //!    `v ∈ N(u)`), so the result is a simple undirected graph.
 //!
-//! Checks 3–4 are [`CsrGraph::validate`], which runs in place on any
-//! snapshot: the decoder runs them on the raw arrays before it builds the
-//! graph, and a publisher can call `validate` on an in-memory candidate
-//! without encoding it, so there is one validator for both.
+//! Checks 3–4 run on the decoded arrays before the graph is built, and only
+//! here: a [`CsrGraph`] in memory is valid by construction, so nothing
+//! checks it again.
 //!
 //! Encoding then decoding is bit-identical: `from_bytes(&to_bytes(csr))`
 //! reproduces `csr` exactly, including port order and identifiers.
@@ -220,25 +219,6 @@ impl CsrGraph {
         Ok(CsrGraph::from_parts(offsets, targets, identifiers))
     }
 
-    /// Checks the structural invariants the rest of the crate relies on, in
-    /// place: offsets start at 0, never decrease and end at the arc count;
-    /// every endpoint is in bounds, with no self loops and no duplicate
-    /// neighbours; and the adjacency is symmetric.
-    ///
-    /// [`CsrGraph::from_bytes`] runs exactly these checks on every decoded
-    /// adjacency, so a snapshot passes them if and only if its encoding
-    /// decodes. Snapshots built by [`crate::Graph::freeze`] always pass; the
-    /// check is for candidates of unknown provenance. `O(n + m)` time and
-    /// memory, no copy of the snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::CorruptSnapshot`] naming the first violation and its
-    /// byte offset in the snapshot's encoded form ([`CsrGraph::to_bytes`]).
-    pub fn validate(&self) -> Result<()> {
-        check_adjacency(self.offsets(), self.targets())
-    }
-
     /// Durably persists the snapshot to `path`.
     ///
     /// Crash safety comes from the classic write-to-temp protocol: the bytes
@@ -309,10 +289,12 @@ fn snapshot_io(path: &Path, err: &std::io::Error) -> GraphError {
     GraphError::SnapshotIo { path: path.display().to_string(), reason: err.to_string() }
 }
 
-/// The checks of [`CsrGraph::validate`] on raw arrays (checks 3–4 of the
-/// module docs), so the decoder can run them before it builds a graph.
-/// Error offsets locate the violation in the encoded form; `offsets` holds
-/// at least one entry.
+/// Checks 3–4 of the module docs on decoded arrays, which the decoder runs
+/// before it builds a graph: offsets start at 0, never decrease and end at
+/// the arc count; every endpoint is in bounds, with no self loops and no
+/// duplicate neighbours; and the adjacency is symmetric. `O(n + m)` time and
+/// memory. Error offsets locate the violation in the encoded form;
+/// `offsets` holds at least one entry.
 fn check_adjacency(offsets: &[u32], targets: &[u32]) -> Result<()> {
     let corrupt = |offset: usize, reason: String| GraphError::CorruptSnapshot { offset, reason };
     let n = offsets.len() - 1;
@@ -563,24 +545,23 @@ mod tests {
     fn validate_accepts_every_frozen_graph_and_matches_the_decoder() {
         for g in sample_graphs() {
             let csr = g.freeze();
-            assert_eq!(csr.validate(), Ok(()));
+            assert_eq!(check_adjacency(csr.offsets(), csr.targets()), Ok(()));
         }
-        // A structurally corrupt candidate fails `validate` with the same
-        // error its encoding fails to decode with.
+        // Structurally corrupt arrays fail the check with the same error
+        // their encoding fails to decode with.
         let csr = generators::cycle(6).unwrap().freeze();
         let mut offsets = csr.offsets().to_vec();
         let mut targets = csr.targets().to_vec();
         targets[0] = 3;
+        let err = check_adjacency(&offsets, &targets).unwrap_err();
+        assert!(err.to_string().contains("asymmetric"), "{err}");
         let candidate = CsrGraph::from_parts(
             offsets.clone().into(),
             targets.clone().into(),
             csr.identifiers().to_vec(),
         );
-        let err = candidate.validate().unwrap_err();
-        assert!(err.to_string().contains("asymmetric"), "{err}");
         assert_eq!(CsrGraph::from_bytes(&candidate.to_bytes()), Err(err));
-        // Duplicate neighbour: node 0 lists node 1 twice. This case and the
-        // next call the raw-array check that `validate` and the decoder run.
+        // Duplicate neighbour: node 0 lists node 1 twice.
         targets[0] = 1;
         targets[1] = 1;
         let err = check_adjacency(&offsets, &targets).unwrap_err();

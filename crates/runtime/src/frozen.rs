@@ -13,8 +13,8 @@
 //! extraction per probe would cost.
 //!
 //! Experiment trials vary only the identifier assignment, never the
-//! adjacency, so the session also supports swapping the identifier table in
-//! `O(n)` via [`FrozenExecutor::set_identifiers`] instead of re-freezing.
+//! adjacency, so a session rewrites its identifier table in place in `O(n)`
+//! via [`FrozenExecutor::try_assign`] instead of re-freezing.
 //!
 //! Every probe of the runtime runs through this module: one probe loop
 //! (grow the ball until the algorithm decides, polling an optional
@@ -186,28 +186,15 @@ impl FrozenExecutor {
     }
 
     /// Replaces the snapshot's identifier table in `O(n)`, keeping the frozen
-    /// adjacency — the per-trial operation of an identifier-assignment sweep.
+    /// adjacency.
     ///
     /// # Panics
     ///
     /// Panics when `identifiers` does not provide exactly one identifier per
-    /// node. Callers handling untrusted table lengths should use
-    /// [`FrozenExecutor::try_set_identifiers`] instead.
+    /// node. [`FrozenExecutor::try_assign`] writes an assignment policy's
+    /// table in place and reports a wrong-length permutation instead.
     pub fn set_identifiers(&mut self, identifiers: &[Identifier]) {
         self.csr.set_identifiers(identifiers);
-    }
-
-    /// Fallible counterpart of [`FrozenExecutor::set_identifiers`] for
-    /// untrusted table lengths.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`avglocal_graph::GraphError::AssignmentLengthMismatch`]
-    /// (wrapped in [`crate::RuntimeError::Graph`], leaving the session
-    /// unchanged) when `identifiers` does not provide exactly one identifier
-    /// per node.
-    pub fn try_set_identifiers(&mut self, identifiers: &[Identifier]) -> Result<()> {
-        self.csr.try_set_identifiers(identifiers).map_err(crate::RuntimeError::Graph)
     }
 
     /// Writes `assignment`'s identifier table straight into the session's
@@ -513,23 +500,6 @@ mod tests {
                 assert_eq!(r, expected.radius(v));
             }
         }
-    }
-
-    #[test]
-    fn try_set_identifiers_rejects_wrong_length_without_touching_the_session() {
-        let g = generators::cycle(6).unwrap();
-        let mut session = FrozenExecutor::new(&g);
-        let err = session.try_set_identifiers(&IdAssignment::Identity.identifiers(3, 0));
-        assert!(matches!(
-            err,
-            Err(RuntimeError::Graph(avglocal_graph::GraphError::AssignmentLengthMismatch {
-                provided: 3,
-                expected: 6,
-            }))
-        ));
-        // The session still runs on its original identifier table.
-        let run = session.run(&NaiveLargestId, Knowledge::none()).unwrap();
-        assert_eq!(run.outputs().len(), 6);
     }
 
     #[test]

@@ -42,8 +42,9 @@ pub enum ServiceError {
         /// attempts were invalidated by a swap.
         retries: u32,
     },
-    /// A candidate generation failed snapshot validation and was rolled
-    /// back; the previously published generation is untouched.
+    /// Candidate snapshot bytes failed to decode
+    /// ([`crate::RadiusQueryService::publish_bytes`]) and were rolled back;
+    /// the previously published generation is untouched.
     PublishRejected {
         /// The codec's typed rejection.
         source: GraphError,

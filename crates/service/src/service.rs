@@ -4,16 +4,17 @@
 //! # Generation lifecycle
 //!
 //! The service serves every query from an immutable [`Generation`] — an
-//! epoch number plus a [`FrozenExecutor`] session over one validated
-//! [`CsrGraph`] snapshot. Publication is epoch-based:
+//! epoch number plus a [`FrozenExecutor`] session over one [`CsrGraph`]
+//! snapshot. Publication is epoch-based:
 //!
 //! 1. a candidate snapshot is built **off to the side** (the service keeps
 //!    answering on the current generation throughout);
-//! 2. the candidate is validated in place ([`CsrGraph::validate`], the
-//!    snapshot decoder's own check) — and a build that panics is caught — so
-//!    a bad candidate is **rolled back**, never
-//!    published ([`ServiceError::PublishRejected`] /
-//!    [`ServiceError::PublishPanicked`]);
+//! 2. a bad candidate is **rolled back**, never published: the snapshot
+//!    decoder rejects invalid bytes ([`RadiusQueryService::publish_bytes`],
+//!    [`ServiceError::PublishRejected`]), and a build that panics is caught
+//!    ([`RadiusQueryService::publish_with`],
+//!    [`ServiceError::PublishPanicked`]). A [`CsrGraph`] in memory is valid
+//!    by construction and is not checked again;
 //! 3. an accepted candidate is installed by atomically swapping the shared
 //!    `Arc<Generation>` under a mutex, bumping the epoch.
 //!
@@ -47,7 +48,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use avglocal_graph::{CsrGraph, GraphError, NodeId};
+use avglocal_graph::{CsrGraph, NodeId};
 use avglocal_runtime::{BallAlgorithm, FrozenExecutor, Knowledge, ProbeOptions, RuntimeError};
 
 use crate::batch::{Consistency, QueryOptions};
@@ -110,7 +111,8 @@ pub struct StatsSnapshot {
     pub retries: u64,
     /// Generations successfully published (the initial one included).
     pub publishes: u64,
-    /// Candidate generations rejected by validation.
+    /// Candidate snapshot bytes the decoder rejected
+    /// ([`RadiusQueryService::publish_bytes`]).
     pub publish_rejected: u64,
     /// Candidate generations whose build panicked.
     pub publish_panicked: u64,
@@ -385,16 +387,14 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
     /// Publishes a candidate built by `build`, catching a panicking build.
     ///
     /// The build runs off to the side — queries keep being served from the
-    /// current generation — and its result goes through
-    /// [`RadiusQueryService::publish_csr`]'s validation before the swap, so a
-    /// panicked or invalid candidate is rolled back without ever being
-    /// visible to a reader.
+    /// current generation — and a build that panics is rolled back without
+    /// ever being visible to a reader. A build that returns is installed by
+    /// [`RadiusQueryService::publish_csr`].
     ///
     /// # Errors
     ///
-    /// [`ServiceError::PublishPanicked`] when `build` panics,
-    /// [`ServiceError::PublishRejected`] when validation fails. The
-    /// previously published generation stays current in both cases.
+    /// [`ServiceError::PublishPanicked`] when `build` panics; the previously
+    /// published generation stays current.
     pub fn publish_with(&self, build: impl FnOnce() -> CsrGraph) -> Result<u64> {
         match catch_unwind(AssertUnwindSafe(build)) {
             Ok(csr) => self.publish_csr(csr),
@@ -405,17 +405,18 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
         }
     }
 
-    /// Validates `csr` in place ([`CsrGraph::validate`], the check the
-    /// snapshot decoder enforces on untrusted bytes) and, on success,
-    /// installs it as the next generation. Nothing invalid can be swapped in,
-    /// however the candidate was produced.
+    /// Installs `csr` as the next generation and returns its epoch.
+    ///
+    /// A [`CsrGraph`] is valid by construction — frozen from a simple graph
+    /// or decoded from checked bytes — so nothing is checked here. Only
+    /// [`RadiusQueryService::publish_bytes`], which decodes untrusted bytes,
+    /// can reject a candidate, and only [`RadiusQueryService::publish_with`]
+    /// can roll back a build that panics.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::PublishRejected`] when the candidate fails
-    /// validation; the current generation is untouched.
+    /// None: the `Result` matches the other publish paths.
     pub fn publish_csr(&self, csr: CsrGraph) -> Result<u64> {
-        csr.validate().map_err(|source| self.rejected(source))?;
         Ok(self.install(csr))
     }
 
@@ -427,17 +428,16 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
     /// [`ServiceError::PublishRejected`] carrying the codec's typed
     /// rejection; the current generation is untouched.
     pub fn publish_bytes(&self, bytes: &[u8]) -> Result<u64> {
-        let csr = CsrGraph::from_bytes(bytes).map_err(|source| self.rejected(source))?;
-        Ok(self.install(csr))
+        match CsrGraph::from_bytes(bytes) {
+            Ok(csr) => Ok(self.install(csr)),
+            Err(source) => {
+                self.counters.publish_rejected.fetch_add(1, Ordering::Relaxed);
+                Err(ServiceError::PublishRejected { source })
+            }
+        }
     }
 
-    /// Counts a rejected candidate and wraps the validation error.
-    fn rejected(&self, source: GraphError) -> ServiceError {
-        self.counters.publish_rejected.fetch_add(1, Ordering::Relaxed);
-        ServiceError::PublishRejected { source }
-    }
-
-    /// Swaps a validated snapshot in as the next generation.
+    /// Swaps a snapshot in as the next generation.
     fn install(&self, csr: CsrGraph) -> u64 {
         let session = FrozenExecutor::from_csr(csr);
         let mut current = self.current.lock().unwrap_or_else(PoisonError::into_inner);
@@ -475,7 +475,7 @@ mod tests {
     use super::*;
     use crate::batch::QueryRequest;
     use crate::clock::TestClock;
-    use avglocal_graph::{generators, IdAssignment};
+    use avglocal_graph::{generators, GraphError, IdAssignment};
     use avglocal_runtime::examples::NaiveLargestId;
     use avglocal_runtime::{FrozenExecutor, Scheduling};
     use std::sync::Weak;
